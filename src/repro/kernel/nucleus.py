@@ -127,8 +127,7 @@ class Kernel:
         self._seqs: dict[str, int] = {}
         #: the admission controller (repro.runtime.admission) or None;
         #: like chaos, uninstalled costs one attribute read + one branch
-        #: at each gate (local door launch, fabric incoming leg) and zero
-        #: simulated time.
+        #: at its one gate (the incoming leg) and zero simulated time.
         self.admission = None
         #: the happens-before race detector (repro.runtime.tsan) or
         #: None; uninstalled costs one attribute read + one branch at
@@ -310,18 +309,18 @@ class Kernel:
     ) -> "MarshalBuffer":
         """Execute a cross-address-space call through a door.
 
-        The kernel validates the capability, charges the door-traversal
-        cost, translates the buffer's door vector into transit form, and
-        delivers the call to the door's handler (normally the server-side
-        subcontract).  Cross-machine calls are handed to the network
-        fabric, which forwards them to the remote machine's kernel leg.
+        This is the launch leg: the kernel validates the caller's budget
+        and capability, stamps the out-of-band slots, seals the buffer
+        and routes it — to the network fabric when the server lives on
+        another machine, otherwise straight to :meth:`incoming`, which
+        the fabric also ends in.  The gate order is the "launch" rows
+        of the table in ``docs/architecture.md``.
         """
         caller.check_alive()
 
-        # Deadline gate: refuse to launch a call whose budget is spent.
-        # Checked before the capability, so a spent budget wins over a
-        # dead door — retry loops must see DeadlineExceeded (which they
-        # refuse to retry), not a retryable ServerDiedError.
+        # Before the capability check: retry loops must see a spent
+        # budget as DeadlineExceeded (which they refuse to retry), not as
+        # a dead door's retryable ServerDiedError.
         dl = self._deadline.value
         if dl is not None and self.clock.now_us >= dl:
             raise DeadlineExceeded(
@@ -365,199 +364,124 @@ class Kernel:
         if ts is not None:
             ts.on_door_send(door, buffer)
 
-        if self.tracer.enabled:
-            reply = self._traced_door_call(caller, door, server, buffer, self.tracer)
-            if ts is not None:
-                ts.on_reply_receive(reply)
-            return reply
-
-        if (
-            self.fabric is not None
-            and caller.machine is not None
-            and server.machine is not None
-            and caller.machine is not server.machine
-        ):
-            reply = self.fabric(caller, door, buffer)
-        else:
-            admission = self.admission
-            if admission is not None:
-                reply = self._admitted_local_call(admission, door, buffer)
-            else:
-                self.clock.charge("door_call")
-                # Tracing was just checked off for this same synchronous
-                # call: go straight to the untraced delivery body.
-                reply = self._deliver_untraced(door, buffer)
-        reply.seal_for_transmission(server)
-        if ts is not None:
-            ts.on_reply_receive(reply)
-        return reply
-
-    def _admitted_local_call(
-        self, admission, door: Door, buffer: "MarshalBuffer"
-    ) -> "MarshalBuffer":
-        """Local door-call tail with an admission controller installed.
-
-        The gate sits below the deadline gate (a spent budget beats a
-        busy-shed) and above handler dispatch; a shed call raises
-        ServerBusyError before the door traversal is even charged.
-        """
-        permit = admission.admit(door, buffer)
-        self.clock.charge("door_call")
-        if permit is None:
-            return self._deliver(door, buffer)
-        try:
-            return self._deliver(door, buffer)
-        finally:
-            admission.complete(permit)
-
-    def _traced_door_call(
-        self,
-        caller: Domain,
-        door: Door,
-        server: Domain,
-        buffer: "MarshalBuffer",
-        tracer,
-    ) -> "MarshalBuffer":
-        """Traced twin of the door-call tail: opens the door span and
-        stamps the trace context onto the buffer's out-of-band slot so it
-        crosses the transmission boundary without touching the marshalled
-        bytes (domain isolation: only the two integers travel)."""
         remote = (
             self.fabric is not None
             and caller.machine is not None
             and server.machine is not None
             and caller.machine is not server.machine
         )
-        name = door.label or f"door#{door.uid}"
-        with tracer.begin_span(
-            caller, name, "door", door=door.uid, server=server.name, remote=remote
-        ) as span:
-            buffer.trace_ctx = span.ctx
+        tracer = self.tracer
+        if tracer.enabled:
+            # The door span's context crosses the transmission boundary
+            # in the buffer's out-of-band slot, never in the marshalled
+            # bytes (domain isolation: only the two integers travel).
+            with tracer.begin_span(
+                caller,
+                door.label or f"door#{door.uid}",
+                "door",
+                door=door.uid,
+                server=server.name,
+                remote=remote,
+            ) as span:
+                buffer.trace_ctx = span.ctx
+                try:
+                    reply = (
+                        self.fabric(caller, door, buffer)
+                        if remote
+                        else self.incoming(door, buffer)
+                    )
+                finally:
+                    buffer.trace_ctx = None
+        else:
+            reply = (
+                self.fabric(caller, door, buffer)
+                if remote
+                else self.incoming(door, buffer)
+            )
+        reply.seal_for_transmission(server)
+        if ts is not None:
+            ts.on_reply_receive(reply)
+        return reply
+
+    def incoming(self, door: Door, buffer: "MarshalBuffer") -> "MarshalBuffer":
+        """The incoming leg: admit, charge and run one call at its door.
+
+        Every call reaches its handler through here, on the server's
+        machine: from the local tail of :meth:`door_call`, from the sim
+        fabric once the request wire leg is paid, and from a worker
+        process that rebuilt the request from an envelope.  The gate
+        order (and what each refusal has charged by then) is the
+        "incoming" rows of the table in ``docs/architecture.md``.
+        """
+        admission = self.admission
+        permit = admission.admit(door, buffer) if admission is not None else None
+        try:
+            self.clock.charge("door_call")
+            server = door.server
+            if not server.alive or door.state is DoorState.DEAD:
+                raise ServerDiedError(
+                    f"server domain {server.name!r} of door #{door.uid} has crashed"
+                )
+            if door.state is DoorState.REVOKED:
+                raise DoorRevokedError(f"door #{door.uid} has been revoked")
+            with self._table_lock:
+                door.calls_handled += 1
+            # The request has been consumed: from here a refusal (late
+            # arrival, crash-mid-call) counts as a handled call.
+            dl = buffer.deadline_us
+            if dl is not None and self.clock.now_us >= dl:
+                raise DeadlineExceeded(
+                    f"deadline passed before door #{door.uid} handler ran "
+                    f"({self.clock.now_us - dl:.1f} us over budget)"
+                )
+            chaos = self.chaos
+            if chaos is not None:
+                chaos.on_deliver(door)
+            depth_local = self._depth
+            depth = getattr(depth_local, "value", 0)
+            depth_local.value = depth + 1
+            # The idempotency key names exactly one logical request:
+            # clear the thread slot while the handler runs so its nested
+            # calls don't inherit the caller's key, and restore it for
+            # the caller's retry loop.  Gated on the buffer's slot —
+            # door_call stamps it whenever the thread slot is set, so an
+            # unkeyed delivery pays one __slots__ read + branch, never
+            # the (much slower) thread-local read.
+            if buffer.idem_key is not None:
+                idem_local = self._idem
+                ik = idem_local.value
+                if ik is not None:
+                    idem_local.value = None
+            else:
+                ik = None
+            ts = self.tsan
+            if ts is not None:
+                ts.on_door_receive(door, buffer)
+            tracer = self.tracer
             try:
-                if remote:
-                    reply = self.fabric(caller, door, buffer)
+                if tracer.enabled:
+                    # The handler span's parent is ONLY the context that
+                    # crossed the wire, never the delivering thread's
+                    # stack.
+                    with tracer.begin_handler(
+                        server,
+                        door.label or f"door#{door.uid}",
+                        buffer.trace_ctx,
+                        door=door.uid,
+                    ):
+                        reply = door.handler(buffer)
                 else:
-                    admission = self.admission
-                    if admission is not None:
-                        reply = self._admitted_local_call(admission, door, buffer)
-                    else:
-                        self.clock.charge("door_call")
-                        reply = self._deliver(door, buffer)
+                    reply = door.handler(buffer)
             finally:
-                buffer.trace_ctx = None
-            reply.seal_for_transmission(server)
+                depth_local.value = depth
+                if ik is not None:
+                    idem_local.value = ik
+            if ts is not None:
+                ts.on_reply_send(reply)
             return reply
-
-    def _deliver(self, door: Door, buffer: "MarshalBuffer") -> "MarshalBuffer":
-        """Run the handler leg of a door call on the server's machine."""
-        if self.tracer.enabled:
-            return self._traced_deliver(door, buffer, self.tracer)
-        return self._deliver_untraced(door, buffer)
-
-    def _deliver_untraced(self, door: Door, buffer: "MarshalBuffer") -> "MarshalBuffer":
-        """Untraced delivery body (callers that already know tracing is
-        off for this call — the local door-call tail — skip the re-check)."""
-        server = door.server
-        if not server.alive or door.state is DoorState.DEAD:
-            raise ServerDiedError(
-                f"server domain {server.name!r} of door #{door.uid} has crashed"
-            )
-        if door.state is DoorState.REVOKED:
-            raise DoorRevokedError(f"door #{door.uid} has been revoked")
-        with self._table_lock:
-            door.calls_handled += 1
-        # The request has been consumed: this is where a crash-mid-call
-        # lands (server dies before replying) and where an expired
-        # deadline is refused on arrival, before the handler runs.
-        dl = buffer.deadline_us
-        if dl is not None and self.clock.now_us >= dl:
-            raise DeadlineExceeded(
-                f"deadline passed before door #{door.uid} handler ran "
-                f"({self.clock.now_us - dl:.1f} us over budget)"
-            )
-        chaos = self.chaos
-        if chaos is not None:
-            chaos.on_deliver(door)
-        depth_local = self._depth
-        depth = getattr(depth_local, "value", 0)
-        depth_local.value = depth + 1
-        # The idempotency key names exactly one logical request: clear
-        # the thread slot while the handler runs so its nested calls
-        # don't inherit the caller's key, and restore it for the
-        # caller's retry loop.  Gated on the buffer's slot — door_call
-        # stamps it whenever the thread slot is set, so an unkeyed
-        # delivery pays one __slots__ read + branch, never the (much
-        # slower) thread-local read.
-        if buffer.idem_key is not None:
-            idem_local = self._idem
-            ik = idem_local.value
-            if ik is not None:
-                idem_local.value = None
-        else:
-            ik = None
-        ts = self.tsan
-        if ts is not None:
-            ts.on_door_receive(door, buffer)
-        try:
-            reply = door.handler(buffer)
         finally:
-            depth_local.value = depth
-            if ik is not None:
-                idem_local.value = ik
-        if ts is not None:
-            ts.on_reply_send(reply)
-        return reply
-
-    def _traced_deliver(
-        self, door: Door, buffer: "MarshalBuffer", tracer
-    ) -> "MarshalBuffer":
-        """Traced twin of :meth:`_deliver`: the handler span's parent is
-        taken ONLY from the context that crossed the wire (the buffer's
-        out-of-band slot), never from the delivering thread's stack."""
-        server = door.server
-        if not server.alive or door.state is DoorState.DEAD:
-            raise ServerDiedError(
-                f"server domain {server.name!r} of door #{door.uid} has crashed"
-            )
-        if door.state is DoorState.REVOKED:
-            raise DoorRevokedError(f"door #{door.uid} has been revoked")
-        with self._table_lock:
-            door.calls_handled += 1
-        dl = buffer.deadline_us
-        if dl is not None and self.clock.now_us >= dl:
-            raise DeadlineExceeded(
-                f"deadline passed before door #{door.uid} handler ran "
-                f"({self.clock.now_us - dl:.1f} us over budget)"
-            )
-        chaos = self.chaos
-        if chaos is not None:
-            chaos.on_deliver(door)
-        depth_local = self._depth
-        depth = getattr(depth_local, "value", 0)
-        depth_local.value = depth + 1
-        # Same key hygiene as the untraced body: the handler's own calls
-        # must not inherit the caller's idempotency key.
-        if buffer.idem_key is not None:
-            idem_local = self._idem
-            ik = idem_local.value
-            if ik is not None:
-                idem_local.value = None
-        else:
-            ik = None
-        ts = self.tsan
-        if ts is not None:
-            ts.on_door_receive(door, buffer)
-        name = door.label or f"door#{door.uid}"
-        try:
-            with tracer.begin_handler(server, name, buffer.trace_ctx, door=door.uid):
-                reply = door.handler(buffer)
-        finally:
-            depth_local.value = depth
-            if ik is not None:
-                idem_local.value = ik
-        if ts is not None:
-            ts.on_reply_send(reply)
-        return reply
+            if permit is not None:
+                admission.complete(permit)
 
     # ------------------------------------------------------------------
     # internals

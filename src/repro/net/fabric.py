@@ -247,7 +247,7 @@ class NetworkFabric:
         self.calls_carried += 1
 
         # Request leg: translate outbound doors, pay wire time, translate
-        # inbound doors, then the remote kernel's door traversal.
+        # inbound doors, then the serving kernel's incoming leg.
         src.net_server.outbound(buffer.live_door_count(), domain=caller)
         self._wire_time(buffer.size, src, dst)
         dst.net_server.inbound(buffer.live_door_count(), domain=door.server)
@@ -256,23 +256,10 @@ class NetworkFabric:
             raise DeadlineExceeded(
                 f"deadline passed on the request wire leg to {dst.name!r}"
             )
-        # Admission gate on the serving machine's incoming leg: the call
-        # already paid the request wire, but the server may still say
-        # busy — a shed here propagates back like any other carry
-        # failure, and the caller's failure path recycles the request.
-        admission = self.kernel.admission
-        if admission is not None:
-            permit = admission.admit(door, buffer)
-        else:
-            permit = None
-        self.kernel.clock.charge("door_call")
-        if permit is None:
-            reply = self.kernel._deliver(door, buffer)
-        else:
-            try:
-                reply = self.kernel._deliver(door, buffer)
-            finally:
-                admission.complete(permit)
+        # The serving machine's incoming leg may still refuse (busy, dead,
+        # late): that propagates back like any other carry failure, and
+        # the caller's failure path recycles the request.
+        reply = self.kernel.incoming(door, buffer)
 
         # Reply leg: partitions that formed mid-call lose the reply.  The
         # reply travels dst -> src, so it is that *direction* that must

@@ -21,15 +21,16 @@ transport they were not born on:
 
 * **deadlines** — the proxy reads the buffer's out-of-band
   ``deadline_us``, ships the *remaining budget*, and the worker
-  re-anchors it on its own clock; the ordinary delivery-leg check
+  re-anchors it on its own clock; the ordinary incoming-leg check
   refuses late calls and the resulting :class:`DeadlineExceeded`
   crosses back as an ERROR envelope.
 * **tracing** — the proxy opens a ``fabric`` span and stamps its
   context into the envelope; the worker's handler span parents from
   that wire context alone, so both processes' spans join one trace id.
-* **admission** — the worker mirrors the kernel's admitted-local-call
-  tail on its incoming leg; a shed call's :class:`ServerBusyError`
-  (with its ``retry_after_us`` hint) round-trips exactly.
+* **admission** — the worker hands each call to its kernel's
+  ``incoming`` leg, where the admission gate sits; a shed call's
+  :class:`ServerBusyError` (with its ``retry_after_us`` hint)
+  round-trips exactly.
 
 The in-process simulated fabric stays the default transport
 (``Environment(transport="sim")``); nothing in this module is imported

@@ -8,7 +8,7 @@ socketpair forever.  An incoming CALL envelope's payload is the exact
 byte stream the client-side stub marshalled in the supervisor process;
 the worker wraps it in a :class:`MarshalBuffer`, re-anchors the deadline
 budget on its own clock, restores the wire trace context, and hands it
-to the kernel's ordinary delivery leg — composition (deadlines,
+to the kernel's ordinary incoming leg — composition (deadlines,
 admission, tracing) happens in the same code that serves in-process
 calls, which is the point.
 
@@ -69,8 +69,6 @@ OP_PING = 1
 OP_LIST_EXPORTS = 2
 OP_OBS_PULL = 3
 OP_SHUTDOWN = 4
-
-_EV_DOOR_CALL = "door_call"
 
 #: worker-local trace/span ids are offset into a per-worker band so
 #: merged cross-process traces never collide with supervisor-allocated
@@ -240,7 +238,7 @@ def _serve(
 
 
 def _serve_call(kernel: Any, table: dict, envelope: Any) -> MarshalBuffer:
-    """One CALL: rebuild the buffer, mirror the admitted local tail."""
+    """One CALL: rebuild the buffer, run the kernel's incoming leg."""
     door = table.get(envelope.target)
     if door is None:
         raise InvalidDoorError(f"no export #{envelope.target} in this worker")
@@ -249,7 +247,7 @@ def _serve_call(kernel: Any, table: dict, envelope: Any) -> MarshalBuffer:
         request.data.extend(envelope.payload)
         request.sealed = True
         # Re-anchor the remaining budget on this process's clock: the
-        # ordinary delivery-leg deadline check then enforces it.
+        # incoming leg's arrival-deadline check then enforces it.
         if envelope.budget_us is not None:
             request.deadline_us = kernel.clock.now_us + envelope.budget_us
         if envelope.trace_ctx is not None and kernel.tracer.enabled:
@@ -258,18 +256,7 @@ def _serve_call(kernel: Any, table: dict, envelope: Any) -> MarshalBuffer:
         # restored out-of-band so the worker-side dedup memo sees it.
         if envelope.idem_key is not None:
             request.idem_key = envelope.idem_key
-        # Mirror of Kernel._admitted_local_call: the admission gate sits
-        # on the incoming leg exactly as it does for the sim fabric.
-        admission = kernel.admission
-        permit = None
-        if admission is not None:
-            permit = admission.admit(door, request)
-        kernel.clock.charge(_EV_DOOR_CALL)
-        try:
-            reply = kernel._deliver(door, request)
-        finally:
-            if permit is not None:
-                admission.complete(permit)
+        reply = kernel.incoming(door, request)
     finally:
         request.discard()
     if reply.live_door_count():

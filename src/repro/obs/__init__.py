@@ -13,9 +13,11 @@ Design constraints (see ``docs/observability.md``):
 
 * **Near-zero disabled cost.**  Every kernel has a ``tracer`` attribute,
   preinstalled as the no-op :data:`NULL_TRACER`; hot paths pay exactly one
-  attribute read plus one branch (``if kernel.tracer.enabled:``) and
-  delegate to a separate traced twin, so the disabled fast path stays
-  branch-for-branch what PR 1 tuned.
+  attribute read plus one branch (``if kernel.tracer.enabled:``) at
+  each span site.  The kernel's two legs (``Kernel.door_call``,
+  ``Kernel.incoming``) open their spans behind that branch in one
+  body; only ``core.stubs.remote_call`` keeps a separate traced twin,
+  where merging would cost the disabled path a Python frame per call.
 * **Simulated and wall time.**  Span timestamps come from the kernel's
   deterministic :class:`~repro.kernel.clock.SimClock`; wall-clock deltas
   ride along for profiling real hardware.  The tracer's own probe cost is

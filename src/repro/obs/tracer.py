@@ -14,7 +14,7 @@ category describing which layer did the work::
     door       kernel door traversal (door_call)
     fabric     cross-machine forwarding (NetworkFabric.carry)
     netserver  door-identifier translation at a machine boundary
-    handler    server-side door delivery (_deliver / rawnet receive)
+    handler    server-side door delivery (Kernel.incoming / rawnet receive)
     skeleton   server subcontract -> server stubs dispatch
 
 Causality is carried two ways:
@@ -22,10 +22,10 @@ Causality is carried two ways:
 * **within a call chain on one thread** — a per-thread span stack; a new
   span's parent is the stack top, which is how a nested ``remote_call``
   made from inside a server-side handler joins its caller's trace;
-* **across the transmission boundary** — the kernel's traced door leg
-  stamps ``(trace_id, span_id)`` into the communication buffer's
-  out-of-band ``trace_ctx`` slot (the same out-of-band channel the door
-  vector uses), and the delivery leg starts the handler span from that
+* **across the transmission boundary** — ``Kernel.door_call`` stamps
+  ``(trace_id, span_id)`` into the communication buffer's out-of-band
+  ``trace_ctx`` slot (the same out-of-band channel the door vector
+  uses), and ``Kernel.incoming`` starts the handler span from that
   context alone.  Domain isolation holds: no Python object crosses, only
   the two integers, and the rawnet subcontract proves the point by
   carrying the same pair in-band in its packet headers

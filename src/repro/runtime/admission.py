@@ -35,11 +35,11 @@ occupancy the real calls are admitted against, so a single-threaded
 simulated workload experiences genuine queueing and shedding, and every
 run replays bit-for-bit from its seed.
 
-Enforcement sits in two places, mirroring the deadline gates: the
-kernel's local door-call tail (below the deadline gate, above handler
-dispatch) and the fabric's incoming wire leg — so local and
-cross-machine calls are governed identically, and a cross-machine call
-is admitted once, on the serving machine.  When no controller is
+Enforcement sits in one place, ``Kernel.incoming`` — the leg every
+call arrives on, whether from the local door-call tail, the fabric's
+carry, or a worker process — so local and cross-machine calls are
+governed identically, and a cross-machine call is admitted once, on the
+serving machine.  When no controller is
 installed (``kernel.admission is None``) the gate costs one attribute
 read and one branch and not one simulated nanosecond; installed, an
 *ungoverned* door resolves to ``None`` once and is cached, so only doors

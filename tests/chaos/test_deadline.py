@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.kernel.errors import CommunicationError, DeadlineExceeded
+from repro.obs.tracer import install_tracer
 from repro.runtime.deadline import deadline, remaining_us
 from repro.runtime.env import Environment
 from repro.runtime.faults import crash_domain
@@ -47,12 +48,16 @@ class TestDoorLegs:
             with pytest.raises(DeadlineExceeded, match="before calling door"):
                 obj.add(1)
 
-    def test_local_call_refused_on_arrival(self, kernel, counter_module):
+    @pytest.mark.parametrize("traced", [False, True], ids=["off", "on"])
+    def test_local_call_refused_on_arrival(self, kernel, counter_module, traced):
         # Same-kernel call, raw door_call: the launch gate passes (zero
         # time elapses between entering the block and the gate), then the
         # door-traversal charge alone overruns the budget, so the
         # violation is caught at delivery — after the request is
-        # consumed, before the handler runs.
+        # consumed, before the handler runs.  (The governed variant, on
+        # every entry, is in tests/kernel/test_call_path.py.)
+        if traced:
+            tracer = install_tracer(kernel)
         server = make_domain(kernel, "server")
         client = make_domain(kernel, "client")
         binding = counter_module.binding("counter")
@@ -68,6 +73,9 @@ class TestDoorLegs:
         # The request was consumed but the handler never executed.
         assert obj._rep.door.door.calls_handled == 1
         assert impl.value == 0
+        if traced:
+            # The door span closed in error; no handler span ever opened.
+            assert [s.category for s in tracer.spans()] == ["door"]
 
     def test_deadline_exceeded_is_a_communication_error(self, remote_world):
         env, _, _, obj = remote_world
