@@ -413,17 +413,20 @@ class Kernel:
         order (and what each refusal has charged by then) is the
         "incoming" rows of the table in ``docs/architecture.md``.
         """
+        # Before the admission gate: busy is not dead.  A door that died
+        # or was revoked after launch must not occupy a slot, count a
+        # shed, or hand retry loops a ``retry_after_us`` to back off on.
+        server = door.server
+        if not server.alive or door.state is DoorState.DEAD:
+            raise ServerDiedError(
+                f"server domain {server.name!r} of door #{door.uid} has crashed"
+            )
+        if door.state is DoorState.REVOKED:
+            raise DoorRevokedError(f"door #{door.uid} has been revoked")
         admission = self.admission
         permit = admission.admit(door, buffer) if admission is not None else None
         try:
             self.clock.charge("door_call")
-            server = door.server
-            if not server.alive or door.state is DoorState.DEAD:
-                raise ServerDiedError(
-                    f"server domain {server.name!r} of door #{door.uid} has crashed"
-                )
-            if door.state is DoorState.REVOKED:
-                raise DoorRevokedError(f"door #{door.uid} has been revoked")
             with self._table_lock:
                 door.calls_handled += 1
             # The request has been consumed: from here a refusal (late

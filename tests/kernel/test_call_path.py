@@ -20,7 +20,12 @@ import contextlib
 
 import pytest
 
-from repro.kernel.errors import DeadlineExceeded, ServerBusyError
+from repro.kernel.errors import (
+    DeadlineExceeded,
+    DoorRevokedError,
+    ServerBusyError,
+    ServerDiedError,
+)
 from repro.marshal.buffer import MarshalBuffer
 from repro.marshal.envelope import KIND_CALL, Envelope
 from repro.net.procworker import _serve_call
@@ -163,6 +168,39 @@ def test_shed_call_is_refused_before_the_traversal_is_charged(entry, traced):
     assert world.door_call_charges() == charged
     assert world.runs == runs
     assert world.permits == {"issued": 1, "completed": 1}
+
+
+@pytest.mark.parametrize("fault", ["crash", "revoke"])
+@pytest.mark.parametrize("entry,traced", CELLS)
+def test_door_lost_in_flight_answers_dead_not_busy(entry, traced, fault):
+    """Busy is not dead: a full door whose server went away after launch
+    must not hand the caller a ``retry_after_us`` hint to back off on."""
+    world = World(entry, traced)
+    controller = world.govern(
+        limit=1, queue_limit=0, service_estimate_us=LONG_SERVICE_US
+    )
+    world.call(1)  # the one slot is now occupied: the next call would shed
+    kernel = world.kernel
+    if fault == "crash":
+        strike, error = lambda: kernel.crash_domain(world.server), ServerDiedError
+    else:
+        strike, error = (
+            lambda: kernel.revoke_door(world.server, world.door),
+            DoorRevokedError,
+        )
+    if entry == "worker":
+        strike()  # no launch leg in a worker: the envelope is the launch
+    else:
+        # Due now, so it fires from the launch leg's chaos hook — after
+        # launch has checked the capability and the server's liveness.
+        world.env.install_chaos().schedule(kernel.clock.now_us, strike, fault)
+    handled, charged = world.door.calls_handled, world.door_call_charges()
+    with pytest.raises(error):
+        world.call(1)
+    assert controller.door_snapshot(world.door)["shed"] == 0
+    assert world.permits == {"issued": 1, "completed": 1}
+    assert world.door.calls_handled == handled
+    assert world.door_call_charges() == charged
 
 
 @pytest.mark.parametrize("entry,traced", CELLS)
