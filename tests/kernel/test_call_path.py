@@ -29,6 +29,7 @@ from repro.kernel.errors import (
 from repro.marshal.buffer import MarshalBuffer
 from repro.marshal.envelope import KIND_CALL, Envelope
 from repro.net.procworker import _serve_call
+from repro.obs.tracer import Tracer
 from repro.runtime import AdmissionPolicy, Environment, deadline
 from repro.runtime.idem import current_idempotency_key, idempotency_key
 
@@ -334,8 +335,6 @@ def test_legs_read_their_hooks_on_every_call():
         def admit(self, door, buffer):
             went_through.append("admission")
             return None
-
-    from repro.obs.tracer import Tracer
 
     originals = (door.handler, kernel.fabric, kernel.admission, kernel.tracer)
     door.handler = noting("handler", door.handler)
