@@ -14,7 +14,7 @@ path — the Python analogue of ``dlopen("replicon.so")``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.core.errors import UnknownSubcontractError
 from repro.core.subcontract import ClientSubcontract
@@ -49,16 +49,17 @@ class SubcontractRegistry:
         upgraded library is loaded).
         """
         instance = subcontract_class(self.domain)
-        # Membership-aware subcontracts declare a class-default
-        # ``membership = None``; a domain that had a gossip view planted
-        # (``MembershipService.plant``) wires it into vectors created
-        # *after* the plant, so plant order does not matter.
-        if getattr(instance, "membership", False) is None:
-            view = self.domain.locals.get("membership")
-            if view is not None:
-                instance.membership = view
+        instance.membership = self.domain.locals.get("membership")
         self._subcontracts[instance.id] = instance
         return instance
+
+    def plant_membership(self, view: Any) -> None:
+        """Hand the domain's gossip view to every client vector: those
+        registered already and, through :meth:`register`, those to come —
+        so the order of plant and registration does not matter."""
+        self.domain.locals["membership"] = view
+        for vector in self._subcontracts.values():
+            vector.membership = view
 
     def register_many(
         self, subcontract_classes: Iterable[type[ClientSubcontract]]

@@ -47,6 +47,11 @@ class ClientSubcontract(abc.ABC):
     #: stable wire identifier; subclasses must override
     id: str = ""
 
+    #: the domain's gossip view (a ``MembershipNode``), set on every vector
+    #: by ``SubcontractRegistry.plant_membership``; the ``None`` default keeps
+    #: an ``invoke`` that consults it at one attribute read + one branch
+    membership = None
+
     def __init__(self, domain: "Domain") -> None:
         if not self.id:
             raise SubcontractError(

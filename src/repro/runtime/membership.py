@@ -34,10 +34,9 @@ to application traffic.
 Consumers subscribe per node (:meth:`MembershipNode.subscribe`) for
 ``join`` / ``suspect`` / ``alive`` / ``evict`` / ``rejoin`` / ``refute``
 transitions, or poll the view (:meth:`MembershipNode.is_live`,
-:meth:`MembershipNode.evicted_incarnation`).  ``plant`` wires a node's
-view into a domain's replicon / cluster / reconnectable client vectors,
-which keep their uninstalled hot path at one attribute read + branch
-(class default ``membership = None``).
+:meth:`MembershipNode.evicted_incarnation`).  ``plant`` hands a node's
+view to every client vector of a domain; replicon, cluster and
+reconnectable consult it (``subcontracts.common.gossip_evicted``).
 """
 
 from __future__ import annotations
@@ -670,12 +669,11 @@ class MembershipService:
         """Wire a node's view into a domain.
 
         Sets ``domain.locals["membership"]`` and the ``membership``
-        attribute on the domain's replicon / cluster / reconnectable
-        client vectors (class default ``None`` keeps the uninstalled hot
-        path at one attribute read + branch).  ``node`` defaults to the
-        node on the domain's own machine; client domains on non-member
-        machines pass the member node they trust (typically the nearest
-        in-region one).
+        attribute of every client vector in the domain's registry
+        (``SubcontractRegistry.plant_membership``).  ``node`` defaults
+        to the node on the domain's own machine; client domains on
+        non-member machines pass the member node they trust (typically
+        the nearest in-region one).
         """
         if node is None:
             machine = domain.machine
@@ -687,14 +685,9 @@ class MembershipService:
                 )
         elif isinstance(node, str):
             node = self.nodes[node]
-        domain.locals["membership"] = node
         from repro.core.registry import ensure_registry
 
-        registry = ensure_registry(domain)
-        for subcontract_id in ("replicon", "cluster", "reconnectable"):
-            vector = registry._subcontracts.get(subcontract_id)
-            if vector is not None:
-                vector.membership = node
+        ensure_registry(domain).plant_membership(node)
         return node
 
     # ------------------------------------------------------------------

@@ -1,10 +1,7 @@
 """The shared retry policy: backoff, budgets, and circuit breakers.
 
-Before this module each retrying subcontract carried its own ad-hoc
-constants — reconnectable slept a flat ``RETRY_BACKOFF_US`` between
-re-resolutions, rawnet retransmitted on a flat ``RTO_US`` — and none of
-them shared a vocabulary for "stop hammering a dead target".  A
-:class:`RetryPolicy` replaces those constants with one policy object:
+A :class:`RetryPolicy` is the one retry discipline the retrying
+subcontracts (reconnectable, replicon, rawnet) and sagas share:
 
 * **exponential backoff** — attempt *n* waits
   ``base_us * multiplier**(n-1)``, capped at ``max_backoff_us``;
@@ -21,13 +18,10 @@ them shared a vocabulary for "stop hammering a dead target".  A
   probe whose outcome closes or re-opens the circuit.
 
 All waiting is simulated time on the kernel clock (``clock.advance``);
-nothing sleeps.  :meth:`RetryPolicy.retryable` centralises the one
-taxonomy decision every loop was making by hand: communication failures
-are retryable — including :class:`~repro.kernel.errors.ServerBusyError`,
-whose ``retry_after_us`` hint the policy honours as the floor of the
-next backoff (:meth:`RetryPolicy.backoff_us`) — but
-:class:`~repro.kernel.errors.DeadlineExceeded` is not: a spent time
-budget cannot be retried into compliance, and beats a busy-retry.
+nothing sleeps.  :func:`failure_verdict` is the one taxonomy decision
+every loop was making by hand — is the target *dead*, merely *busy*, is
+the caller's deadline *spent*, or did gossip already *evict* the target —
+and :meth:`RetryPolicy.retryable` is a view of it.
 """
 
 from __future__ import annotations
@@ -35,12 +29,23 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Any, Hashable
 
-from repro.kernel.errors import CommunicationError, DeadlineExceeded
+from repro.kernel.errors import (
+    CommunicationError,
+    DeadlineExceeded,
+    InvalidDoorError,
+    ServerBusyError,
+)
 
 if TYPE_CHECKING:
     from repro.kernel.clock import SimClock
 
-__all__ = ["RetryPolicy", "CircuitBreaker", "BreakerOpenError"]
+__all__ = [
+    "RetryPolicy",
+    "CircuitBreaker",
+    "BreakerOpenError",
+    "MemberEvictedError",
+    "failure_verdict",
+]
 
 
 class BreakerOpenError(CommunicationError):
@@ -50,6 +55,52 @@ class BreakerOpenError(CommunicationError):
     watched a target fail repeatedly spends no further simulated time on
     it until the breaker's cooldown elapses.
     """
+
+
+class MemberEvictedError(CommunicationError):
+    """Gossip evicted the target's machine (at ``incarnation``): like
+    :class:`BreakerOpenError`, raised *instead of* attempting a call the
+    membership view already knows is doomed."""
+
+    def __init__(self, subcontract_id: str, member: str, incarnation: int) -> None:
+        super().__init__(
+            f"{subcontract_id}: machine {member!r} was evicted from "
+            f"membership (incarnation {incarnation})"
+        )
+        self.member = member
+        self.incarnation = incarnation
+
+
+#: the caller's deadline is spent and the target is not at fault:
+#: re-raise, touch nothing
+SPENT = "spent"
+#: the target shed the call but is healthy: keep it, honour
+#: ``retry_after_us``, never count it against a breaker
+BUSY = "busy"
+#: dead, learned from gossip without paying the call: as ``DEAD``, except
+#: that no failed attempt exists to charge a breaker with
+EVICTED = "evicted"
+#: unreachable, or the door identifier is invalid: prune / re-resolve /
+#: fall back
+DEAD = "dead"
+
+
+def failure_verdict(failure: BaseException) -> str | None:
+    """What this failure says about the target it came from; ``None`` for
+    anything that is not a target failure (surface it unchanged).
+
+    Spent beats busy beats dead.  Which target to try *next* is each
+    subcontract's own business; what a failure *means* is decided here.
+    """
+    if isinstance(failure, DeadlineExceeded):
+        return SPENT
+    if isinstance(failure, ServerBusyError):
+        return BUSY
+    if isinstance(failure, MemberEvictedError):
+        return EVICTED
+    if isinstance(failure, (CommunicationError, InvalidDoorError)):
+        return DEAD
+    return None
 
 
 #: breaker states (kept as strings so traces read naturally)
@@ -249,16 +300,13 @@ class RetryPolicy:
 
     @staticmethod
     def retryable(failure: BaseException) -> bool:
-        """Is this failure worth another attempt?
-
-        Communication failures are — including
-        :class:`~repro.kernel.errors.ServerBusyError`, which is overload
-        shedding, not death; an exceeded deadline is not (the time budget
-        is spent), and neither is anything non-communication —
-        application errors must surface unchanged.
-        """
-        return isinstance(failure, CommunicationError) and not isinstance(
-            failure, DeadlineExceeded
+        """Is this failure worth another attempt at the same target?  A
+        view of :func:`failure_verdict`: any communication failure is
+        unless its verdict is ``SPENT``; an invalid door is not (only a
+        new target helps), nor is anything without a verdict."""
+        return (
+            isinstance(failure, CommunicationError)
+            and failure_verdict(failure) is not SPENT
         )
 
     @staticmethod

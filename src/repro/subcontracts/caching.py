@@ -33,15 +33,11 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.core.object import SpringObject
 from repro.core.registry import ensure_registry
 from repro.core.subcontract import ClientSubcontract, ServerSubcontract
-from repro.kernel.errors import (
-    CommunicationError,
-    InvalidDoorError,
-    ServerBusyError,
-)
+from repro.kernel.errors import CommunicationError, InvalidDoorError
 from repro.marshal.buffer import MarshalBuffer
 from repro.runtime import tsan as _tsan
-from repro.runtime.retry import RetryPolicy
-from repro.subcontracts.common import make_door_handler
+from repro.runtime.retry import BUSY, SPENT, failure_verdict
+from repro.subcontracts.common import make_door_handler, quiet_delete
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
@@ -94,10 +90,6 @@ class CachingClient(ClientSubcontract):
 
     id = "caching"
 
-    #: serve the last good local reply when the authority sheds the call
-    #: (ServerBusyError) instead of surfacing the overload to the caller
-    stale_on_busy = True
-
     #: only door-free replies up to this size are memoised for staleness
     STALE_REPLY_CAP = 4096
 
@@ -124,34 +116,27 @@ class CachingClient(ClientSubcontract):
         kernel.clock.charge("memory_copy_byte", buffer.size)
         try:
             reply = kernel.door_call(self.domain, door, buffer)
-        except ServerBusyError:
-            # Overload shedding, caught before the fallback handler below:
-            # busy is not dead, so the cache front must NOT be dropped.
-            # Degrade to the last good local copy of this exact reply if
-            # we hold one; otherwise surface the busy (it is retryable
-            # and carries the server's retry_after_us hint).
-            if self.stale_on_busy and not buffer.doors:
-                with rep.lock:
-                    stale = rep.stale
-                    memo = (
-                        stale.get(bytes(buffer.data)) if stale is not None else None
-                    )
-            else:
-                memo = None
-            if memo is None:
-                raise
-            if tracer.enabled:
-                tracer.event(
-                    "caching.stale_hit", subcontract=self.id, bytes=len(memo)
-                )
-            reply = self._stale_reply(kernel, memo)
-            kernel.clock.charge("memory_copy_byte", reply.size)
-            return reply
         except (CommunicationError, InvalidDoorError) as failure:
-            if cache_door is None or (
-                isinstance(failure, CommunicationError)
-                and not RetryPolicy.retryable(failure)
-            ):
+            verdict = failure_verdict(failure)
+            if verdict is BUSY:
+                # Busy is not dead: the cache front must NOT be dropped.
+                # Serve the last good local copy of this exact reply if we
+                # hold one; otherwise surface the busy and its hint.
+                memo = None
+                if not buffer.doors:
+                    with rep.lock:
+                        if rep.stale is not None:
+                            memo = rep.stale.get(bytes(buffer.data))
+                if memo is None:
+                    raise
+                if tracer.enabled:
+                    tracer.event(
+                        "caching.stale_hit", subcontract=self.id, bytes=len(memo)
+                    )
+                reply = self._stale_reply(kernel, memo)
+                kernel.clock.charge("memory_copy_byte", reply.size)
+                return reply
+            if cache_door is None or verdict is SPENT:
                 # No cache front to fall back from (or the caller's
                 # deadline is spent): surface the failure unchanged.
                 raise
@@ -161,7 +146,7 @@ class CachingClient(ClientSubcontract):
                 dead = rep.cache_door
                 rep.cache_door = None
             if dead is not None:
-                self._quiet_delete(dead)
+                quiet_delete(self.domain, dead)
             if tracer.enabled:
                 tracer.event(
                     "caching.fallback",
@@ -174,8 +159,7 @@ class CachingClient(ClientSubcontract):
         # be answered locally.  Door-carrying payloads never memoise: the
         # bytes alone do not reproduce a capability transfer.
         if (
-            self.stale_on_busy
-            and not buffer.doors
+            not buffer.doors
             and not reply.doors
             and len(reply.data) <= self.STALE_REPLY_CAP
         ):
@@ -206,7 +190,7 @@ class CachingClient(ClientSubcontract):
         buffer.put_string(rep.manager_name)
         if rep.cache_door is not None:
             # D2 is machine-local: it does not travel, so release it.
-            self._quiet_delete(rep.cache_door)
+            quiet_delete(self.domain, rep.cache_door)
 
     def unmarshal_rep(
         self, buffer: MarshalBuffer, binding: "InterfaceBinding"
@@ -282,18 +266,10 @@ class CachingClient(ClientSubcontract):
     def consume(self, obj: SpringObject) -> None:
         obj._check_live()
         rep: CachingRep = obj._rep
-        self._quiet_delete(rep.server_door)
+        quiet_delete(self.domain, rep.server_door)
         if rep.cache_door is not None:
-            self._quiet_delete(rep.cache_door)
+            quiet_delete(self.domain, rep.cache_door)
         obj._mark_consumed()
-
-    def _quiet_delete(self, door: "DoorIdentifier") -> None:
-        from repro.kernel.errors import KernelError
-
-        try:
-            self.domain.kernel.delete_door_id(self.domain, door)
-        except KernelError:
-            pass
 
     def type_info(self, obj: SpringObject) -> tuple[str, ...]:
         # Route the type query to the real server, not the cache front

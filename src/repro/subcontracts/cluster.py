@@ -23,7 +23,7 @@ from repro.core.registry import ensure_registry
 from repro.core.stubs import write_revoked_status
 from repro.core.subcontract import ClientSubcontract, ServerSubcontract
 from repro.marshal.buffer import MarshalBuffer
-from repro.subcontracts.common import peek_opname
+from repro.subcontracts.common import gossip_evicted, peek_opname
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
@@ -51,11 +51,6 @@ class ClusterClient(ClientSubcontract):
 
     id = "cluster"
 
-    #: a :class:`~repro.runtime.membership.MembershipNode` view planted
-    #: by ``MembershipService.plant``; ``None`` (the class default) keeps
-    #: the hot path at one attribute read + one branch
-    membership = None
-
     def invoke_preamble(self, obj: SpringObject, buffer: MarshalBuffer) -> None:
         # Ship the object's tag ahead of the marshalled arguments so the
         # server-side cluster code can dispatch to the right object.
@@ -69,30 +64,21 @@ class ClusterClient(ClientSubcontract):
             tracer.event(
                 "cluster.member", subcontract=self.id, tag=rep.tag, door=rep.door.uid
             )
-        membership = self.membership
-        if membership is not None:
+        if self.membership is not None:
             # Cluster has a single door and no failover story: when
             # gossip has evicted the serving machine, fail fast instead
             # of paying a wire round trip that cannot succeed.
-            server = obj._rep.door.door.server.machine
-            evicted_at = (
-                membership.evicted_incarnation(server.name)
-                if server is not None
-                else None
-            )
-            if evicted_at is not None:
+            evicted = gossip_evicted(self, obj._rep.door)
+            if evicted is not None:
                 if tracer.enabled:
                     tracer.event(
                         "cluster.evicted",
                         subcontract=self.id,
                         door=obj._rep.door.uid,
-                        member=server.name,
-                        incarnation=evicted_at,
+                        member=evicted.member,
+                        incarnation=evicted.incarnation,
                     )
-                raise CommunicationError(
-                    f"cluster: machine {server.name!r} was evicted from "
-                    f"membership (incarnation {evicted_at})"
-                )
+                raise CommunicationError(str(evicted))
         kernel.clock.charge("memory_copy_byte", buffer.size)
         reply = kernel.door_call(self.domain, obj._rep.door, buffer)
         kernel.clock.charge("memory_copy_byte", reply.size)

@@ -5,19 +5,33 @@ Most client-server subcontracts process incoming calls the same way
 which reads any subcontract-level control information and then forwards
 the call to the server stubs (skeleton), possibly piggybacking control
 information on the reply.  ``make_door_handler`` builds that handler.
+
+``gossip_evicted`` is the one place a client vector asks its gossip view
+about a target and ``quiet_delete`` the one way a pruned door identifier
+is dropped; what a failure *means* is ``runtime.retry.failure_verdict``'s.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.kernel.errors import KernelError
 from repro.marshal.buffer import MarshalBuffer
+from repro.runtime.retry import MemberEvictedError
 
 if TYPE_CHECKING:
+    from repro.core.subcontract import ClientSubcontract
     from repro.idl.rtypes import InterfaceBinding
     from repro.kernel.domain import Domain
+    from repro.kernel.doors import DoorIdentifier
 
-__all__ = ["make_door_handler", "peek_opname", "SingleDoorRep"]
+__all__ = [
+    "make_door_handler",
+    "peek_opname",
+    "SingleDoorRep",
+    "gossip_evicted",
+    "quiet_delete",
+]
 
 #: hook run by a handler before dispatch: (request, reply) -> None.  The
 #: request hook reads the subcontract's control information off the front
@@ -76,6 +90,30 @@ def peek_opname(request: MarshalBuffer) -> str:
         return "?"
     finally:
         request.read_pos = saved
+
+
+def gossip_evicted(
+    vector: "ClientSubcontract", door: "DoorIdentifier"
+) -> MemberEvictedError | None:
+    """The failure a call through ``door`` is doomed to when the vector's
+    gossip view has evicted the serving machine, else ``None``.  Call only
+    behind ``vector.membership is not None`` (one attribute read unplanted)."""
+    machine = door.door.server.machine
+    if machine is None:
+        return None
+    incarnation = vector.membership.evicted_incarnation(machine.name)
+    if incarnation is None:
+        return None
+    return MemberEvictedError(vector.id, machine.name, incarnation)
+
+
+def quiet_delete(domain: "Domain", door: "DoorIdentifier") -> None:
+    """Drop a door identifier that may already be gone (pruned by a
+    sibling thread, or invalidated when its server died)."""
+    try:
+        domain.kernel.delete_door_id(domain, door)
+    except KernelError:
+        pass
 
 
 class SingleDoorRep:

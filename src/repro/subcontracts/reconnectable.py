@@ -29,16 +29,19 @@ from repro.core.errors import SubcontractError
 from repro.core.object import SpringObject
 from repro.core.registry import ensure_registry
 from repro.core.subcontract import ClientSubcontract, ServerSubcontract
-from repro.kernel.errors import (
-    CommunicationError,
-    InvalidDoorError,
-    KernelError,
-    ServerBusyError,
-)
+from repro.kernel.errors import CommunicationError, InvalidDoorError
 from repro.marshal.buffer import MarshalBuffer
 from repro.runtime.idem import DedupMemo, wrap_idempotent
-from repro.runtime.retry import BreakerOpenError, RetryPolicy
-from repro.subcontracts.common import make_door_handler
+from repro.runtime.retry import (
+    BUSY,
+    DEAD,
+    EVICTED,
+    SPENT,
+    BreakerOpenError,
+    RetryPolicy,
+    failure_verdict,
+)
+from repro.subcontracts.common import gossip_evicted, make_door_handler, quiet_delete
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
@@ -81,16 +84,14 @@ class ReconnectableClient(ClientSubcontract):
 
     id = "reconnectable"
 
-    max_retries = DEFAULT_MAX_RETRIES
-
-    #: the retry discipline; tests override with derive() to add jitter,
-    #: change the budget, or attach a circuit breaker
+    #: the retry discipline — backoff, breaker, and the budget
+    #: (``max_attempts``); tests override with derive()
     retry_policy = DEFAULT_RETRY_POLICY
 
-    #: a :class:`~repro.runtime.membership.MembershipNode` view planted
-    #: by ``MembershipService.plant``; ``None`` (the class default) keeps
-    #: the hot path at one attribute read + one branch
-    membership = None
+    @property
+    def max_retries(self) -> int:
+        """The resolve-and-retry budget: ``retry_policy.max_attempts``."""
+        return self.retry_policy.max_attempts
 
     def invoke(self, obj: SpringObject, buffer: MarshalBuffer) -> MarshalBuffer:
         kernel = self.domain.kernel
@@ -100,93 +101,83 @@ class ReconnectableClient(ClientSubcontract):
         breaker = policy.breaker
         attempts = 0
         while True:
-            membership = self.membership
-            if membership is not None:
-                # Gossip already evicted the serving machine: skip the
-                # doomed call and go straight to backoff + re-resolve —
-                # the name service hands back the replacement the new
-                # leader (re)bound.
-                server = rep.door.door.server.machine
-                evicted_at = (
-                    membership.evicted_incarnation(server.name)
-                    if server is not None
-                    else None
-                )
-                if evicted_at is not None:
-                    attempts += 1
-                    if attempts > self.max_retries:
-                        raise CommunicationError(
-                            f"reconnectable: gave up re-resolving {rep.name!r} "
-                            f"after {self.max_retries} attempts (machine "
-                            f"{server.name!r} evicted at incarnation {evicted_at})"
-                        )
-                    wait_us = policy.backoff_us(attempts)
-                    if tracer.enabled:
-                        tracer.event(
-                            "reconnect.evicted",
-                            subcontract=self.id,
-                            member=server.name,
-                            incarnation=evicted_at,
-                            attempt=attempts,
-                            backoff_us=wait_us,
-                        )
-                    kernel.clock.advance(wait_us, "retry_backoff")
-                    self._reconnect(rep)
-                    continue
-            if breaker is not None:
-                gate = breaker.allow(rep.name, kernel.clock.now_us)
-                if gate == "open":
-                    raise BreakerOpenError(
-                        f"reconnectable: circuit open for {rep.name!r}; "
-                        f"failing fast until the cooldown elapses"
-                    )
-                if gate == "half_open" and tracer.enabled:
-                    tracer.event("retry.breaker_probe", subcontract=self.id)
-            try:
-                kernel.clock.charge("memory_copy_byte", buffer.size)
-                reply = kernel.door_call(self.domain, rep.door, buffer)
-                kernel.clock.charge("memory_copy_byte", reply.size)
+            # Gossip already evicted the serving machine: skip the doomed
+            # call (and the breaker, which only counts attempts made).
+            failure = None
+            if self.membership is not None:
+                failure = gossip_evicted(self, rep.door)
+            if failure is None:
                 if breaker is not None:
-                    healed = breaker.record_success(rep.name)
-                    if healed is not None and tracer.enabled:
-                        tracer.event("retry.breaker_closed", subcontract=self.id)
-                if tracer.enabled:
-                    tracer.annotate(retries=attempts)
-                return reply
-            except (CommunicationError, InvalidDoorError) as failure:
-                if isinstance(failure, CommunicationError) and not policy.retryable(
-                    failure
-                ):
-                    raise  # an exceeded deadline cannot be retried away
-                # Busy is not dead: an overloaded server shed the call but
-                # is healthy, so don't count it against the breaker and
-                # don't re-resolve the name — just back off (no shorter
-                # than the server's retry_after_us hint) and try again.
-                busy = isinstance(failure, ServerBusyError)
-                if breaker is not None and not busy:
-                    tripped = breaker.record_failure(rep.name, kernel.clock.now_us)
-                    if tripped is not None and tracer.enabled:
-                        tracer.event("retry.breaker_open", subcontract=self.id)
-                attempts += 1
-                if attempts > self.max_retries:
-                    raise CommunicationError(
-                        f"reconnectable: gave up re-resolving {rep.name!r} "
-                        f"after {self.max_retries} attempts"
-                    ) from failure
-                wait_us = policy.backoff_us(
-                    attempts, floor_us=policy.retry_after_us(failure)
+                    gate = breaker.allow(rep.name, kernel.clock.now_us)
+                    if gate == "open":
+                        raise BreakerOpenError(
+                            f"reconnectable: circuit open for {rep.name!r}; "
+                            f"failing fast until the cooldown elapses"
+                        )
+                    if gate == "half_open" and tracer.enabled:
+                        tracer.event("retry.breaker_probe", subcontract=self.id)
+                try:
+                    kernel.clock.charge("memory_copy_byte", buffer.size)
+                    reply = kernel.door_call(self.domain, rep.door, buffer)
+                    kernel.clock.charge("memory_copy_byte", reply.size)
+                    if breaker is not None:
+                        healed = breaker.record_success(rep.name)
+                        if healed is not None and tracer.enabled:
+                            tracer.event("retry.breaker_closed", subcontract=self.id)
+                    if tracer.enabled:
+                        tracer.annotate(retries=attempts)
+                    return reply
+                except (CommunicationError, InvalidDoorError) as exc:
+                    failure = exc
+            verdict = failure_verdict(failure)
+            if verdict is SPENT:
+                raise failure  # an exceeded deadline cannot be retried away
+            # Busy is not dead: the server is healthy, so don't count it
+            # against the breaker and don't re-resolve — just back off (no
+            # shorter than its retry_after_us hint).  Dead or evicted: back
+            # off, then re-resolve to whatever replacement the name now binds.
+            if breaker is not None and verdict is DEAD:
+                tripped = breaker.record_failure(rep.name, kernel.clock.now_us)
+                if tripped is not None and tracer.enabled:
+                    tracer.event("retry.breaker_open", subcontract=self.id)
+            attempts += 1
+            if attempts > policy.max_attempts:
+                why = (
+                    f" (machine {failure.member!r} evicted at incarnation "
+                    f"{failure.incarnation})"
+                    if verdict is EVICTED
+                    else ""
                 )
-                if tracer.enabled:
+                raise CommunicationError(
+                    f"reconnectable: gave up re-resolving {rep.name!r} "
+                    f"after {policy.max_attempts} attempts{why}"
+                ) from failure
+            wait_us = policy.backoff_us(
+                attempts, floor_us=policy.retry_after_us(failure)
+            )
+            if tracer.enabled:
+                if verdict is EVICTED:
                     tracer.event(
-                        "reconnect.busy_backoff" if busy else "reconnect.retry",
+                        "reconnect.evicted",
+                        subcontract=self.id,
+                        member=failure.member,
+                        incarnation=failure.incarnation,
+                        attempt=attempts,
+                        backoff_us=wait_us,
+                    )
+                else:
+                    tracer.event(
+                        "reconnect.busy_backoff"
+                        if verdict is BUSY
+                        else "reconnect.retry",
                         subcontract=self.id,
                         attempt=attempts,
                         error=type(failure).__name__,
                         backoff_us=wait_us,
                     )
-                kernel.clock.advance(wait_us, "retry_backoff")
-                if not busy:
-                    self._reconnect(rep)
+            kernel.clock.advance(wait_us, "retry_backoff")
+            if verdict is not BUSY:
+                self._reconnect(rep)
 
     def _reconnect(self, rep: ReconnectableRep) -> None:
         """Resolve the object name to obtain a new object, adopting its
@@ -214,10 +205,7 @@ class ReconnectableClient(ClientSubcontract):
         old_door = rep.door
         rep.door = fresh._rep.door
         fresh._mark_consumed()  # we absorbed its representation
-        try:
-            self.domain.kernel.delete_door_id(self.domain, old_door)
-        except KernelError:
-            pass
+        quiet_delete(self.domain, old_door)
 
     def marshal_rep(self, obj: SpringObject, buffer: MarshalBuffer) -> None:
         rep: ReconnectableRep = obj._rep
@@ -248,10 +236,7 @@ class ReconnectableClient(ClientSubcontract):
 
     def consume(self, obj: SpringObject) -> None:
         obj._check_live()
-        try:
-            self.domain.kernel.delete_door_id(self.domain, obj._rep.door)
-        except KernelError:
-            pass
+        quiet_delete(self.domain, obj._rep.door)
         obj._mark_consumed()
 
 

@@ -29,14 +29,13 @@ from repro.core.subcontract import ClientSubcontract
 from repro.kernel.errors import (
     CommunicationError,
     InvalidDoorError,
-    KernelError,
     ServerBusyError,
 )
 from repro.marshal.buffer import MarshalBuffer
 from repro.runtime import tsan as _tsan
 from repro.runtime.idem import DedupMemo, wrap_idempotent
-from repro.runtime.retry import RetryPolicy
-from repro.subcontracts.common import make_door_handler
+from repro.runtime.retry import BUSY, EVICTED, SPENT, RetryPolicy, failure_verdict
+from repro.subcontracts.common import gossip_evicted, make_door_handler, quiet_delete
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
@@ -83,11 +82,6 @@ class RepliconClient(ClientSubcontract):
     #: the failover discipline; derive() to add backoff between members
     failover_policy = DEFAULT_FAILOVER_POLICY
 
-    #: a :class:`~repro.runtime.membership.MembershipNode` view planted
-    #: by ``MembershipService.plant``; ``None`` (the class default) keeps
-    #: the hot path at one attribute read + one branch
-    membership = None
-
     def invoke_preamble(self, obj: SpringObject, buffer: MarshalBuffer) -> None:
         # Piggybacked control: the epoch of the client's replica set, so
         # a server with a newer set can send a correction in the reply.
@@ -116,34 +110,11 @@ class RepliconClient(ClientSubcontract):
                     door = rep.doors[0]
             if door is None:  # every member shed: surface the overload
                 raise last_busy
-            membership = self.membership
-            if membership is not None:
-                server = door.door.server.machine
-                evicted_at = (
-                    membership.evicted_incarnation(server.name)
-                    if server is not None
-                    else None
-                )
-                if evicted_at is not None:
-                    # Gossip already evicted this replica's machine: prune
-                    # without paying the doomed call, and say *why* — the
-                    # evicting incarnation separates "replica dead" from
-                    # "replica busy" in attribution waterfalls.
-                    with rep.lock:
-                        if door in rep.doors:
-                            rep.doors.remove(door)
-                    self._quiet_delete(door)
-                    pruned += 1
-                    if tracer.enabled:
-                        tracer.event(
-                            "replicon.evicted",
-                            subcontract=self.id,
-                            door=door.uid,
-                            member=server.name,
-                            incarnation=evicted_at,
-                        )
-                    continue
             try:
+                if self.membership is not None:
+                    evicted = gossip_evicted(self, door)
+                    if evicted is not None:
+                        raise evicted
                 if tracer.enabled:
                     tracer.event(
                         "replicon.member",
@@ -153,57 +124,52 @@ class RepliconClient(ClientSubcontract):
                     )
                 kernel.clock.charge("memory_copy_byte", buffer.size)
                 reply = kernel.door_call(self.domain, door, buffer)
-            except ServerBusyError as exc:
-                # Shedding alone never triggers failover: the member is
-                # healthy, only overloaded.  Divert to the least-loaded
-                # remaining replica; once every member has shed, raise
-                # the busy (with its retry_after_us hint) to the caller.
-                last_busy = exc
-                busy_skipped.add(door.uid)
-                if tracer.enabled:
-                    tracer.event(
-                        "replicon.divert",
-                        subcontract=self.id,
-                        door=door.uid,
-                        retry_after_us=round(exc.retry_after_us, 2),
-                    )
-                if len(busy_skipped) >= members:
-                    raise
-                continue
             except (CommunicationError, InvalidDoorError) as exc:
-                if isinstance(exc, CommunicationError) and not policy.retryable(exc):
-                    # The caller's deadline is spent: failing over to
-                    # another member would only dishonour it further, and
-                    # the replica itself is not at fault — do not prune.
+                verdict = failure_verdict(exc)
+                if verdict is SPENT:
+                    # Failing over to another member would only dishonour
+                    # the deadline further, and the replica is not at fault.
                     raise
+                if verdict is BUSY:
+                    # Shedding alone never triggers failover: the member is
+                    # healthy, only overloaded.  Divert to the least-loaded
+                    # remaining replica; once every member has shed, raise
+                    # the busy (with its retry_after_us hint) to the caller.
+                    last_busy = exc
+                    busy_skipped.add(door.uid)
+                    if tracer.enabled:
+                        tracer.event(
+                            "replicon.divert",
+                            subcontract=self.id,
+                            door=door.uid,
+                            retry_after_us=round(exc.retry_after_us, 2),
+                        )
+                    if len(busy_skipped) >= members:
+                        raise
+                    continue
                 # This replica is unreachable: delete the identifier from
                 # the target set and proceed to the next one.  Another
                 # thread may have pruned (or replaced) it concurrently.
                 with rep.lock:
                     if door in rep.doors:
                         rep.doors.remove(door)
-                self._quiet_delete(door)
+                quiet_delete(self.domain, door)
                 pruned += 1
+                if verdict is EVICTED:
+                    # Learned from gossip, not a failed call: say *why* (the
+                    # incarnation separates "dead" from "busy" in attribution
+                    # waterfalls); no attempt was made, so no backoff is due.
+                    if tracer.enabled:
+                        tracer.event(
+                            "replicon.evicted",
+                            subcontract=self.id,
+                            door=door.uid,
+                            member=exc.member,
+                            incarnation=exc.incarnation,
+                        )
+                    continue
                 wait_us = policy.backoff_us(min(pruned, policy.max_attempts))
                 if tracer.enabled:
-                    membership = self.membership
-                    if membership is not None:
-                        server = door.door.server.machine
-                        evicted_at = (
-                            membership.evicted_incarnation(server.name)
-                            if server is not None
-                            else None
-                        )
-                        if evicted_at is not None:
-                            # The failure has a known cause: the machine
-                            # was evicted at this incarnation.
-                            tracer.event(
-                                "replicon.evicted",
-                                subcontract=self.id,
-                                door=door.uid,
-                                member=server.name,
-                                incarnation=evicted_at,
-                            )
                     tracer.event(
                         "replicon.failover",
                         subcontract=self.id,
@@ -251,27 +217,19 @@ class RepliconClient(ClientSubcontract):
         count = reply.get_sequence_header()
         new_doors = [reply.get_door_id(self.domain) for _ in range(count)]
         if not new_doors:
-            # A server never advertises an empty set; ignore defensively.
-            for door in new_doors:
-                self._quiet_delete(door)
-            return
+            return  # a server never advertises an empty set; ignore defensively
         with rep.lock:
-            if new_epoch <= rep.epoch:
+            old_epoch = rep.epoch
+            adopted = new_epoch > old_epoch
+            if adopted:
+                retired, rep.doors, rep.epoch = rep.doors, new_doors, new_epoch
+            else:
                 # Another thread already adopted this epoch (or a newer
                 # one); this reply's door set is redundant, not fresher.
-                stale_doors, old_epoch, retired = new_doors, rep.epoch, None
-            else:
-                stale_doors, old_epoch = None, rep.epoch
-                retired = rep.doors
-                rep.doors = new_doors
-                rep.epoch = new_epoch
-        if stale_doors is not None:
-            for door in stale_doors:
-                self._quiet_delete(door)
-            return
+                retired = new_doors
         for door in retired:
-            self._quiet_delete(door)
-        if tracer.enabled:
+            quiet_delete(self.domain, door)
+        if adopted and tracer.enabled:
             tracer.event(
                 "replicon.epoch_update",
                 subcontract=self.id,
@@ -279,12 +237,6 @@ class RepliconClient(ClientSubcontract):
                 new_epoch=new_epoch,
                 members=len(new_doors),
             )
-
-    def _quiet_delete(self, door: "DoorIdentifier") -> None:
-        try:
-            self.domain.kernel.delete_door_id(self.domain, door)
-        except KernelError:
-            pass
 
     def marshal_rep(self, obj: SpringObject, buffer: MarshalBuffer) -> None:
         # Section 5.1.1: "marshalling the count of door identifiers and
@@ -326,7 +278,7 @@ class RepliconClient(ClientSubcontract):
     def consume(self, obj: SpringObject) -> None:
         obj._check_live()
         for door in obj._rep.doors:
-            self._quiet_delete(door)
+            quiet_delete(self.domain, door)
         obj._mark_consumed()
 
 
@@ -394,15 +346,6 @@ class RepliconGroup:
             self.members.append((domain, impl, door))
             self.epoch += 1
             self._rebuild_matrix()
-
-    def remove_replica(self, domain: "Domain") -> None:
-        """A member leaves (or is declared dead by its peers)."""
-        with self._lock:
-            before = len(self.members)
-            self.members = [m for m in self.members if m[0] is not domain]
-            if len(self.members) != before:
-                self.epoch += 1
-                self._rebuild_matrix()
 
     def prune_dead(self) -> None:
         """The peers' failure detector: drop crashed member domains.
@@ -478,10 +421,7 @@ class RepliconGroup:
         for domain_uid, idents in self._matrix.items():
             for ident in idents:
                 if ident.valid and ident.owner.alive:
-                    try:
-                        ident.owner.kernel.delete_door_id(ident.owner, ident)
-                    except KernelError:
-                        pass
+                    quiet_delete(ident.owner, ident)
         self._matrix = {}
         for holder, _, _ in self.members:
             idents = []
@@ -559,9 +499,3 @@ class RepliconGroup:
                 apply_fn(impl)
                 applied += 1
         return applied
-
-    def live_member_count(self) -> int:
-        """Number of member domains currently alive."""
-        with self._lock:
-            members = list(self.members)
-        return sum(1 for domain, _, _ in members if domain.alive)

@@ -24,6 +24,14 @@ during a write and later becomes reachable again serves stale data —
 rejoining requires state transfer, which rowa deliberately does not
 provide.  Pick replicon when servers can synchronize themselves; pick
 rowa when they cannot.
+
+That is the *available-copies* rule, rowa's one departure from the shared
+``runtime.retry.failure_verdict``: a replica that misses a write its
+siblings applied leaves the set for good, whatever the reason (dead,
+merely busy, deadline spent mid-fan-out) — its state is now stale.
+Otherwise busy is not dead (a shed replica is skipped and kept; if all
+shed, the last ``ServerBusyError`` surfaces) and a deadline spent before
+any replica applied the call prunes nothing.
 """
 
 from __future__ import annotations
@@ -34,10 +42,11 @@ from repro.core.errors import SubcontractError
 from repro.core.object import SpringObject
 from repro.core.registry import ensure_registry
 from repro.core.subcontract import ClientSubcontract
-from repro.kernel.errors import CommunicationError, InvalidDoorError, KernelError
+from repro.kernel.errors import CommunicationError, InvalidDoorError
 from repro.marshal.buffer import MarshalBuffer
 from repro.marshal.errors import MarshalError
-from repro.subcontracts.common import make_door_handler
+from repro.runtime.retry import BUSY, SPENT, failure_verdict
+from repro.subcontracts.common import make_door_handler, quiet_delete
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
@@ -66,7 +75,6 @@ class RowaClient(ClientSubcontract):
     id = "rowa"
 
     def invoke(self, obj: SpringObject, buffer: MarshalBuffer) -> MarshalBuffer:
-        kernel = self.domain.kernel
         rep: RowaRep = obj._rep
         # The request starts with the operation name (rowa writes no
         # preamble control), so the subcontract can classify the call.
@@ -80,17 +88,25 @@ class RowaClient(ClientSubcontract):
 
     def _read_one(self, rep: RowaRep, buffer: MarshalBuffer) -> MarshalBuffer:
         kernel = self.domain.kernel
-        while rep.doors:
-            door = rep.doors[0]
+        last_busy = None
+        for door in tuple(rep.doors):
             try:
                 kernel.clock.charge("memory_copy_byte", buffer.size)
                 reply = kernel.door_call(self.domain, door, buffer)
-            except (CommunicationError, InvalidDoorError):
-                rep.doors.pop(0)
-                self._quiet_delete(door)
+            except (CommunicationError, InvalidDoorError) as failure:
+                verdict = failure_verdict(failure)
+                if verdict is SPENT:
+                    raise
+                if verdict is BUSY:
+                    last_busy = failure
+                else:
+                    rep.doors.remove(door)
+                    quiet_delete(self.domain, door)
                 continue
             kernel.clock.charge("memory_copy_byte", reply.size)
             return reply
+        if last_busy is not None:
+            raise last_busy
         raise CommunicationError("rowa: no replica is available")
 
     def _write_all(self, rep: RowaRep, buffer: MarshalBuffer) -> MarshalBuffer:
@@ -101,28 +117,37 @@ class RowaClient(ClientSubcontract):
             )
         kernel = self.domain.kernel
         first_reply: MarshalBuffer | None = None
-        survivors: list["DoorIdentifier"] = []
+        last_busy = None
+        applied, shed, missed = [], [], []
         for door in rep.doors:
             try:
                 kernel.clock.charge("memory_copy_byte", buffer.size)
                 reply = kernel.door_call(self.domain, door, buffer)
-            except (CommunicationError, InvalidDoorError):
-                self._quiet_delete(door)
+            except (CommunicationError, InvalidDoorError) as failure:
+                verdict = failure_verdict(failure)
+                if verdict is SPENT and not applied:
+                    raise  # no copy diverged yet: touch nothing
+                if verdict is BUSY:
+                    last_busy = failure
+                    shed.append(door)
+                else:
+                    missed.append(door)
                 continue
-            survivors.append(door)
+            applied.append(door)
             if first_reply is None:
                 kernel.clock.charge("memory_copy_byte", reply.size)
                 first_reply = reply
-        rep.doors = survivors
-        if first_reply is None:
-            raise CommunicationError("rowa: no replica accepted the write")
-        return first_reply
-
-    def _quiet_delete(self, door: "DoorIdentifier") -> None:
-        try:
-            self.domain.kernel.delete_door_id(self.domain, door)
-        except KernelError:
-            pass
+        # Available copies: once any replica applied the write, whoever
+        # missed it holds stale state and leaves the set, even a merely
+        # busy one; if none did, only the dead leave.
+        rep.doors = applied or shed
+        for door in (missed + shed) if applied else missed:
+            quiet_delete(self.domain, door)
+        if first_reply is not None:
+            return first_reply
+        if last_busy is not None:
+            raise last_busy
+        raise CommunicationError("rowa: no replica accepted the write")
 
     # ------------------------------------------------------------------
 
@@ -155,7 +180,7 @@ class RowaClient(ClientSubcontract):
     def consume(self, obj: SpringObject) -> None:
         obj._check_live()
         for door in obj._rep.doors:
-            self._quiet_delete(door)
+            quiet_delete(self.domain, door)
         obj._mark_consumed()
 
 

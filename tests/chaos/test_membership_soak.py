@@ -152,7 +152,6 @@ def run_scenario(seed: int, counter_module) -> dict:
     vector.retry_policy = RetryPolicy(
         base_us=50_000.0, multiplier=2.0, max_backoff_us=200_000.0, max_attempts=3
     )
-    vector.max_retries = 3
 
     world["plane"].schedule_partition_region(
         "east", at_us=CUT_AT_US, heal_at_us=HEAL_AT_US

@@ -168,3 +168,33 @@ class TestClusterFailFast:
         mem.run_for(5_000_000)
         assert remote.add(3) == 3
         assert span_events(tracer, "cluster.evicted") == []
+
+
+class TestWhoReceivesTheView:
+    """One rule: every client vector of a planted domain holds the view,
+    whichever of plant and registration came first."""
+
+    def test_third_party_vector_registered_before_or_after_plant(self, world):
+        from repro.core.registry import ensure_registry
+        from repro.subcontracts.singleton import SingletonClient
+
+        class EarlyClient(SingletonClient):
+            id = "third_party_early"
+            membership = None  # declaring it is allowed, no longer needed
+
+        class LateClient(SingletonClient):
+            id = "third_party_late"
+
+        env, tracer, mem, machines, client, binding = world
+        domain = env.create_domain("clients", "another-client")
+        registry = ensure_registry(domain)
+        early = registry.register(EarlyClient)
+        assert early.membership is None
+        node = mem.plant(domain, node="m2")
+        late = registry.register(LateClient)
+        assert early.membership is node
+        assert late.membership is node
+        assert registry.lookup("replicon").membership is node
+        # re-planting moves every vector to the new view
+        other = mem.plant(domain, node="m1")
+        assert early.membership is other and late.membership is other

@@ -103,6 +103,19 @@ class TestRecovery:
         with pytest.raises(CommunicationError, match="gave up"):
             obj.total()
 
+    def test_policy_budget_alone_bounds_the_loop(self, world):
+        """``retry_policy.max_attempts`` is the one budget knob."""
+        env, server, _, obj, _, _ = world
+        vector = obj._subcontract
+        vector.retry_policy = vector.retry_policy.derive(max_attempts=2)
+        crash_domain(server)
+        before = env.clock.tally().get("retry_backoff", 0.0)
+        with pytest.raises(CommunicationError, match="after 2 attempts"):
+            obj.total()
+        waits = [vector.retry_policy.backoff_us(n) for n in (1, 2)]
+        assert env.clock.tally()["retry_backoff"] - before == sum(waits)
+        assert vector.max_retries == 2
+
     def test_retry_backoff_charged_to_clock(self, world):
         env, server, _, obj, binding, stable = world
         crash_domain(server)

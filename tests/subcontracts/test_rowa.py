@@ -145,3 +145,74 @@ class TestVsReplicon:
             assert not hasattr(impl, "_group")
         obj.add(1)
         assert all(impl.value == 1 for _, impl in replicas)
+
+
+class TestFailureTaxonomy:
+    """Busy is not dead and a spent deadline is nobody's fault — except
+    under the available-copies rule, where missing an applied write is."""
+
+    SHED = dict(limit=1, queue_limit=0, service_estimate_us=1e6)
+
+    def test_spent_deadline_on_read_prunes_nothing(self, world):
+        from repro.kernel.errors import DeadlineExceeded
+        from repro.runtime.deadline import deadline
+
+        kernel, group, replicas, obj = world
+        with pytest.raises(DeadlineExceeded):
+            with deadline(kernel, 0.0):
+                obj.total()
+        assert len(obj._rep.doors) == 3
+        assert obj.total() == 0
+
+    def test_shed_read_skips_the_replica_but_keeps_it(self, world):
+        from repro.runtime.admission import AdmissionPolicy, install_admission
+
+        kernel, group, replicas, obj = world
+        admission = install_admission(kernel)
+        primary = obj._rep.doors[0]
+        admission.govern(primary, AdmissionPolicy(**self.SHED))
+        assert obj.total() == 0  # primes the primary's occupancy
+        assert obj.total() == 0  # primary sheds; a sibling serves
+        assert admission.door_snapshot(primary)["shed"] == 1
+        assert len(obj._rep.doors) == 3
+        assert obj._rep.doors[0] is primary
+
+    def test_every_replica_shedding_surfaces_the_busy(self, world):
+        from repro.kernel.errors import ServerBusyError
+        from repro.runtime.admission import AdmissionPolicy, install_admission
+
+        kernel, group, replicas, obj = world
+        admission = install_admission(kernel)
+        for door in obj._rep.doors:
+            admission.govern(door, AdmissionPolicy(**self.SHED))
+        obj.add(1)  # occupies every replica
+        with pytest.raises(ServerBusyError) as info:
+            obj.total()
+        assert info.value.retry_after_us > 0.0
+        with pytest.raises(ServerBusyError):
+            obj.add(1)  # no replica applied it: nobody diverged, all stay
+        assert len(obj._rep.doors) == 3
+        assert [impl.value for _, impl in replicas] == [1, 1, 1]
+
+    def test_spent_deadline_before_any_write_applied_prunes_nothing(self, world):
+        from repro.kernel.errors import DeadlineExceeded
+        from repro.runtime.deadline import deadline
+
+        kernel, group, replicas, obj = world
+        with pytest.raises(DeadlineExceeded):
+            with deadline(kernel, 0.0):
+                obj.add(1)
+        assert len(obj._rep.doors) == 3
+        assert [impl.value for _, impl in replicas] == [0, 0, 0]
+
+    def test_replica_that_misses_an_applied_write_leaves_even_if_busy(self, world):
+        from repro.runtime.admission import AdmissionPolicy, install_admission
+
+        kernel, group, replicas, obj = world
+        admission = install_admission(kernel)
+        laggard = obj._rep.doors[1]
+        admission.govern(laggard, AdmissionPolicy(**self.SHED))
+        obj.add(1)  # all three apply; the laggard is now occupied
+        obj.add(1)  # the laggard sheds a write its siblings applied
+        assert [impl.value for _, impl in replicas] == [2, 1, 2]
+        assert laggard not in obj._rep.doors and len(obj._rep.doors) == 2
