@@ -70,11 +70,6 @@ class Encoder:
 
     # -- primitives ----------------------------------------------------
 
-    def put_tag(self, tag: WireTag) -> int:
-        """Write a raw one-byte wire tag."""
-        self._data.append(tag)
-        return 1
-
     def put_varint(self, value: int) -> int:
         """Unsigned LEB128, used for lengths and counts."""
         if value < 0:
@@ -186,16 +181,6 @@ class Decoder:
         self.pos = pos
 
     # -- low level -----------------------------------------------------
-
-    def _take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self._data):
-            raise BufferUnderflowError(
-                f"need {n} bytes at offset {self.pos}, buffer has {len(self._data)}"
-            )
-        chunk = bytes(self._data[self.pos : end])
-        self.pos = end
-        return chunk
 
     def _bounds(self, n: int) -> int:
         """Check ``n`` readable bytes remain; return the end offset."""

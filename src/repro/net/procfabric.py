@@ -348,10 +348,6 @@ class ProcFabric:
     # binding: proxy doors for worker exports
     # ------------------------------------------------------------------
 
-    def exports_of(self, worker: int) -> dict[str, int]:
-        """Names exported by one worker (name -> export id)."""
-        return dict(self._handles[worker].exports)
-
     def bind(
         self,
         domain: "Domain",

@@ -28,16 +28,16 @@ server through D1.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.core.object import SpringObject
-from repro.core.registry import ensure_registry
-from repro.core.subcontract import ClientSubcontract, ServerSubcontract
+from repro.core.subcontract import ClientSubcontract
 from repro.kernel.errors import CommunicationError, InvalidDoorError
 from repro.marshal.buffer import MarshalBuffer
 from repro.runtime import tsan as _tsan
 from repro.runtime.retry import BUSY, SPENT, failure_verdict
-from repro.subcontracts.common import make_door_handler, quiet_delete
+from repro.subcontracts.common import quiet_delete
+from repro.subcontracts.singleton import SingleDoorServer
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
@@ -76,6 +76,11 @@ class CachingRep:
         self.cache_door = cache_door
         self.manager_name = manager_name
         self.stale: dict[bytes, bytes] | None = None
+
+    @property
+    def door(self) -> "DoorIdentifier":
+        """D1 under the name the single-door server machinery revokes by."""
+        return self.server_door
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         d2 = f"#{self.cache_door.uid}" if self.cache_door else "none"
@@ -280,7 +285,7 @@ class CachingClient(ClientSubcontract):
         return remote_type_query(obj)
 
 
-class CachingServer(ServerSubcontract):
+class CachingServer(SingleDoorServer):
     """Server-side caching machinery.
 
     Exporting creates the server door (D1's target) exactly like
@@ -295,27 +300,9 @@ class CachingServer(ServerSubcontract):
         super().__init__(domain)
         self.manager_name = manager_name
 
-    def export(
-        self,
-        impl: Any,
-        binding: "InterfaceBinding",
-        unreferenced: Callable[[Any], None] | None = None,
-        **options: Any,
-    ) -> SpringObject:
-        if options:
-            raise TypeError(f"unknown export options: {sorted(options)}")
-        handler = make_door_handler(self.domain, impl, binding)
-        door = self.domain.kernel.create_door(
-            self.domain, handler, label=f"caching:{binding.name}"
-        )
-        client_vector = ensure_registry(self.domain).lookup(self.id)
+    def make_rep(
+        self, door_id: "DoorIdentifier", binding: "InterfaceBinding"
+    ) -> CachingRep:
         # The exporting domain itself talks straight to the state (no D2):
         # caching begins when the object crosses to another machine.
-        return client_vector.make_object(
-            CachingRep(door, None, self.manager_name), binding
-        )
-
-    def revoke(self, obj: SpringObject) -> None:
-        obj._check_live()
-        door = obj._rep.server_door.door
-        self.domain.kernel.revoke_door(self.domain, door)
+        return CachingRep(door_id, None, self.manager_name)

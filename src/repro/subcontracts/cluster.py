@@ -23,11 +23,11 @@ from repro.core.registry import ensure_registry
 from repro.core.stubs import write_revoked_status
 from repro.core.subcontract import ClientSubcontract, ServerSubcontract
 from repro.marshal.buffer import MarshalBuffer
-from repro.subcontracts.common import gossip_evicted, peek_opname
+from repro.subcontracts.common import gossip_evicted, make_door_handler
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
-    from repro.kernel.doors import DoorIdentifier
+    from repro.kernel.doors import DoorHandler, DoorIdentifier
 
 __all__ = ["ClusterClient", "ClusterServer", "ClusterRep"]
 
@@ -133,8 +133,8 @@ class ClusterServer(ServerSubcontract):
         super().__init__(domain)
         self._door: "DoorIdentifier | None" = None
         self._next_tag = 0
-        #: tag -> (impl, binding)
-        self.exports: dict[int, tuple[Any, "InterfaceBinding"]] = {}
+        #: tag -> the skeleton-forwarding handler of the object it names
+        self.exports: dict[int, "DoorHandler"] = {}
 
     def _ensure_door(self) -> "DoorIdentifier":
         if self._door is None:
@@ -144,27 +144,16 @@ class ClusterServer(ServerSubcontract):
         return self._door
 
     def _handle_call(self, request: MarshalBuffer) -> MarshalBuffer:
-        kernel = self.domain.kernel
-        reply = self.domain.acquire_buffer()
         tag = request.get_int32()
-        entry = self.exports.get(tag)
-        if entry is None:
-            if kernel.tracer.enabled:
-                kernel.tracer.event("cluster.revoked_tag", subcontract=self.id, tag=tag)
+        handler = self.exports.get(tag)
+        if handler is None:
+            tracer = self.domain.kernel.tracer
+            if tracer.enabled:
+                tracer.event("cluster.revoked_tag", subcontract=self.id, tag=tag)
+            reply = self.domain.acquire_buffer()
             write_revoked_status(reply, f"cluster tag {tag} has been revoked")
             return reply
-        impl, binding = entry
-        tracer = kernel.tracer
-        if tracer.enabled:
-            with tracer.begin_span(
-                self.domain, peek_opname(request), "skeleton", interface=binding.name, tag=tag
-            ):
-                kernel.clock.charge("indirect_call")  # subcontract -> server stubs
-                binding.skeleton.dispatch(self.domain, impl, request, reply, binding)
-            return reply
-        kernel.clock.charge("indirect_call")  # subcontract -> server stubs
-        binding.skeleton.dispatch(self.domain, impl, request, reply, binding)
-        return reply
+        return handler(request)
 
     def export(self, impl: Any, binding: "InterfaceBinding", **options: Any) -> SpringObject:
         if options:
@@ -172,7 +161,7 @@ class ClusterServer(ServerSubcontract):
         shared_door = self._ensure_door()
         tag = self._next_tag
         self._next_tag += 1
-        self.exports[tag] = (impl, binding)
+        self.exports[tag] = make_door_handler(self.domain, impl, binding, tag=tag)
         member_door = self.domain.kernel.copy_door_id(self.domain, shared_door)
         client_vector = ensure_registry(self.domain).lookup(self.id)
         return client_vector.make_object(ClusterRep(member_door, tag), binding)

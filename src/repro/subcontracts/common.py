@@ -46,12 +46,14 @@ def make_door_handler(
     impl: Any,
     binding: "InterfaceBinding",
     control_hook: ControlHook | None = None,
+    **span_attrs: Any,
 ) -> Callable[[MarshalBuffer], MarshalBuffer]:
     """Build a door handler that forwards incoming calls to the skeleton.
 
     The returned handler is what the subcontract installs as the door's
     target; the ``indirect_call`` charge is the server-side indirect call
     from the subcontract into the server stubs that Section 9.3 counts.
+    ``span_attrs`` join ``interface`` on the skeleton span (cluster's tag).
     """
     kernel = domain.kernel
     skeleton = binding.skeleton
@@ -69,6 +71,7 @@ def make_door_handler(
                 peek_opname(request),
                 "skeleton",
                 interface=interface_name,
+                **span_attrs,
             ):
                 kernel.clock.charge("indirect_call")  # subcontract -> server stubs
                 skeleton.dispatch(domain, impl, request, reply, binding)

@@ -36,15 +36,14 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import SubcontractError
 from repro.core.object import SpringObject
-from repro.core.registry import ensure_registry
 from repro.core.stubs import STATUS_OK, write_exception_status, write_ok_status
-from repro.core.subcontract import ClientSubcontract, ServerSubcontract
+from repro.core.subcontract import ClientSubcontract
 from repro.marshal.buffer import MarshalBuffer
-from repro.subcontracts.common import make_door_handler
+from repro.subcontracts.singleton import SingleDoorServer
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
-    from repro.kernel.doors import DoorIdentifier
+    from repro.kernel.doors import DoorHandler, DoorIdentifier
 
 __all__ = ["MigratoryClient", "MigratoryServer", "MigratoryRep"]
 
@@ -208,19 +207,14 @@ class MigratoryClient(ClientSubcontract):
         return remote_type_query(obj)
 
 
-class MigratoryServer(ServerSubcontract):
+class MigratoryServer(SingleDoorServer):
     """Server-side migratory machinery."""
 
     id = "migratory"
 
-    def __init__(self, domain: Any) -> None:
-        super().__init__(domain)
-        #: door uid -> True once the state has been handed away
-        self.forwarded: dict[int, bool] = {}
-
-    def export(self, impl: Any, binding: "InterfaceBinding", **options: Any):
-        if options:
-            raise TypeError(f"unknown export options: {sorted(options)}")
+    def wrap_handler(
+        self, inner: "DoorHandler", impl: Any, binding: "InterfaceBinding"
+    ) -> "DoorHandler":
         if not hasattr(impl, "migrate_out") or not hasattr(
             type(impl), "migrate_in"
         ):
@@ -229,7 +223,6 @@ class MigratoryServer(ServerSubcontract):
                 f"migrate_out() and migrate_in()"
             )
         register_factory(type(impl))
-        inner = make_door_handler(self.domain, impl, binding)
         kernel = self.domain.kernel
         state = {"moved": False}
 
@@ -252,15 +245,17 @@ class MigratoryServer(ServerSubcontract):
             request.read_pos = saved
             return inner(request)
 
-        door = kernel.create_door(self.domain, handler, label=f"migratory:{binding.name}")
-        vector = ensure_registry(self.domain).lookup(self.id)
-        return vector.make_object(MigratoryRep(door, None, binding), binding)
+        return handler
+
+    def make_rep(
+        self, door_id: "DoorIdentifier", binding: "InterfaceBinding"
+    ) -> MigratoryRep:
+        return MigratoryRep(door_id, None, binding)
 
     def revoke(self, obj: SpringObject) -> None:
         obj._check_live()
-        rep: MigratoryRep = obj._rep
-        if rep.door is not None:
-            self.domain.kernel.revoke_door(self.domain, rep.door.door)
+        if obj._rep.door is not None:  # else the state migrated into this domain
+            super().revoke(obj)
 
 
 # ----------------------------------------------------------------------

@@ -12,17 +12,15 @@ IPC boundary, entirely inside the subcontract.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.core.object import SpringObject
-from repro.core.registry import ensure_registry
-from repro.core.subcontract import ServerSubcontract
 from repro.marshal.buffer import MarshalBuffer
-from repro.subcontracts.common import SingleDoorRep, make_door_handler
-from repro.subcontracts.singleton import SingleDoorClient
+from repro.subcontracts.singleton import SingleDoorClient, SingleDoorServer
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
+    from repro.kernel.doors import DoorHandler
 
 __all__ = ["RealtimeClient", "RealtimeServer", "current_priority", "set_priority"]
 
@@ -47,7 +45,7 @@ class RealtimeClient(SingleDoorClient):
         buffer.put_int32(current_priority(self.domain))
 
 
-class RealtimeServer(ServerSubcontract):
+class RealtimeServer(SingleDoorServer):
     """Server-side realtime machinery: inherit the caller's priority
     while dispatching, restore it afterwards."""
 
@@ -58,16 +56,9 @@ class RealtimeServer(ServerSubcontract):
         #: highest priority observed while dispatching (tests inspect it)
         self.peak_priority = 0
 
-    def export(
-        self,
-        impl: Any,
-        binding: "InterfaceBinding",
-        unreferenced: Callable[[Any], None] | None = None,
-        **options: Any,
-    ) -> SpringObject:
-        if options:
-            raise TypeError(f"unknown export options: {sorted(options)}")
-        inner = make_door_handler(self.domain, impl, binding)
+    def wrap_handler(
+        self, inner: "DoorHandler", impl: Any, binding: "InterfaceBinding"
+    ) -> "DoorHandler":
         server_domain = self.domain
 
         def handler(request: MarshalBuffer) -> MarshalBuffer:
@@ -81,12 +72,4 @@ class RealtimeServer(ServerSubcontract):
             finally:
                 set_priority(server_domain, previous)
 
-        door = self.domain.kernel.create_door(
-            self.domain, handler, label=f"realtime:{binding.name}"
-        )
-        client_vector = ensure_registry(self.domain).lookup(self.id)
-        return client_vector.make_object(SingleDoorRep(door), binding)
-
-    def revoke(self, obj: SpringObject) -> None:
-        obj._check_live()
-        self.domain.kernel.revoke_door(self.domain, obj._rep.door.door)
+        return handler

@@ -27,8 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.errors import SubcontractError
 from repro.core.object import SpringObject
-from repro.core.registry import ensure_registry
-from repro.core.subcontract import ClientSubcontract, ServerSubcontract
+from repro.core.subcontract import ClientSubcontract
 from repro.kernel.errors import CommunicationError, InvalidDoorError
 from repro.marshal.buffer import MarshalBuffer
 from repro.runtime.idem import DedupMemo, wrap_idempotent
@@ -41,11 +40,12 @@ from repro.runtime.retry import (
     RetryPolicy,
     failure_verdict,
 )
-from repro.subcontracts.common import gossip_evicted, make_door_handler, quiet_delete
+from repro.subcontracts.common import gossip_evicted, quiet_delete
+from repro.subcontracts.singleton import SingleDoorServer
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
-    from repro.kernel.doors import DoorIdentifier
+    from repro.kernel.doors import DoorHandler, DoorIdentifier
 
 __all__ = ["ReconnectableClient", "ReconnectableServer", "ReconnectableRep"]
 
@@ -240,7 +240,7 @@ class ReconnectableClient(ClientSubcontract):
         obj._mark_consumed()
 
 
-class ReconnectableServer(ServerSubcontract):
+class ReconnectableServer(SingleDoorServer):
     """Server-side reconnectable machinery.
 
     ``export`` creates the door and *binds* a reconnectable object under
@@ -262,8 +262,6 @@ class ReconnectableServer(ServerSubcontract):
     ) -> SpringObject:
         if not name:
             raise TypeError("reconnectable export requires a stable object name")
-        if options:
-            raise TypeError(f"unknown export options: {sorted(options)}")
         naming = self.domain.locals.get("naming_root")
         if naming is None:
             raise SubcontractError(
@@ -275,22 +273,19 @@ class ReconnectableServer(ServerSubcontract):
         # skeleton: a retry after a lost reply replays the recorded reply
         # instead of re-executing.  Pass ``dedup`` to share a memo across
         # incarnations (durable services back it with stable storage).
-        if dedup is None:
-            dedup = DedupMemo()
-        self.dedup = dedup
-        handler = wrap_idempotent(
-            self.domain, make_door_handler(self.domain, impl, binding), dedup
-        )
-        door = self.domain.kernel.create_door(
-            self.domain, handler, label=f"reconnectable:{binding.name}"
-        )
-        client_vector = ensure_registry(self.domain).lookup(self.id)
-        obj = client_vector.make_object(ReconnectableRep(door, name), binding)
-        recovery_copy = obj.spring_copy()
-        naming.rebind(name, recovery_copy)
+        # The memo and the name of this export, for the two hooks below.
+        self.dedup = DedupMemo() if dedup is None else dedup
+        self.name = name
+        obj = super().export(impl, binding, unreferenced, **options)
+        naming.rebind(name, obj.spring_copy())
         return obj
 
-    def revoke(self, obj: SpringObject) -> None:
-        obj._check_live()
-        door = obj._rep.door.door
-        self.domain.kernel.revoke_door(self.domain, door)
+    def wrap_handler(
+        self, inner: "DoorHandler", impl: Any, binding: "InterfaceBinding"
+    ) -> "DoorHandler":
+        return wrap_idempotent(self.domain, inner, self.dedup)
+
+    def make_rep(
+        self, door_id: "DoorIdentifier", binding: "InterfaceBinding"
+    ) -> ReconnectableRep:
+        return ReconnectableRep(door_id, self.name)

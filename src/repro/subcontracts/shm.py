@@ -22,16 +22,15 @@ import time
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.object import SpringObject
-from repro.core.registry import ensure_registry
-from repro.core.subcontract import ServerSubcontract
 from repro.marshal.buffer import MarshalBuffer
 from repro.marshal.envelope import ChannelClosedError
 from repro.marshal.errors import MarshalError
-from repro.subcontracts.common import SingleDoorRep, make_door_handler
-from repro.subcontracts.singleton import SingleDoorClient
+from repro.subcontracts.common import SingleDoorRep
+from repro.subcontracts.singleton import SingleDoorClient, SingleDoorServer
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
+    from repro.kernel.doors import DoorHandler
 
 __all__ = [
     "ShmClient",
@@ -298,6 +297,8 @@ class ShmClient(SingleDoorClient):
 
     Inherits the single-door rep/marshal/copy shape; adds the
     invoke_preamble that redirects marshalling into a shared region.
+    The inherited invoke skips the copy charge for region-backed buffers
+    on both legs (the server writes its reply into the same region).
     """
 
     id = "shm"
@@ -314,15 +315,8 @@ class ShmClient(SingleDoorClient):
         self.domain.kernel.clock.advance(self.REGION_SETUP_US, "shm_setup")
         buffer.region = SharedRegion(client_machine)
 
-    def invoke(self, obj: SpringObject, buffer: MarshalBuffer) -> MarshalBuffer:
-        reply = super().invoke(obj, buffer)
-        # The server wrote its reply into the same region when one was
-        # attached; SingleDoorClient.invoke already skips the copy charge
-        # for region-backed buffers on both legs.
-        return reply
 
-
-class ShmServer(ServerSubcontract):
+class ShmServer(SingleDoorServer):
     """Server-side shared-memory machinery.
 
     The handler propagates the request's region onto the reply so the
@@ -331,28 +325,12 @@ class ShmServer(ServerSubcontract):
 
     id = "shm"
 
-    def export(
-        self,
-        impl: Any,
-        binding: "InterfaceBinding",
-        unreferenced: Callable[[Any], None] | None = None,
-        **options: Any,
-    ) -> SpringObject:
-        if options:
-            raise TypeError(f"unknown export options: {sorted(options)}")
-        inner = make_door_handler(self.domain, impl, binding)
-
+    def wrap_handler(
+        self, inner: "DoorHandler", impl: Any, binding: "InterfaceBinding"
+    ) -> "DoorHandler":
         def handler(request: MarshalBuffer) -> MarshalBuffer:
             reply = inner(request)
             reply.region = request.region
             return reply
 
-        door = self.domain.kernel.create_door(
-            self.domain, handler, label=f"shm:{binding.name}"
-        )
-        client_vector = ensure_registry(self.domain).lookup(self.id)
-        return client_vector.make_object(SingleDoorRep(door), binding)
-
-    def revoke(self, obj: SpringObject) -> None:
-        obj._check_live()
-        self.domain.kernel.revoke_door(self.domain, obj._rep.door.door)
+        return handler

@@ -23,8 +23,8 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.core.object import MethodTable, SpringObject
 from repro.core.registry import ensure_registry
 from repro.core.subcontract import ClientSubcontract
-from repro.subcontracts.common import SingleDoorRep, make_door_handler
-from repro.subcontracts.singleton import SingleDoorClient, SingletonServer
+from repro.subcontracts.common import SingleDoorRep
+from repro.subcontracts.singleton import SingleDoorClient, SingleDoorServer
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
@@ -68,16 +68,14 @@ class SimplexInlineVector(ClientSubcontract):
 
     id = "simplex"
 
+    def __init__(self, server: "SimplexServer") -> None:
+        super().__init__(server.domain)
+        #: the exporting server, which creates the door when one is needed
+        self.server = server
+
     def _ensure_door(self, rep: InlineRep) -> Any:
         if rep.door is None:
-            server = SimplexServer(self.domain)
-            handler = make_door_handler(self.domain, rep.impl, rep.binding)
-            rep.door = self.domain.kernel.create_door(
-                self.domain,
-                handler,
-                unreferenced=server._unreferenced_hook(rep.impl, rep.unreferenced),
-                label=f"simplex-inline:{rep.binding.name}",
-            )
+            rep.door = self.server.open_door(rep.impl, rep.binding, rep.unreferenced)
         return rep.door
 
     def invoke(self, obj: SpringObject, buffer: "MarshalBuffer") -> "MarshalBuffer":
@@ -140,7 +138,7 @@ def _inline_method_table(binding: "InterfaceBinding", impl: Any) -> MethodTable:
     return {opname: make_entry(opname) for opname in binding.operations}
 
 
-class SimplexServer(SingletonServer):
+class SimplexServer(SingleDoorServer):
     """Server-side simplex machinery.
 
     ``export`` behaves like singleton's (create a door eagerly and return
@@ -163,7 +161,7 @@ class SimplexServer(SingletonServer):
             return super().export(impl, binding, unreferenced, **options)
         if options:
             raise TypeError(f"unknown export options: {sorted(options)}")
-        vector = SimplexInlineVector(self.domain)
+        vector = SimplexInlineVector(self)
         rep = InlineRep(impl, binding, unreferenced)
         return binding.stub_class(
             domain=self.domain,

@@ -6,9 +6,11 @@ a single kernel door identifier; invoke is one kernel door call; marshal
 transmits the door identifier (moving the object); copy duplicates the
 door identifier.
 
-Most other single-door subcontracts (simplex, reconnectable, shm) share
-this client-side shape, so the client vector is written as a reusable
-base class.
+Singleton is the plain case of one kernel door per exported object, so
+both halves are written as reusable bases: ``SingleDoorClient`` is the
+client vector of simplex, realtime, synchronized, shm, transact and
+video; ``SingleDoorServer`` is the server half of those six and of
+caching, reconnectable and migratory.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from repro.subcontracts.common import SingleDoorRep, make_door_handler
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
-    from repro.kernel.doors import Door
+    from repro.kernel.doors import Door, DoorHandler, DoorIdentifier
     from repro.marshal.buffer import MarshalBuffer
 
-__all__ = ["SingleDoorClient", "SingletonClient", "SingletonServer"]
+__all__ = ["SingleDoorClient", "SingleDoorServer", "SingletonClient", "SingletonServer"]
 
 
 class SingleDoorClient(ClientSubcontract):
@@ -80,10 +82,14 @@ class SingletonClient(SingleDoorClient):
     id = "singleton"
 
 
-class SingletonServer(ServerSubcontract):
-    """Server-side singleton machinery: one kernel door per exported object."""
-
-    id = "singleton"
+class SingleDoorServer(ServerSubcontract):
+    """Reusable server machinery for one-door-per-object subcontracts:
+    export, revocation (Section 5.2) and the unreferenced notification
+    (Section 7), stated once.  A subclass overrides :meth:`wrap_handler`
+    (what runs round the skeleton-forwarding handler), :meth:`make_rep`
+    (the representation built round the door) and, when it keeps per-door
+    tables of its own, :meth:`retire`.
+    """
 
     def __init__(self, domain: Any) -> None:
         super().__init__(domain)
@@ -106,33 +112,62 @@ class SingletonServer(ServerSubcontract):
         """
         if options:
             raise TypeError(f"unknown export options: {sorted(options)}")
-        handler = make_door_handler(self.domain, impl, binding)
-        door_id = self.domain.kernel.create_door(
-            self.domain,
-            handler,
-            unreferenced=self._unreferenced_hook(impl, unreferenced),
-            label=f"{self.id}:{binding.name}",
-        )
-        self.exports[door_id.door.uid] = impl
+        door_id = self.open_door(impl, binding, unreferenced)
         client_vector = ensure_registry(self.domain).lookup(self.id)
-        return client_vector.make_object(SingleDoorRep(door_id), binding)
+        return client_vector.make_object(self.make_rep(door_id, binding), binding)
 
-    def _unreferenced_hook(
-        self, impl: Any, unreferenced: Callable[[Any], None] | None
-    ) -> Callable[["Door"], None]:
-        def hook(door: "Door") -> None:
-            self.exports.pop(door.uid, None)
+    def open_door(
+        self,
+        impl: Any,
+        binding: "InterfaceBinding",
+        unreferenced: Callable[[Any], None] | None,
+    ) -> "DoorIdentifier":
+        """Create the door that serves ``impl``; return its first identifier."""
+        handler = self.wrap_handler(
+            make_door_handler(self.domain, impl, binding), impl, binding
+        )
+
+        def last_identifier_gone(door: "Door") -> None:
+            self.retire(door)
             if unreferenced is not None:
                 unreferenced(impl)
             elif hasattr(impl, "_spring_unreferenced"):
                 impl._spring_unreferenced()
 
-        return hook
+        door_id = self.domain.kernel.create_door(
+            self.domain,
+            handler,
+            unreferenced=last_identifier_gone,
+            label=f"{self.id}:{binding.name}",
+        )
+        self.exports[door_id.door.uid] = impl
+        return door_id
+
+    def wrap_handler(
+        self, inner: "DoorHandler", impl: Any, binding: "InterfaceBinding"
+    ) -> "DoorHandler":
+        """The handler the door runs; ``inner`` forwards a request to the
+        skeleton (Section 5.2.2).  The default adds nothing."""
+        return inner
+
+    def make_rep(self, door_id: "DoorIdentifier", binding: "InterfaceBinding") -> Any:
+        """The exported object's representation; ``revoke`` reads its ``door``."""
+        return SingleDoorRep(door_id)
+
+    def retire(self, door: "Door") -> None:
+        """Forget a door that was revoked or lost its last identifier."""
+        self.exports.pop(door.uid, None)
 
     def revoke(self, obj: SpringObject) -> None:
         """Revoke the underlying door: clients' future calls fail
         (Section 5.2.3)."""
         obj._check_live()
         door = obj._rep.door.door
-        self.exports.pop(door.uid, None)
+        self.retire(door)
         self.domain.kernel.revoke_door(self.domain, door)
+
+
+class SingletonServer(SingleDoorServer):
+    """Server-side singleton machinery: one kernel door per exported object."""
+
+    id = "singleton"

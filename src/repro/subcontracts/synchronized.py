@@ -17,18 +17,15 @@ subcontract rather than in every implementation.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
-from repro.core.object import SpringObject
-from repro.core.registry import ensure_registry
-from repro.core.subcontract import ServerSubcontract
 from repro.marshal.buffer import MarshalBuffer
 from repro.runtime import tsan as _tsan
-from repro.subcontracts.common import SingleDoorRep, make_door_handler
-from repro.subcontracts.singleton import SingleDoorClient
+from repro.subcontracts.singleton import SingleDoorClient, SingleDoorServer
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
+    from repro.kernel.doors import Door, DoorHandler
 
 __all__ = ["SynchronizedClient", "SynchronizedServer"]
 
@@ -39,7 +36,7 @@ class SynchronizedClient(SingleDoorClient):
     id = "synchronized"
 
 
-class SynchronizedServer(ServerSubcontract):
+class SynchronizedServer(SingleDoorServer):
     """Server-side synchronized machinery: one mutex per exported object,
     held for the duration of each dispatch."""
 
@@ -47,24 +44,17 @@ class SynchronizedServer(ServerSubcontract):
 
     def __init__(self, domain: Any) -> None:
         super().__init__(domain)
-        #: door uid -> its mutex (introspectable by tests)
-        self.locks: dict[int, threading.Lock] = {}
+        #: door handler -> the mutex it dispatches under (introspectable
+        #: by tests); an entry leaves with its door
+        self.locks: dict["DoorHandler", threading.Lock] = {}
         #: peak number of dispatches observed inside any one object's
         #: critical section; stays 1 when the lock works
         self.peak_concurrency = 0
-        self._in_flight: dict[int, int] = {}
         self._meta_lock = threading.Lock()
 
-    def export(
-        self,
-        impl: Any,
-        binding: "InterfaceBinding",
-        unreferenced: Callable[[Any], None] | None = None,
-        **options: Any,
-    ) -> SpringObject:
-        if options:
-            raise TypeError(f"unknown export options: {sorted(options)}")
-        inner = make_door_handler(self.domain, impl, binding)
+    def wrap_handler(
+        self, inner: "DoorHandler", impl: Any, binding: "InterfaceBinding"
+    ) -> "DoorHandler":
         raw_lock = threading.Lock()
         # With the race detector installed, the per-object mutex is a
         # named synchronization object (dispatches under it are ordered
@@ -73,29 +63,23 @@ class SynchronizedServer(ServerSubcontract):
         lock = _tsan.instrument_lock(
             raw_lock, f"synchronized:{binding.name}@{id(raw_lock):x}"
         )
+        in_flight = 0
 
         def handler(request: MarshalBuffer) -> MarshalBuffer:
+            nonlocal in_flight
             with lock:
                 with self._meta_lock:
-                    count = self._in_flight.get(door_uid, 0) + 1
-                    self._in_flight[door_uid] = count
-                    self.peak_concurrency = max(self.peak_concurrency, count)
+                    in_flight += 1
+                    self.peak_concurrency = max(self.peak_concurrency, in_flight)
                 try:
                     return inner(request)
                 finally:
                     with self._meta_lock:
-                        self._in_flight[door_uid] -= 1
+                        in_flight -= 1
 
-        door = self.domain.kernel.create_door(
-            self.domain, handler, label=f"synchronized:{binding.name}"
-        )
-        door_uid = door.door.uid
-        self.locks[door_uid] = lock
-        vector = ensure_registry(self.domain).lookup(self.id)
-        return vector.make_object(SingleDoorRep(door), binding)
+        self.locks[handler] = lock
+        return handler
 
-    def revoke(self, obj: SpringObject) -> None:
-        obj._check_live()
-        door = obj._rep.door.door
-        self.locks.pop(door.uid, None)
-        self.domain.kernel.revoke_door(self.domain, door)
+    def retire(self, door: "Door") -> None:
+        super().retire(door)
+        self.locks.pop(door.handler, None)

@@ -30,21 +30,19 @@ pairs with the idempotency-key dedup layer in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import SubcontractError
 from repro.core.object import SpringObject
-from repro.core.registry import ensure_registry
-from repro.core.subcontract import ServerSubcontract
 from repro.marshal.buffer import MarshalBuffer
 from repro.runtime.idem import DedupMemo, wrap_idempotent
 from repro.runtime.saga import Saga, SagaAborted, SagaCoordinator
-from repro.subcontracts.common import SingleDoorRep, make_door_handler
-from repro.subcontracts.singleton import SingleDoorClient
+from repro.subcontracts.singleton import SingleDoorClient, SingleDoorServer
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
     from repro.kernel.domain import Domain
+    from repro.kernel.doors import DoorHandler
 
 __all__ = [
     "TransactClient",
@@ -175,7 +173,7 @@ class TransactClient(SingleDoorClient):
         buffer.put_int64(txn.txn_id if txn is not None else NO_TXN)
 
 
-class TransactServer(ServerSubcontract):
+class TransactServer(SingleDoorServer):
     """Server-side transact machinery: enlist the implementation with the
     coordinator before forwarding the call."""
 
@@ -185,17 +183,9 @@ class TransactServer(ServerSubcontract):
         super().__init__(domain)
         self.coordinator = coordinator
 
-    def export(
-        self,
-        impl: Any,
-        binding: "InterfaceBinding",
-        unreferenced: Callable[[Any], None] | None = None,
-        **options: Any,
-    ) -> SpringObject:
-        if options:
-            raise TypeError(f"unknown export options: {sorted(options)}")
-        inner = make_door_handler(self.domain, impl, binding)
-
+    def wrap_handler(
+        self, inner: "DoorHandler", impl: Any, binding: "InterfaceBinding"
+    ) -> "DoorHandler":
         def enlisting(request: MarshalBuffer) -> MarshalBuffer:
             txn_id = request.get_int64()
             if txn_id != NO_TXN:
@@ -206,13 +196,4 @@ class TransactServer(ServerSubcontract):
         # not enlist the participant a second time (the first execution
         # already did).
         self.dedup = DedupMemo()
-        handler = wrap_idempotent(self.domain, enlisting, self.dedup)
-        door = self.domain.kernel.create_door(
-            self.domain, handler, label=f"transact:{binding.name}"
-        )
-        client_vector = ensure_registry(self.domain).lookup(self.id)
-        return client_vector.make_object(SingleDoorRep(door), binding)
-
-    def revoke(self, obj: SpringObject) -> None:
-        obj._check_live()
-        self.domain.kernel.revoke_door(self.domain, obj._rep.door.door)
+        return wrap_idempotent(self.domain, enlisting, self.dedup)

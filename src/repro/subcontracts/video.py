@@ -22,15 +22,13 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.errors import SubcontractError
 from repro.core.object import SpringObject
-from repro.core.registry import ensure_registry
 from repro.core.stubs import write_ok_status
-from repro.core.subcontract import ServerSubcontract
 from repro.marshal.buffer import MarshalBuffer
-from repro.subcontracts.common import SingleDoorRep, make_door_handler
-from repro.subcontracts.singleton import SingleDoorClient
+from repro.subcontracts.singleton import SingleDoorClient, SingleDoorServer
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
+    from repro.kernel.doors import DoorHandler
 
 __all__ = ["VideoClient", "VideoServer"]
 
@@ -93,7 +91,7 @@ class VideoClient(SingleDoorClient):
         reply.release()
 
 
-class VideoServer(ServerSubcontract):
+class VideoServer(SingleDoorServer):
     """Server-side video machinery.
 
     Wraps the normal skeleton-forwarding handler with an interceptor for
@@ -108,13 +106,9 @@ class VideoServer(ServerSubcontract):
         #: (machine_name, port) -> next sequence number
         self.subscribers: dict[tuple[str, str], int] = {}
 
-    def export(
-        self, impl: Any, binding: "InterfaceBinding", **options: Any
-    ) -> SpringObject:
-        if options:
-            raise TypeError(f"unknown export options: {sorted(options)}")
-        inner = make_door_handler(self.domain, impl, binding)
-
+    def wrap_handler(
+        self, inner: "DoorHandler", impl: Any, binding: "InterfaceBinding"
+    ) -> "DoorHandler":
         def handler(request: MarshalBuffer) -> MarshalBuffer:
             saved = request.read_pos
             op = request.get_string()
@@ -131,11 +125,7 @@ class VideoServer(ServerSubcontract):
             request.read_pos = saved
             return inner(request)
 
-        door = self.domain.kernel.create_door(
-            self.domain, handler, label=f"video:{binding.name}"
-        )
-        client_vector = ensure_registry(self.domain).lookup(self.id)
-        return client_vector.make_object(SingleDoorRep(door), binding)
+        return handler
 
     def pump_frames(self, frames: list[bytes]) -> int:
         """Push a batch of frames to every subscriber.
@@ -159,6 +149,5 @@ class VideoServer(ServerSubcontract):
         return sent
 
     def revoke(self, obj: SpringObject) -> None:
-        obj._check_live()
+        super().revoke(obj)
         self.subscribers.clear()
-        self.domain.kernel.revoke_door(self.domain, obj._rep.door.door)

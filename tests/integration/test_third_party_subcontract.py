@@ -15,6 +15,9 @@ immediately.
 
 from __future__ import annotations
 
+import pathlib
+import re
+
 import pytest
 
 from repro.core import narrow
@@ -22,7 +25,9 @@ from repro.core.object import SpringObject
 from repro.core.registry import ensure_registry
 from repro.core.subcontract import ClientSubcontract, ServerSubcontract
 from repro.marshal.buffer import MarshalBuffer
+from repro.runtime.transfer import transfer
 from repro.subcontracts.common import SingleDoorRep, make_door_handler
+from repro.subcontracts.singleton import SingleDoorServer
 from tests.conftest import CounterImpl, make_domain
 
 # ----------------------------------------------------------------------
@@ -82,18 +87,22 @@ class _EncipherRep:
         self.key = key
 
 
-class EncipheringServer(ServerSubcontract):
+class EncipheringServer(SingleDoorServer):
+    """Built on the one-door-per-object base: states only its wrapper
+    and its representation; export, revoke and the unreferenced
+    notification are inherited."""
+
     id = "encipher"
 
     def __init__(self, domain, key: int = 0x5A):
         super().__init__(domain)
+        _client_vector(domain)  # the serving domain links the library too
         self.key = key
         #: raw byte streams observed on the wire side (for the test's
         #: "an eavesdropper sees nothing legible" assertion)
         self.wire_samples: list[bytes] = []
 
-    def export(self, impl, binding, **options):
-        inner = make_door_handler(self.domain, impl, binding)
+    def wrap_handler(self, inner, impl, binding):
         kernel = self.domain.kernel
 
         def handler(sealed: MarshalBuffer) -> MarshalBuffer:
@@ -113,12 +122,10 @@ class EncipheringServer(ServerSubcontract):
             reply.doors = []
             return out
 
-        door = kernel.create_door(self.domain, handler, label="encipher")
-        vector = _client_vector(self.domain)
-        return vector.make_object(_EncipherRep(door, self.key), binding)
+        return handler
 
-    def revoke(self, obj):
-        self.domain.kernel.revoke_door(self.domain, obj._rep.door.door)
+    def make_rep(self, door_id, binding):
+        return _EncipherRep(door_id, self.key)
 
 
 def _client_vector(domain) -> EncipheringClient:
@@ -260,6 +267,50 @@ class TestEncipheringSubcontract:
         env.bind(server, "/third-party/ciphered", obj)
         resolved = narrow(env.resolve(client, "/third-party/ciphered"), binding)
         assert resolved.add(3) == 3
+
+    def test_server_learns_when_the_last_identifier_goes(self, kernel, counter_module):
+        """§7's cleanup story comes with the base: nothing enciphering-
+        specific was written to get it."""
+        server = make_domain(kernel, "server")
+        client = make_domain(kernel, "client")
+        _client_vector(client)
+        binding = counter_module.binding("counter")
+        impl, reclaimed = CounterImpl(), []
+        exported = EncipheringServer(server).export(
+            impl, binding, unreferenced=reclaimed.append
+        )
+        obj = ship(kernel, server, client, exported, binding)
+        assert obj.add(2) == 2 and reclaimed == []
+        obj.spring_consume()
+        assert reclaimed == [impl]
+
+
+class TestDocumentedRecipe:
+    """docs/writing-a-subcontract.md §2 prints the server recipe; run the
+    printed code so it cannot drift from the base class."""
+
+    def test_server_sample_runs_as_printed(self, env, counter_module):
+        guide = pathlib.Path(__file__).parents[2] / "docs" / "writing-a-subcontract.md"
+        section = guide.read_text().split("## 2. The server side")[1]
+        sample = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+        assert "SingleDoorServer" in sample
+        printed: dict = {}
+        exec(compile(sample, str(guide), "exec"), printed)
+
+        server = env.create_domain("m1", "server")
+        client = env.create_domain("m2", "client")
+        for domain in (server, client):
+            ensure_registry(domain).register(printed["MeteredClient"])
+        binding = counter_module.binding("counter")
+        metered = printed["MeteredServer"](server)
+        reclaimed = []
+        exported = metered.export(CounterImpl(), binding, unreferenced=reclaimed.append)
+        obj = transfer(exported, client)
+        assert obj._subcontract.id == "metered"
+        assert obj.add(4) == 4 and obj.total() == 4
+        assert metered.calls == 2
+        obj.spring_consume()
+        assert len(reclaimed) == 1 and metered.exports == {}
 
 
 class TestAuditingSubcontract:

@@ -12,16 +12,30 @@ suite runs one checklist against all of them:
 4. copy yields a second live handle on shared state;
 5. consume invalidates the handle;
 6. the run-time type query answers the static type.
+
+The second half is the server-side checklist (§5.2, §7): every bundled
+``ServerSubcontract`` — found by walking the class tree, so a new one
+cannot skip it — rejects unknown export options, and every server with
+a door per object notifies ``unreferenced`` exactly once when the last
+identifier goes, never on ``revoke``, labels its door
+``"<id>:<interface>"`` and forgets the door when it goes.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import json
+import pkgutil
+from typing import Any, Callable
 
 import pytest
 
+import repro.subcontracts
 from repro.core.errors import ObjectConsumedError
 from repro.core.object import SpringObject
+from repro.core.subcontract import ServerSubcontract
+from repro.kernel.errors import CommunicationError, DoorRevokedError, InvalidDoorError
 from repro.marshal.buffer import MarshalBuffer
 from repro.runtime.transfer import give, transfer
 from tests.conftest import CounterImpl
@@ -219,3 +233,180 @@ class TestConformance:
         env, server, client, binding, obj = self._exported(world, scid)
         assert obj.spring_type_id() == "counter"
         assert "counter" in obj._subcontract.type_info(obj)
+
+
+# ----------------------------------------------------------------------
+# the server side (§5.2.1-5.2.3, §7)
+# ----------------------------------------------------------------------
+
+
+def _bundled_servers() -> list[type]:
+    """Every concrete server subcontract under ``repro.subcontracts``."""
+    for module in pkgutil.iter_modules(repro.subcontracts.__path__):
+        importlib.import_module(f"repro.subcontracts.{module.name}")
+    found, frontier = set(), [ServerSubcontract]
+    while frontier:
+        cls = frontier.pop()
+        frontier.extend(cls.__subclasses__())
+        if cls.id and cls.__module__.startswith("repro.subcontracts."):
+            found.add(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def _transact(cls, domain):
+    from repro.subcontracts.transact import TransactionCoordinator
+
+    return cls(domain, TransactionCoordinator())
+
+
+@dataclasses.dataclass(frozen=True)
+class ServerRecipe:
+    """How the checklist builds and drives one server class."""
+
+    make: Callable[[type, Any], ServerSubcontract] = lambda cls, domain: cls(domain)
+    impl: type = CounterImpl
+    options: dict = dataclasses.field(default_factory=dict)
+    #: drop identifiers the export parked elsewhere (the naming service)
+    release: Callable[[Any], None] = lambda domain: None
+    #: False for servers that multiplex objects over something shared
+    door_per_object: bool = True
+
+
+SERVER_RECIPES = {
+    "SingletonServer": ServerRecipe(),
+    "SimplexServer": ServerRecipe(),
+    "RealtimeServer": ServerRecipe(),
+    "SynchronizedServer": ServerRecipe(),
+    "ShmServer": ServerRecipe(),
+    "VideoServer": ServerRecipe(),
+    "CachingServer": ServerRecipe(),
+    "TransactServer": ServerRecipe(make=_transact),
+    "ReconnectableServer": ServerRecipe(
+        options={"name": "/conf/served"},
+        release=lambda domain: domain.locals["naming_root"].unbind("/conf/served"),
+    ),
+    "MigratoryServer": ServerRecipe(impl=MigratableCounter),
+    "ClusterServer": ServerRecipe(door_per_object=False),
+    "RawNetServer": ServerRecipe(door_per_object=False),
+}
+
+SERVERS = _bundled_servers()
+DOOR_SERVERS = [
+    cls
+    for cls in SERVERS
+    if SERVER_RECIPES.get(cls.__name__, ServerRecipe()).door_per_object
+]
+SHARED_SERVERS = [cls for cls in SERVERS if cls not in DOOR_SERVERS]
+
+
+def _by_name(cls: type) -> str:
+    return cls.__name__
+
+
+class ServedWorld:
+    """One server of ``cls`` in the conformance world, ready to export."""
+
+    def __init__(self, world, cls: type) -> None:
+        self.env, self.server, self.client, self.binding = world
+        recipe = SERVER_RECIPES.get(cls.__name__)
+        if recipe is None:
+            pytest.fail(f"{cls.__name__} has no entry in SERVER_RECIPES")
+        self.recipe = recipe
+        self.subcontract = recipe.make(cls, self.server)
+        self.door = None
+
+    def export(self, impl=None, **options):
+        """Export ``impl`` and note the one kernel door that made."""
+        doors = self.env.kernel.doors
+        before = set(doors)
+        impl = self.recipe.impl() if impl is None else impl
+        obj = self.subcontract.export(
+            impl, self.binding, **self.recipe.options, **options
+        )
+        created = [doors[uid] for uid in set(doors) - before]
+        self.door = created[0] if len(created) == 1 else None
+        return obj
+
+    def drop_last_identifier(self, obj, where: str) -> None:
+        if where == "remote":
+            obj = transfer(obj, self.client)
+        obj.spring_consume()
+        self.recipe.release(self.server)
+
+    def door_tables(self) -> list[dict]:
+        """The server's per-door tables, which must not outlive a door."""
+        subcontract = self.subcontract
+        return [subcontract.exports, getattr(subcontract, "locks", {})]
+
+
+def test_every_bundled_server_has_a_recipe():
+    assert {cls.__name__ for cls in SERVERS} == set(SERVER_RECIPES)
+    assert len(DOOR_SERVERS) >= 10 and len(SHARED_SERVERS) == 2
+
+
+@pytest.mark.parametrize("cls", SERVERS, ids=_by_name)
+def test_unknown_export_option_is_refused(world, cls):
+    served = ServedWorld(world, cls)
+    with pytest.raises(TypeError):
+        served.export(no_such_option=True)
+
+
+@pytest.mark.parametrize("cls", SHARED_SERVERS, ids=_by_name)
+def test_shared_servers_refuse_unreferenced(world, cls):
+    """No door per object, so no per-object notification: say so."""
+    served = ServedWorld(world, cls)
+    with pytest.raises(TypeError):
+        served.export(unreferenced=lambda impl: None)
+
+
+@pytest.mark.parametrize("cls", DOOR_SERVERS, ids=_by_name)
+class TestDoorPerObjectServer:
+    @pytest.mark.parametrize("where", ["local", "remote"])
+    def test_unreferenced_callback_fires_once(self, world, cls, where):
+        served = ServedWorld(world, cls)
+        impl, reclaimed = served.recipe.impl(), []
+        obj = served.export(impl, unreferenced=reclaimed.append)
+        spare = obj.spring_copy()
+        served.drop_last_identifier(obj, where)
+        assert reclaimed == []  # the copy still names the door
+        spare.spring_consume()
+        assert reclaimed == [impl]
+        assert served.door_tables() == [{}, {}]
+
+    @pytest.mark.parametrize("where", ["local", "remote"])
+    def test_spring_unreferenced_fires_once(self, world, cls, where):
+        class Reclaimable(SERVER_RECIPES[cls.__name__].impl):
+            reclaimed = 0
+
+            def _spring_unreferenced(self):
+                self.reclaimed += 1
+
+        served = ServedWorld(world, cls)
+        impl = Reclaimable()
+        served.drop_last_identifier(served.export(impl), where)
+        assert impl.reclaimed == 1
+        assert served.door_tables() == [{}, {}]
+
+    def test_revoke_fails_calls_forgets_the_door_and_does_not_notify(
+        self, world, cls
+    ):
+        served = ServedWorld(world, cls)
+        reclaimed = []
+        obj = served.export(unreferenced=reclaimed.append)
+        remote = give(obj, served.client)
+        assert served.door_tables()[0] != {}
+        served.subcontract.revoke(obj)
+        assert served.door_tables() == [{}, {}]
+        with pytest.raises((InvalidDoorError, CommunicationError)) as failure:
+            remote.total()
+        # reconnectable re-resolves and retries before it gives up
+        chain = (failure.value, failure.value.__cause__)
+        assert any(isinstance(error, DoorRevokedError) for error in chain)
+        remote.spring_consume()
+        served.drop_last_identifier(obj, "local")
+        assert reclaimed == []
+
+    def test_door_label_names_subcontract_and_interface(self, world, cls):
+        served = ServedWorld(world, cls)
+        served.export()
+        assert served.door.label == f"{cls.id}:{served.binding.name}"
