@@ -11,9 +11,11 @@ Two checks:
 
 * **wall-clock calls** — ``time.time``, ``time.monotonic``,
   ``time.perf_counter``, ``time.process_time``, ``time.time_ns`` (and
-  ``_ns`` variants), ``datetime.now``/``utcnow`` are banned.  Dotted
-  names are resolved through the module's import table, so
-  ``from time import perf_counter as pc; pc()`` is still caught.
+  ``_ns`` variants), ``datetime.now``/``utcnow`` are banned, and so is
+  ``time.sleep``: a sleep-poll waits on the host clock without ever
+  reading it.  Dotted names are resolved through the module's import
+  table, so ``from time import perf_counter as pc; pc()`` is still
+  caught.
 * **charge-site formatting** — the event-name argument of
   ``.charge(...)``/``.charge_cycles(...)`` (first argument) and the
   category argument of ``.advance(...)`` (second argument) must not be
@@ -67,8 +69,9 @@ _SANCTION_RE = re.compile(
     r"#\s*springlint:\s*wall-clock-module\s*(?:--\s*(?P<why>\S.*))?"
 )
 
-#: fully-qualified callables that read the host's wall clock
+#: fully-qualified callables that read, or wait on, the host's wall clock
 _BANNED = {
+    "time.sleep",
     "time.time",
     "time.time_ns",
     "time.monotonic",

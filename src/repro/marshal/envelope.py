@@ -8,22 +8,21 @@ layer exists — but three things ride on the buffer *out of band* and must
 survive the boundary: the call deadline (``deadline_us``), the trace
 context (``trace_ctx``), and the idempotency key (``idem_key``).  The
 envelope is the small fixed-size header that frames one payload and
-carries those items, plus routing (call id, target export) and the
-shared-memory-ring indirection flag for bulk payloads.
+carries those items, plus routing (call id, target export).  The payload
+always follows its header inline on the same socket, at every size.
 
-Layout (little-endian, 64 bytes)::
+Layout (little-endian, 56 bytes)::
 
     magic        u16   0x5BC6
-    version      u8    2
+    version      u8    3
     kind         u8    CALL / REPLY / ERROR / CONTROL / CONTROL_REPLY
     call_id      u64   request/reply correlation
     target       u32   export id (CALL) or control op (CONTROL)
-    flags        u32   RING / DEADLINE / TRACE / IDEM bits
+    flags        u32   DEADLINE / TRACE / IDEM bits; any other bit is refused
     budget_us    f64   remaining deadline budget (sim-us), if DEADLINE
     trace_id     u64   wire trace context, if TRACE
     span_id      u64   wire trace context, if TRACE
-    payload_len  u32   payload byte count
-    ring_off     u64   free-running ring offset of the payload, if RING
+    payload_len  u32   payload byte count, at most MAX_PAYLOAD
     idem_key     u64   idempotency key of the logical request, if IDEM
 
 The deadline crosses as a *remaining budget* rather than an absolute
@@ -40,9 +39,10 @@ signal round-trips exactly).
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.marshal.codec import Decoder, Encoder
+from repro.marshal.errors import MarshalError
 
 if TYPE_CHECKING:
     import socket
@@ -55,11 +55,11 @@ __all__ = [
     "KIND_ERROR",
     "KIND_CONTROL",
     "KIND_CONTROL_REPLY",
-    "FLAG_RING",
     "FLAG_DEADLINE",
     "FLAG_TRACE",
     "FLAG_IDEM",
     "HEADER",
+    "MAX_PAYLOAD",
     "pack_error",
     "unpack_error",
     "send_envelope",
@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 MAGIC = 0x5BC6
-VERSION = 2
+VERSION = 3
 
 KIND_CALL = 1
 KIND_REPLY = 2
@@ -78,8 +78,6 @@ KIND_CONTROL_REPLY = 5
 
 _KINDS = (KIND_CALL, KIND_REPLY, KIND_ERROR, KIND_CONTROL, KIND_CONTROL_REPLY)
 
-#: payload bytes live in the shared ring, not inline after the header
-FLAG_RING = 0x1
 #: ``budget_us`` is meaningful (the call carries a deadline)
 FLAG_DEADLINE = 0x2
 #: ``trace_id``/``span_id`` are meaningful (the call carries a context)
@@ -87,7 +85,14 @@ FLAG_TRACE = 0x4
 #: ``idem_key`` is meaningful (the call names a logical request)
 FLAG_IDEM = 0x8
 
-HEADER = struct.Struct("<HBBQIIdQQIQQ")
+_KNOWN_FLAGS = FLAG_DEADLINE | FLAG_TRACE | FLAG_IDEM
+
+HEADER = struct.Struct("<HBBQIIdQQIQ")
+
+#: largest payload one envelope may frame.  ``payload_len`` is a u32 read
+#: off the wire: without a cap, one corrupt header would leave the reader
+#: waiting on up to 4 GiB that will never arrive.
+MAX_PAYLOAD = 64 << 20
 
 
 class ChannelClosedError(Exception):
@@ -105,7 +110,6 @@ class Envelope:
         "budget_us",
         "trace_ctx",
         "payload",
-        "ring_off",
         "idem_key",
     )
 
@@ -118,7 +122,6 @@ class Envelope:
         budget_us: float | None,
         trace_ctx: tuple[int, int] | None,
         payload: bytes,
-        ring_off: int = 0,
         idem_key: "int | None" = None,
     ) -> None:
         self.kind = kind
@@ -128,7 +131,6 @@ class Envelope:
         self.budget_us = budget_us
         self.trace_ctx = trace_ctx
         self.payload = payload
-        self.ring_off = ring_off
         self.idem_key = idem_key
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -147,7 +149,6 @@ def pack_header(
     trace_id: int,
     span_id: int,
     payload_len: int,
-    ring_off: int,
     idem_key: int = 0,
 ) -> bytes:
     return HEADER.pack(
@@ -161,7 +162,6 @@ def pack_header(
         trace_id,
         span_id,
         payload_len,
-        ring_off,
         idem_key,
     )
 
@@ -207,16 +207,14 @@ def send_envelope(
     payload: "bytes | bytearray | memoryview",
     budget_us: float | None = None,
     trace_ctx: tuple[int, int] | None = None,
-    ring: Any | None = None,
-    ring_min: int = 1 << 62,
     idem_key: "int | None" = None,
-) -> bool:
-    """Frame and send one envelope; returns True when the ring carried it.
+) -> None:
+    """Frame and send one envelope: header, then the payload inline.
 
-    The payload is handed to the socket (or the shared ring) as a
-    ``memoryview`` — the marshal buffer's ``bytearray`` is never copied
-    into an intermediate joined message.  Callers serialize sends per
-    socket themselves (the fabric holds a per-worker send lock).
+    The payload goes to the socket as it is — the marshal buffer's
+    ``bytearray`` is never copied into an intermediate joined message.
+    Callers serialize sends per socket themselves (the fabric holds a
+    per-worker send lock).
     """
     flags = 0
     budget = 0.0
@@ -231,19 +229,11 @@ def send_envelope(
     if idem_key is not None:
         flags |= FLAG_IDEM
         key = idem_key
-    view = memoryview(payload)
-    ring_off = 0
-    # Payloads over the ring's half-capacity budget cross inline on the
-    # socket: the ring's notify-after-write protocol cannot carry them
-    # without risking a self-deadlock (see PreambleRing.max_payload).
-    via_ring = (
-        ring is not None
-        and len(view) >= ring_min
-        and len(view) <= ring.max_payload
-    )
-    if via_ring:
-        flags |= FLAG_RING
-        ring_off = ring.write(view)
+    size = len(payload)
+    if size > MAX_PAYLOAD:
+        raise MarshalError(
+            f"payload of {size}B exceeds the envelope limit of {MAX_PAYLOAD}B"
+        )
     header = pack_header(
         kind,
         call_id,
@@ -252,28 +242,36 @@ def send_envelope(
         budget,
         trace_id,
         span_id,
-        len(view),
-        ring_off,
+        size,
         key,
     )
-    if via_ring or not len(view):
+    if not size:
         sock.sendall(header)
-        return via_ring
-    # Zero-copy gather write: header + payload in one syscall when the
-    # socket takes it, falling back to sendall on a short write.
-    sent = sock.sendmsg([header, view])
-    if sent < len(header):
-        sock.sendall(header[sent:])
-        sock.sendall(view)
-    else:
-        off = sent - len(header)
-        if off < len(view):
-            sock.sendall(view[off:])
-    return False
+        return
+    # Gather write: header + payload in one syscall when the socket
+    # takes it all.
+    sent = sock.sendmsg([header, payload])
+    if sent == len(header) + size:
+        return
+    # Short write: finish with sendall.  The view is released on every
+    # exit; one left alive in a failed send's traceback would pin the
+    # marshal buffer's bytearray, and recycling the buffer would then
+    # raise BufferError in place of the transport's own error.
+    with memoryview(payload) as view:
+        if sent < len(header):
+            sock.sendall(header[sent:])
+            sock.sendall(view)
+        else:
+            sock.sendall(view[sent - len(header) :])
 
 
-def recv_envelope(sock: "socket.socket", ring: Any | None = None) -> Envelope:
-    """Receive one envelope; ring-flagged payloads are taken from ``ring``."""
+def recv_envelope(sock: "socket.socket") -> Envelope:
+    """Receive one envelope, refusing any header this version cannot frame.
+
+    The header comes off the wire, so every field that steers the reader
+    is checked before it is acted on; a refusal raises
+    :class:`ChannelClosedError` because the stream cannot be resynchronized.
+    """
     raw = read_exact(sock, HEADER.size)
     (
         magic,
@@ -286,7 +284,6 @@ def recv_envelope(sock: "socket.socket", ring: Any | None = None) -> Envelope:
         trace_id,
         span_id,
         payload_len,
-        ring_off,
         idem_key,
     ) = HEADER.unpack(raw)
     if magic != MAGIC or version != VERSION:
@@ -295,14 +292,13 @@ def recv_envelope(sock: "socket.socket", ring: Any | None = None) -> Envelope:
         )
     if kind not in _KINDS:
         raise ChannelClosedError(f"unknown envelope kind {kind}")
-    if flags & FLAG_RING:
-        if ring is None:
-            raise ChannelClosedError("ring-flagged envelope but no ring attached")
-        payload = ring.take(payload_len, expected_off=ring_off)
-    elif payload_len:
-        payload = read_exact(sock, payload_len)
-    else:
-        payload = b""
+    if flags & ~_KNOWN_FLAGS:
+        raise ChannelClosedError(f"unknown envelope flag bits {flags:#x}")
+    if payload_len > MAX_PAYLOAD:
+        raise ChannelClosedError(
+            f"envelope claims a {payload_len}B payload, over the limit of "
+            f"{MAX_PAYLOAD}B"
+        )
     return Envelope(
         kind,
         call_id,
@@ -310,7 +306,6 @@ def recv_envelope(sock: "socket.socket", ring: Any | None = None) -> Envelope:
         flags,
         budget if flags & FLAG_DEADLINE else None,
         (trace_id, span_id) if flags & FLAG_TRACE else None,
-        payload,
-        ring_off,
+        read_exact(sock, payload_len) if payload_len else b"",
         idem_key if flags & FLAG_IDEM else None,
     )

@@ -8,8 +8,8 @@ in-process world, and this module proves it for *real* parallelism.  A
 machine), each serving exports behind its own kernel; a door call from
 the supervisor process crosses the boundary carrying the exact wire
 bytes the client stub already marshalled — framed by the small envelope
-of :mod:`repro.marshal.envelope`, with bulk payloads riding a
-shared-memory ring that reuses the shm subcontract's preamble framing.
+of :mod:`repro.marshal.envelope` and written, header plus payload, as
+one gather write on the per-worker socketpair at every size.
 
 The join with the rest of the codebase is a *proxy door*: ``bind``
 creates an ordinary kernel door in the supervisor whose handler forwards
@@ -46,12 +46,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import mmap
 import multiprocessing
 import os
 import socket
+import struct
 import threading
-import time
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.registry import ensure_registry
@@ -87,7 +86,6 @@ from repro.obs.export import span_record
 from repro.obs.metrics import merge_snapshots
 from repro.obs.windows import merge_window_snapshots
 from repro.subcontracts.common import SingleDoorRep
-from repro.subcontracts.shm import PreambleRing
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
@@ -96,9 +94,10 @@ if TYPE_CHECKING:
 
 __all__ = ["ProcFabric", "ProcFabricError"]
 
-#: payloads at or above this many bytes ride the shared-memory ring
-DEFAULT_RING_MIN = 4096
-DEFAULT_RING_BYTES = 1 << 20
+#: SO_SNDBUF/SO_RCVBUF asked for on each socketpair end (the host may
+#: clamp it): a payload under this size leaves the sender in one write
+#: instead of trickling out as the peer drains a smaller default buffer
+SOCKET_BUFFER_BYTES = 1 << 20
 
 _SPAN_CARRY = "procfabric.carry"
 
@@ -147,12 +146,9 @@ class _WorkerHandle:
         self.send_lock = threading.Lock()
         self.pending: dict[int, _Pending] = {}
         self.reader: threading.Thread | None = None
-        self.call_ring: PreambleRing | None = None
-        self.reply_ring: PreambleRing | None = None
         self.exports: dict[str, int] = {}
         self.alive = False
         self.calls = 0
-        self.ring_payloads = 0
 
     def fail_pending(self, error: BaseException) -> None:
         while self.pending:
@@ -185,8 +181,6 @@ class ProcFabric:
         seed: int = 1993,
         trace: bool = False,
         windows: "dict | bool" = False,
-        ring_bytes: int = DEFAULT_RING_BYTES,
-        ring_min: int = DEFAULT_RING_MIN,
         log_dir: str | None = None,
         call_timeout_s: float = 30.0,
     ) -> None:
@@ -204,8 +198,6 @@ class ProcFabric:
         if windows and not trace:
             raise ProcFabricError("windows=... requires trace=True")
         self.windows = windows
-        self.ring_bytes = ring_bytes
-        self.ring_min = ring_min
         self.log_dir = log_dir if log_dir is not None else os.environ.get(
             "PROCFABRIC_LOG_DIR"
         )
@@ -221,12 +213,12 @@ class ProcFabric:
     # ------------------------------------------------------------------
 
     def start(self) -> "ProcFabric":
-        """Fork the workers, wire rings and reader threads, load exports.
+        """Fork the workers, wire sockets and reader threads, load exports.
 
-        A failure anywhere in here (socketpair/mmap exhaustion, a worker
+        A failure anywhere in here (socketpair exhaustion, a worker
         whose bootstrap raises so its export roundtrip dies) reaps every
         worker forked so far before re-raising: no orphaned processes,
-        sockets, mappings, or reader threads outlive a failed start.
+        sockets, or reader threads outlive a failed start.
         """
         if self._started:
             raise ProcFabricError("ProcFabric already started")
@@ -250,22 +242,25 @@ class ProcFabric:
             "trace": self.trace,
             "windows": self.windows,
             "log_dir": self.log_dir,
-            "ring_min": self.ring_min,
         }
+        # A send-only timeout (SO_SNDTIMEO takes a struct timeval): a
+        # write the worker stops draining gives up after call_timeout_s
+        # without progress, while the reader thread's blocking recv on
+        # the same socket is untouched.
+        whole_s, frac_s = divmod(self.call_timeout_s, 1.0)
+        send_timeout = struct.pack("ll", int(whole_s), int(frac_s * 1_000_000))
         for index in range(self.workers):
             handle = _WorkerHandle(index)
             self._handles.append(handle)
             parent_sock, child_sock = socket.socketpair()
             handle.sock = parent_sock
-            # Anonymous shared mappings created pre-fork: both sides see
-            # the same pages, no filesystem involved.
-            call_buf = mmap.mmap(-1, self.ring_bytes)
-            reply_buf = mmap.mmap(-1, self.ring_bytes)
-            handle.call_ring = PreambleRing(call_buf)
-            handle.reply_ring = PreambleRing(reply_buf)
+            for end in (parent_sock, child_sock):
+                end.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, SOCKET_BUFFER_BYTES)
+                end.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, SOCKET_BUFFER_BYTES)
+            parent_sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, send_timeout)
             process = ctx.Process(
                 target=worker_main,
-                args=(index, child_sock, call_buf, reply_buf, self.bootstrap, config),
+                args=(index, child_sock, self.bootstrap, config),
                 name=f"procfabric-worker-{index}",
                 daemon=True,
             )
@@ -273,14 +268,6 @@ class ProcFabric:
             child_sock.close()
             handle.process = process
             handle.alive = True
-            # Bound the ring waits: a producer blocked on a ring whose
-            # consumer died (or wedged with the ring full) must raise,
-            # not spin forever inside send_lock where neither the call
-            # timeout nor fail_pending can reach it.
-            peer_alive = lambda h=handle: h.alive and h.process.is_alive()
-            handle.call_ring.peer_alive = peer_alive
-            handle.reply_ring.peer_alive = peer_alive
-            handle.call_ring.stall_timeout_s = self.call_timeout_s
             reader = threading.Thread(
                 target=self._read_replies,
                 args=(handle,),
@@ -481,13 +468,12 @@ class ProcFabric:
         trace_ctx: tuple[int, int] | None = None,
         idem_key: "int | None" = None,
     ) -> None:
-        if not handle.alive or handle.sock is None:
-            raise ServerDiedError(f"procfabric worker {handle.index} is down")
-        # The send lock serializes both the socket write and the ring
-        # append, so each direction keeps a single logical producer.
+        # The send lock keeps frames whole: one writer per socket at a time.
         with handle.send_lock:
+            if not handle.alive or handle.sock is None:
+                raise ServerDiedError(f"procfabric worker {handle.index} is down")
             try:
-                via_ring = send_envelope(
+                send_envelope(
                     handle.sock,
                     kind,
                     call_id,
@@ -495,19 +481,19 @@ class ProcFabric:
                     payload,
                     budget_us=budget_us,
                     trace_ctx=trace_ctx,
-                    ring=handle.call_ring,
-                    ring_min=self.ring_min,
                     idem_key=idem_key,
                 )
-            except ChannelClosedError as exc:
-                # The call ring's bounded wait gave up: the worker died
-                # or stopped draining its ring entirely.
+            except OSError as exc:
+                # The socket failed, or took no bytes for call_timeout_s
+                # (the worker is wedged or gone).  Either way the frame
+                # stream may be torn mid-frame and no later frame can be
+                # sent on it, so the worker is reaped before the lock
+                # drops: whoever takes the lock next finds it dead.
+                self._reap(handle, 1.0, graceful=False)
                 raise ServerDiedError(
-                    f"procfabric worker {handle.index} stopped draining "
-                    f"the call ring: {exc}"
+                    f"procfabric worker {handle.index} connection failed, or "
+                    f"took no bytes for {self.call_timeout_s:.1f}s: {exc}"
                 ) from exc
-        if via_ring:
-            handle.ring_payloads += 1
 
     def _roundtrip(
         self,
@@ -528,11 +514,6 @@ class ProcFabric:
                 handle, kind, call_id, target, payload,
                 budget_us=budget_us, trace_ctx=trace_ctx, idem_key=idem_key,
             )
-        except OSError as exc:
-            handle.pending.pop(call_id, None)
-            raise ServerDiedError(
-                f"procfabric worker {handle.index} connection failed: {exc}"
-            ) from exc
         except BaseException:
             handle.pending.pop(call_id, None)
             raise
@@ -553,9 +534,7 @@ class ProcFabric:
         sock = handle.sock
         try:
             while True:
-                envelope = recv_envelope(sock, ring=handle.reply_ring)
-                if envelope.flags & 0x1:
-                    handle.ring_payloads += 1
+                envelope = recv_envelope(sock)
                 waiting = handle.pending.pop(envelope.call_id, None)
                 if waiting is not None:
                     waiting.envelope = envelope
@@ -669,7 +648,9 @@ class ProcFabric:
             handle.index: {
                 "alive": handle.alive,
                 "calls": handle.calls,
-                "ring_payloads": handle.ring_payloads,
+                # Constant: benchmarks/suite/workloads.py indexes this key;
+                # the next [benchmark] PR drops it together with ring_share.
+                "ring_payloads": 0,
                 "pending": len(handle.pending),
                 "exports": dict(handle.exports),
             }

@@ -13,10 +13,8 @@ admission, tracing) happens in the same code that serves in-process
 calls, which is the point.
 
 The worker is deliberately single-threaded: one call at a time per
-worker, parallelism comes from running many workers.  Replies whose
-payload clears the ring threshold travel through the shared-memory
-reply ring (the shm subcontract's preamble framing); everything else is
-inlined after the envelope header on the socket.
+worker, parallelism comes from running many workers.  Every reply
+payload is inlined after its envelope header on the socket.
 
 Workers never let a door identifier cross the boundary: a reply that
 parks in-transit door references is refused with a kernel error (the
@@ -50,8 +48,8 @@ from repro.marshal.envelope import (
     recv_envelope,
     send_envelope,
 )
+from repro.marshal.errors import MarshalError
 from repro.obs.export import span_record
-from repro.subcontracts.shm import PreambleRing
 
 if TYPE_CHECKING:
     import socket
@@ -103,8 +101,6 @@ class _Log:
 def worker_main(
     index: int,
     sock: "socket.socket",
-    call_ring_buf: Any | None,
-    reply_ring_buf: Any | None,
     bootstrap: Callable[[Any, int], dict],
     config: dict,
 ) -> None:
@@ -113,7 +109,7 @@ def worker_main(
     started = time.monotonic()
     try:
         log.write("booting")
-        _serve(index, sock, call_ring_buf, reply_ring_buf, bootstrap, config, log)
+        _serve(index, sock, bootstrap, config, log)
         log.write(f"clean shutdown after {time.monotonic() - started:.3f}s")
         log.close()
     except BaseException:
@@ -128,8 +124,6 @@ def worker_main(
 def _serve(
     index: int,
     sock: "socket.socket",
-    call_ring_buf: Any | None,
-    reply_ring_buf: Any | None,
     bootstrap: Callable[[Any, int], dict],
     config: dict,
     log: _Log,
@@ -167,28 +161,11 @@ def _serve(
         names[name] = eid
     log.write(f"serving {len(table)} exports: {sorted(names)}")
 
-    # Ring waits check supervisor liveness: when the parent dies, the
-    # worker is reparented and getppid changes, so a worker blocked on a
-    # full reply ring (or a half-written call record) raises
-    # ChannelClosedError instead of spinning forever.
-    parent_pid = os.getppid()
-    parent_alive = lambda: os.getppid() == parent_pid
-    call_ring = (
-        PreambleRing(call_ring_buf, peer_alive=parent_alive)
-        if call_ring_buf is not None
-        else None
-    )
-    reply_ring = (
-        PreambleRing(reply_ring_buf, peer_alive=parent_alive)
-        if reply_ring_buf is not None
-        else None
-    )
-    ring_min = config.get("ring_min", 1 << 62)
     calls_served = 0
 
     while True:
         try:
-            envelope = recv_envelope(sock, ring=call_ring)
+            envelope = recv_envelope(sock)
         except (ChannelClosedError, OSError):
             log.write("supervisor channel closed; exiting")
             return
@@ -206,15 +183,14 @@ def _serve(
                 continue
             calls_served += 1
             try:
-                send_envelope(
-                    sock,
-                    KIND_REPLY,
-                    envelope.call_id,
-                    0,
-                    reply.data,
-                    ring=reply_ring,
-                    ring_min=ring_min,
-                )
+                try:
+                    send_envelope(sock, KIND_REPLY, envelope.call_id, 0, reply.data)
+                except MarshalError as exc:
+                    # Refused before a byte was written (reply over
+                    # MAX_PAYLOAD): the stream is intact, so say why.
+                    send_envelope(
+                        sock, KIND_ERROR, envelope.call_id, 0, pack_error(exc)
+                    )
             except (ChannelClosedError, OSError):
                 log.write("supervisor channel closed mid-reply; exiting")
                 return

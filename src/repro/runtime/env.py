@@ -379,8 +379,8 @@ class Environment:
         deterministic default, and a world never mixes the two by
         accident.  ``bootstrap(env, index)`` runs inside each forked
         worker and returns its named exports; ``options`` pass through to
-        :class:`repro.net.procfabric.ProcFabric` (``trace``,
-        ``ring_bytes``, ``ring_min``, ``log_dir``, ...).  Returns the
+        :class:`repro.net.procfabric.ProcFabric` (``seed``, ``trace``,
+        ``windows``, ``log_dir``, ``call_timeout_s``).  Returns the
         started fabric (also at ``env.procfabric``).
         """
         from repro.net.procfabric import ProcFabric, ProcFabricError

@@ -223,6 +223,20 @@ def test_sanctioning_never_relaxes_charge_site_discipline():
     assert "formatted event name" in messages(findings)
 
 
+def test_sleep_is_a_wall_clock_call_outside_sanctioned_modules():
+    findings = run_rule("clock-discipline", "clock_sleep_bad.py")
+    text = messages(findings)
+    assert "wall-clock call time.sleep()" in text
+    assert "wall-clock call nap()" in text  # from-import alias resolved
+    assert len(findings) == 2
+
+    sanctioned = "clock_sleep_sanctioned.py"
+    assert run_clock_rule_sanctioning(sanctioned, (sanctioned,)) == []
+    assert "wall-clock call time.sleep()" in messages(
+        run_rule("clock-discipline", sanctioned)
+    )
+
+
 def test_procfabric_modules_are_sanctioned_by_default():
     # The real transport modules ship with justified directives and are
     # on the default list: springlint stays clean over src.

@@ -1,28 +1,38 @@
-"""Envelope framing and preamble-ring unit tests (no fork required).
+"""Envelope framing unit tests and frame fuzz (no fork required).
 
-The envelope is the process fabric's only framing: 64 bytes of header
+The envelope is the process fabric's only framing: 56 bytes of header
 carrying routing, the out-of-band deadline budget, the wire trace
-context, the idempotency key, and the ring indirection for bulk
-payloads.  These tests exercise it over an in-process socketpair and
-the ring over a plain bytearray, so they run on every platform.
+context and the idempotency key, then the payload inline.  These tests
+exercise it over an in-process socketpair, so they run on every
+platform.  The fuzz half feeds every frame to a socket whose peer has
+already closed: a reader that trusted a bad header would block there,
+so a test that returns at all has shown the refusal is bounded.
 """
 
 from __future__ import annotations
 
+import itertools
 import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kernel.errors import ServerBusyError
 from repro.marshal.envelope import (
     FLAG_DEADLINE,
     FLAG_IDEM,
-    FLAG_RING,
     FLAG_TRACE,
     HEADER,
     KIND_CALL,
+    KIND_CONTROL,
+    KIND_CONTROL_REPLY,
+    KIND_ERROR,
     KIND_REPLY,
+    MAGIC,
+    MAX_PAYLOAD,
+    VERSION,
     ChannelClosedError,
     pack_error,
     recv_envelope,
@@ -30,13 +40,6 @@ from repro.marshal.envelope import (
     unpack_error,
 )
 from repro.marshal.errors import MarshalError
-from repro.subcontracts.shm import (
-    REGION_MAGIC,
-    REGION_PREAMBLE,
-    PreambleRing,
-    pack_region_preamble,
-    unpack_region_preamble,
-)
 
 
 @pytest.fixture
@@ -48,8 +51,9 @@ def pair():
 
 
 class TestEnvelopeWire:
-    def test_header_is_64_bytes(self):
-        assert HEADER.size == 64
+    def test_header_is_56_bytes_version_3(self):
+        assert HEADER.size == 56
+        assert VERSION == 3
 
     def test_plain_roundtrip(self, pair):
         a, b = pair
@@ -120,25 +124,13 @@ class TestEnvelopeWire:
         send_envelope(a, KIND_CALL, 2, 0, memoryview(backing))
         assert recv_envelope(b).payload == bytes(backing)
 
-    def test_oversized_ring_payload_falls_back_inline(self, pair):
-        # A payload over the ring's half-capacity budget must cross the
-        # socket inline rather than be refused by the ring.
+    def test_payload_over_the_limit_is_refused_before_sending(self, pair):
         a, b = pair
-        ring_buf = bytearray(1024)
-        tx, rx = PreambleRing(ring_buf), PreambleRing(ring_buf)
-        blob = bytes(range(256)) * 4  # 1 KiB > max_payload of a 1 KiB ring
-        got = {}
-
-        def reader():
-            got["env"] = recv_envelope(b, ring=rx)
-
-        thread = threading.Thread(target=reader)
-        thread.start()
-        via_ring = send_envelope(a, KIND_CALL, 1, 0, blob, ring=tx, ring_min=1)
-        thread.join(10.0)
-        assert via_ring is False
-        assert not got["env"].flags & FLAG_RING
-        assert got["env"].payload == blob
+        with pytest.raises(MarshalError, match="exceeds the envelope limit"):
+            send_envelope(a, KIND_CALL, 1, 0, bytearray(MAX_PAYLOAD + 1))
+        # Nothing was written: the stream still frames the next envelope.
+        send_envelope(a, KIND_CALL, 2, 0, b"next")
+        assert recv_envelope(b).payload == b"next"
 
     def test_peer_close_raises_channel_closed(self, pair):
         a, b = pair
@@ -169,133 +161,177 @@ class TestErrorPayload:
         assert recovered == hint
 
 
-class TestRegionPreamble:
-    def test_pack_unpack(self):
-        packed = pack_region_preamble(42, 1000)
-        assert len(packed) == REGION_PREAMBLE.size
-        assert unpack_region_preamble(packed) == (42, 1000)
+# ---------------------------------------------------------------------
+# frame fuzz
+# ---------------------------------------------------------------------
 
-    def test_bad_magic_refused(self):
-        packed = bytearray(pack_region_preamble(1, 1))
-        packed[0] ^= 0xFF
-        with pytest.raises(MarshalError):
-            unpack_region_preamble(packed)
+KINDS = (KIND_CALL, KIND_REPLY, KIND_ERROR, KIND_CONTROL, KIND_CONTROL_REPLY)
+KNOWN_FLAGS = FLAG_DEADLINE | FLAG_TRACE | FLAG_IDEM
+U32 = st.integers(0, 2**32 - 1)
+U64 = st.integers(0, 2**64 - 1)
 
-    def test_magic_constant(self):
-        assert REGION_MAGIC == 0x5B9A
+#: field name -> position in HEADER's unpacked tuple
+FIELD = {"magic": 0, "version": 1, "kind": 2, "flags": 5, "payload_len": 9}
+
+fuzz = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-class TestPreambleRing:
-    def make_ring_pair(self, size=4096):
-        # Producer and consumer views over the same backing store, the
-        # way the two processes each construct their own PreambleRing
-        # over the one shared mapping.
-        buf = bytearray(size)
-        return PreambleRing(buf), PreambleRing(buf)
+def roomy_pair():
+    """A socketpair that holds the largest fuzzed frame with no reader,
+    so writing one cannot block."""
+    a, b = socket.socketpair()
+    a.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 20)
+    return a, b
 
-    def test_write_take_roundtrip(self):
-        producer, consumer = self.make_ring_pair()
-        off = producer.write(b"payload one")
-        assert consumer.take(11, expected_off=off) == b"payload one"
 
-    def test_many_records_fifo(self):
-        producer, consumer = self.make_ring_pair()
-        for i in range(50):
-            payload = f"record {i}".encode()
-            off = producer.write(payload)
-            assert consumer.take(len(payload), expected_off=off) == payload
+def closed_peer(data: bytes) -> socket.socket:
+    """A socket holding exactly ``data`` and then EOF: no read can block."""
+    a, b = roomy_pair()
+    a.sendall(data)
+    a.close()
+    return b
 
-    def test_wraparound(self):
-        # Records near the half-ring budget force a wrap marker every
-        # few writes; payload integrity must survive many laps.
-        producer, consumer = self.make_ring_pair(size=1024)
-        for i in range(40):
-            payload = bytes([i % 251]) * 400
-            off = producer.write(payload)
-            assert consumer.take(400, expected_off=off) == payload
 
-    def test_wrap_with_backlog_does_not_deadlock(self):
-        # Regression: a wrapping record used to wait for record+dead
-        # bytes in one step, which can exceed what consuming the backlog
-        # frees; the dead tail must be retired in its own step so the
-        # producer's demands stay individually satisfiable.
-        producer, consumer = self.make_ring_pair(size=2048)
-        payloads = [b"a" * 400, b"b" * 400, b"c" * 400, b"d" * 900]
-        seen = []
+def wire_bytes(frame: dict) -> bytes:
+    """What :func:`send_envelope` really puts on a socket for ``frame``."""
+    a, b = roomy_pair()
+    send_envelope(a, **frame)
+    a.close()
+    chunks = []
+    while chunk := b.recv(1 << 16):
+        chunks.append(chunk)
+    b.close()
+    return b"".join(chunks)
 
-        def consume():
-            for payload in payloads:
-                seen.append(consumer.take(len(payload)))
 
-        thread = threading.Thread(target=consume)
-        thread.start()
-        for payload in payloads:  # the 900B record wraps past the backlog
-            producer.write(payload)
-        thread.join(10.0)
-        assert not thread.is_alive(), "wrapping write must not deadlock"
-        assert seen == payloads
+def receive(data: bytes):
+    sock = closed_peer(data)
+    try:
+        return recv_envelope(sock)
+    finally:
+        sock.close()
 
-    def test_record_over_half_capacity_refused(self):
-        # The consumer learns about a record only after it is written
-        # (the envelope header follows the ring append): a record over
-        # half the ring can wait on room only its own consumption would
-        # free, so write refuses it up front.
-        producer, _ = self.make_ring_pair(size=1024)
-        assert producer.max_payload == 1008 // 2 - REGION_PREAMBLE.size
-        with pytest.raises(MarshalError):
-            producer.write(b"x" * 600)
 
-    def test_dead_peer_unblocks_producer(self):
-        buf = bytearray(512)
-        producer = PreambleRing(buf, peer_alive=lambda: False)
-        producer.write(b"x" * 200)  # fits without waiting
-        producer.write(b"y" * 200)
-        with pytest.raises(ChannelClosedError):
-            producer.write(b"z" * 200)  # blocks on room, peer is dead
+def corrupt(data: bytes, field: str, value: int) -> bytes:
+    fields = list(HEADER.unpack_from(data))
+    fields[FIELD[field]] = value
+    return HEADER.pack(*fields) + data[HEADER.size :]
 
-    def test_dead_peer_unblocks_consumer(self):
-        consumer = PreambleRing(bytearray(512), peer_alive=lambda: False)
-        with pytest.raises(ChannelClosedError):
-            consumer.take(10)
 
-    def test_stalled_ring_times_out(self):
-        producer = PreambleRing(bytearray(256), stall_timeout_s=0.05)
-        producer.write(b"x" * 100)
-        producer.write(b"y" * 100)
-        with pytest.raises(ChannelClosedError):
-            producer.write(b"z" * 100)  # nobody consumes: bounded wait
+@st.composite
+def payloads(draw):
+    """0 B to 64 KiB, weighted toward the sizes where framing changes."""
+    size = draw(
+        st.one_of(
+            st.sampled_from([0, 1, HEADER.size, 4095, 4096, 65535, 65536]),
+            st.integers(0, 65536),
+        )
+    )
+    pattern = draw(st.binary(min_size=1, max_size=16))
+    return (pattern * (size // len(pattern) + 1))[:size]
 
-    def test_length_mismatch_fails_loudly(self):
-        producer, consumer = self.make_ring_pair()
-        producer.write(b"four")
-        with pytest.raises(MarshalError):
-            consumer.take(5)
 
-    def test_desync_fails_loudly(self):
-        producer, consumer = self.make_ring_pair()
-        producer.write(b"four")
-        with pytest.raises(MarshalError):
-            consumer.take(4, expected_off=999_999)
+@st.composite
+def frames(draw):
+    """Any frame :func:`send_envelope` accepts, every flag combination."""
+    return {
+        "kind": draw(st.sampled_from(KINDS)),
+        "call_id": draw(U64),
+        "target": draw(U32),
+        "payload": draw(payloads()),
+        "budget_us": draw(st.none() | st.floats(allow_nan=False)),
+        "trace_ctx": draw(st.none() | st.tuples(U64, U64)),
+        "idem_key": draw(st.none() | U64),
+    }
 
-    def test_oversized_record_refused(self):
-        producer, _ = self.make_ring_pair(size=256)
-        with pytest.raises(MarshalError):
-            producer.write(b"x" * 300)
 
-    def test_concurrent_producer_consumer(self):
-        # SPSC under real threads: the consumer lags, the producer blocks
-        # on ring room, everything still arrives in order and intact.
-        producer, consumer = self.make_ring_pair(size=2048)
-        payloads = [bytes([i % 256]) * (100 + i % 500) for i in range(200)]
-        seen = []
+@st.composite
+def header_corruptions(draw):
+    """One steering field of the header set to a value it may not hold."""
+    field = draw(st.sampled_from(sorted(FIELD)))
+    if field == "magic":
+        value = draw(st.integers(0, 2**16 - 1).filter(lambda v: v != MAGIC))
+    elif field == "version":
+        value = draw(st.integers(0, 255).filter(lambda v: v != VERSION))
+    elif field == "kind":
+        value = draw(st.integers(0, 255).filter(lambda v: v not in KINDS))
+    elif field == "flags":
+        value = draw(U32.filter(lambda v: v & ~KNOWN_FLAGS))
+    else:
+        value = draw(st.integers(MAX_PAYLOAD + 1, 2**32 - 1))
+    return field, value
 
-        def consume():
-            for payload in payloads:
-                seen.append(consumer.take(len(payload)))
 
-        thread = threading.Thread(target=consume)
-        thread.start()
-        for payload in payloads:
-            producer.write(payload)
-        thread.join(30.0)
-        assert seen == payloads
+class TestFrameFuzz:
+    @fuzz
+    @given(frame=frames())
+    def test_intact_frame_round_trips_every_field(self, frame):
+        env = receive(wire_bytes(frame))
+        assert env.kind == frame["kind"]
+        assert env.call_id == frame["call_id"]
+        assert env.target == frame["target"]
+        assert env.payload == frame["payload"]
+        assert env.budget_us == frame["budget_us"]
+        assert env.trace_ctx == frame["trace_ctx"]
+        assert env.idem_key == frame["idem_key"]
+        assert env.flags == (
+            (FLAG_DEADLINE if frame["budget_us"] is not None else 0)
+            | (FLAG_TRACE if frame["trace_ctx"] is not None else 0)
+            | (FLAG_IDEM if frame["idem_key"] is not None else 0)
+        )
+
+    @fuzz
+    @given(frame=frames(), data=st.data())
+    def test_truncated_frame_raises_channel_closed(self, frame, data):
+        wire = wire_bytes(frame)
+        cut = data.draw(
+            st.integers(0, min(len(wire) - 1, HEADER.size))
+            | st.integers(0, len(wire) - 1)
+        )
+        with pytest.raises(ChannelClosedError, match="peer closed"):
+            receive(wire[:cut])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "with_budget,with_trace,with_key",
+        list(itertools.product((False, True), repeat=3)),
+    )
+    def test_every_strict_prefix_of_a_small_frame(
+        self, kind, with_budget, with_trace, with_key
+    ):
+        wire = wire_bytes(
+            {
+                "kind": kind,
+                "call_id": 7,
+                "target": 3,
+                "payload": b"abc",
+                "budget_us": 12.5 if with_budget else None,
+                "trace_ctx": (5, 6) if with_trace else None,
+                "idem_key": 9 if with_key else None,
+            }
+        )
+        assert len(wire) == HEADER.size + 3
+        for cut in range(len(wire)):
+            with pytest.raises(ChannelClosedError, match="peer closed"):
+                receive(wire[:cut])
+
+    @fuzz
+    @given(frame=frames(), corruption=header_corruptions())
+    def test_corrupt_header_is_refused_without_reading_on(self, frame, corruption):
+        field, value = corruption
+        # The refusal names the header, so it came from the check and not
+        # from running into EOF while trusting the bad field.
+        with pytest.raises(ChannelClosedError, match="envelope"):
+            receive(corrupt(wire_bytes(frame), field, value))
+
+    def test_retired_ring_flag_is_refused(self):
+        wire = wire_bytes({"kind": KIND_CALL, "call_id": 1, "target": 0, "payload": b"x"})
+        with pytest.raises(ChannelClosedError, match="unknown envelope flag bits"):
+            receive(corrupt(wire, "flags", 0x1))
+
+    def test_payload_len_over_the_limit_is_refused(self):
+        # A header alone, claiming a payload that will never arrive: the
+        # reader must refuse it rather than wait for the bytes.
+        wire = wire_bytes({"kind": KIND_REPLY, "call_id": 1, "target": 0, "payload": b""})
+        with pytest.raises(ChannelClosedError, match="over the limit"):
+            receive(corrupt(wire, "payload_len", MAX_PAYLOAD + 1))

@@ -4,9 +4,9 @@ Every test here forks worker processes, so the whole module is
 skip-marked on platforms without the ``fork`` start method.  The
 assertions are the ISSUE's composition criteria: deadlines expire across
 the boundary, traces join into one trace_id, admission's
-``ServerBusyError`` retry-after hints round-trip, bulk payloads ride the
-shared-memory ring, and a wedged worker is killed after a join timeout
-with :class:`ServerDiedError` surfaced to in-flight callers.
+``ServerBusyError`` retry-after hints round-trip, payloads of every size
+cross the one socket path intact, and a wedged or killed worker surfaces
+as :class:`ServerDiedError` to in-flight callers inside a bounded wait.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 
 from repro.idl.compiler import compile_idl
 from repro.kernel.errors import (
+    CommunicationError,
     DeadlineExceeded,
     ServerBusyError,
     ServerDiedError,
@@ -45,6 +46,7 @@ interface counter {
 BLOB_IDL = """
 interface blob {
     bytes echo(bytes data);
+    bytes inflate(int32 size);
 }
 """
 
@@ -66,6 +68,17 @@ class CounterImpl:
 
 class BlobImpl:
     def echo(self, data):
+        return data
+
+    def inflate(self, size):
+        return b"i" * size
+
+
+class WedgedBlobImpl(BlobImpl):
+    """Takes the whole request, then blocks the worker on wall time."""
+
+    def echo(self, data):
+        time.sleep(30.0)
         return data
 
 
@@ -90,6 +103,16 @@ def export_blob(env, index):
     server = env.create_domain("w", "server")
     obj = SingletonServer(server).export(BlobImpl(), blob_module.binding("blob"))
     return {"blob": obj}
+
+
+def export_blob_and_counter(env, index):
+    return {**export_blob(env, index), **export_counter(env, index)}
+
+
+def export_wedged_blob_on_worker_0(env, index):
+    server = env.create_domain("w", "server")
+    impl = WedgedBlobImpl() if index == 0 else BlobImpl()
+    return {"blob": SingletonServer(server).export(impl, blob_module.binding("blob"))}
 
 
 def export_wedged(env, index):
@@ -129,6 +152,31 @@ def export_busy(env, index):
 
 def proc_env(**kwargs):
     return Environment(latency_us=0.0, transport="proc", **kwargs)
+
+
+def patterned(size):
+    return (bytes(range(256)) * (size // 256 + 1))[:size]
+
+
+def in_thread(outcome, fn, *args):
+    """Start ``fn(*args)`` on a daemon thread, recording how it ended."""
+
+    def run():
+        try:
+            outcome["result"] = fn(*args)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread
+
+
+def wait_until(condition, timeout_s=5.0):
+    deadline_s = time.monotonic() + timeout_s
+    while not condition() and time.monotonic() < deadline_s:
+        time.sleep(0.01)
+    assert condition(), "the world never reached the state under test"
 
 
 class TestTransportSelection:
@@ -180,51 +228,94 @@ class TestRoundtrip:
         finally:
             env.uninstall_procfabric()
 
-    def test_bulk_payloads_ride_the_ring(self):
+    @pytest.mark.parametrize(
+        "size",
+        [0, 1, 4095, 4096, 16 << 10, 300 << 10, 450 << 10, 600 << 10, 8 << 20],
+    )
+    def test_payload_size_sweep_with_interleaved_small_calls(self, size):
+        # One worker, one socket, two callers: every size crosses the
+        # same inline path, and a large frame in flight must neither
+        # corrupt nor be corrupted by the small frames queued around it.
         env = proc_env()
-        fabric = env.install_procfabric(export_blob, workers=1)
+        fabric = env.install_procfabric(export_blob_and_counter, workers=1)
         try:
             client = env.create_domain("m0", "client")
-            proxy = fabric.bind(client, "blob", blob_module.binding("blob"))
-            blob = bytes(range(256)) * 64  # 16 KiB >= ring_min
-            assert proxy.echo(blob) == blob
-            stats = fabric.stats()[0]
-            assert stats["ring_payloads"] >= 2  # request out, reply back
+            blob_proxy = fabric.bind(client, "blob", blob_module.binding("blob"))
+            other = env.create_domain("m0", "adder")
+            counter = fabric.bind(other, "counter", counter_module.binding("counter"))
+            stop = threading.Event()
+            sums = []
+
+            def keep_adding():
+                while not stop.is_set() or len(sums) < 20:
+                    sums.append(counter.add(1))
+
+            adding = {}
+            adder = in_thread(adding, keep_adding)
+            blob = patterned(size)
+            try:
+                for _ in range(3):
+                    assert blob_proxy.echo(blob) == blob
+            finally:
+                stop.set()
+                adder.join(10.0)
+            assert not adder.is_alive()
+            assert "error" not in adding, adding
+            # Each add() got its own reply, not a neighbour's: the
+            # running total came back in order with no gap or repeat.
+            assert sums == list(range(1, len(sums) + 1))
+            assert fabric.stats()[0]["calls"] == 3 + len(sums)
         finally:
             env.uninstall_procfabric()
 
-    def test_mixed_large_payloads_wrap_the_ring(self):
-        # Regression: mixed sizes misalign the wrap point with record
-        # boundaries, which used to make the wrapping write demand
-        # record+dead bytes of room in one step and hang the supervisor
-        # inside send_lock.
+    @pytest.mark.parametrize("step", ["request half-written", "reply pending"])
+    def test_worker_killed_with_8mib_echo_in_flight(self, step):
         env = proc_env()
-        fabric = env.install_procfabric(export_blob, workers=1)
+        fabric = env.install_procfabric(export_wedged_blob_on_worker_0, workers=2)
         try:
             client = env.create_domain("m0", "client")
-            proxy = fabric.bind(client, "blob", blob_module.binding("blob"))
-            small = bytes(range(256)) * 1200  # 300 KiB
-            large = bytes(range(256)) * 1800  # 450 KiB, under the budget
-            for blob in (small, large, small, large, large, small):
-                assert proxy.echo(blob) == blob
-            stats = fabric.stats()[0]
-            assert stats["ring_payloads"] >= 12  # all rode the ring
+            w0 = fabric.bind(client, "blob", blob_module.binding("blob"), worker=0)
+            w1 = fabric.bind(client, "blob", blob_module.binding("blob"), worker=1)
+            handle = fabric._handles[0]
+            if step == "request half-written":
+                # Wedge the worker first: it stops reading, so the big
+                # frame fills the socket and its sender blocks mid-frame.
+                in_thread({}, w0.echo, b"")
+                wait_until(lambda: len(handle.pending) == 1)
+            outcome = {}
+            caller = in_thread(outcome, w0.echo, patterned(8 << 20))
+            if step == "request half-written":
+                wait_until(lambda: len(handle.pending) == 2)
+                wait_until(handle.send_lock.locked)
+                time.sleep(0.1)
+                assert handle.send_lock.locked(), "the sender should be blocked"
+            else:
+                # The worker took the whole frame and sits in the handler.
+                wait_until(lambda: len(handle.pending) == 1)
+                wait_until(lambda: not handle.send_lock.locked())
+            fabric.kill_worker(0)
+            caller.join(2.0)
+            assert not caller.is_alive(), "in-flight caller must not hang"
+            assert isinstance(outcome.get("error"), ServerDiedError), outcome
+            assert w1.echo(b"still serving") == b"still serving"
         finally:
             env.uninstall_procfabric()
 
-    def test_payload_over_ring_budget_falls_back_inline(self):
-        # Regression: a payload over half the ring used to wedge the
-        # supervisor forever (the ring cannot carry it without a
-        # protocol deadlock); it must cross the socket inline instead.
+    def test_reply_over_the_envelope_limit_is_an_error_not_a_dead_worker(
+        self, monkeypatch
+    ):
+        from repro.marshal import envelope
+
+        # Lowered before the fork, so the worker inherits the same limit.
+        monkeypatch.setattr(envelope, "MAX_PAYLOAD", 1 << 20)
         env = proc_env()
         fabric = env.install_procfabric(export_blob, workers=1)
         try:
             client = env.create_domain("m0", "client")
             proxy = fabric.bind(client, "blob", blob_module.binding("blob"))
-            blob = bytes(range(256)) * 2400  # 600 KiB > half the 1 MiB ring
-            before = fabric.stats()[0]["ring_payloads"]
-            assert proxy.echo(blob) == blob
-            assert fabric.stats()[0]["ring_payloads"] == before
+            with pytest.raises(CommunicationError, match="exceeds the envelope limit"):
+                proxy.inflate(2 << 20)
+            assert proxy.echo(b"still serving") == b"still serving"
         finally:
             env.uninstall_procfabric()
 
@@ -453,24 +544,53 @@ class TestTeardown:
         client = env.create_domain("m0", "client")
         proxy = fabric.bind(client, "counter", counter_module.binding("counter"))
         outcome = {}
-
-        def call():
-            try:
-                outcome["result"] = proxy.add(1)
-            except BaseException as exc:
-                outcome["error"] = exc
-
-        caller = threading.Thread(target=call)
-        caller.start()
+        caller = in_thread(outcome, proxy.add, 1)
         # Give the call time to reach the worker and wedge there.
-        deadline_s = time.monotonic() + 5.0
-        while not fabric._handles[0].pending and time.monotonic() < deadline_s:
-            time.sleep(0.01)
+        wait_until(lambda: fabric._handles[0].pending)
         fabric.shutdown(join_timeout_s=0.5)
         caller.join(10.0)
         assert not caller.is_alive(), "in-flight caller must not hang"
         assert isinstance(outcome.get("error"), ServerDiedError)
         assert not fabric._handles[0].process.is_alive()
+
+    def test_send_to_a_wedged_worker_is_bounded_and_reaps_it(self):
+        # Worker 0 wedges in a handler and stops reading.  A second
+        # caller's 8 MiB frame then fills the socket; its send must give
+        # up after call_timeout_s without progress instead of blocking
+        # forever inside send_lock, and because the frame stream is now
+        # torn mid-frame the worker is reaped.
+        env = proc_env()
+        fabric = env.install_procfabric(
+            export_wedged_blob_on_worker_0, workers=2, call_timeout_s=1.0
+        )
+        try:
+            client = env.create_domain("m0", "client")
+            w0 = fabric.bind(client, "blob", blob_module.binding("blob"), worker=0)
+            w1 = fabric.bind(client, "blob", blob_module.binding("blob"), worker=1)
+            handle = fabric._handles[0]
+            # The wedging caller waits with a long reply timeout, so only
+            # the reap (not its own timeout) can be what unblocks it.
+            call_raw = fabric.call_raw
+            fabric.call_raw = lambda *a, **kw: call_raw(*a, timeout_s=30.0, **kw)
+            pending_outcome = {}
+            pending = in_thread(pending_outcome, w0.echo, b"")
+            wait_until(lambda: len(handle.pending) == 1)
+            del fabric.call_raw
+            sender_outcome = {}
+            sender = in_thread(sender_outcome, w0.echo, patterned(8 << 20))
+            sender.join(5.0)
+            pending.join(1.0)
+            assert not sender.is_alive(), "sender still blocked in sendall"
+            assert not pending.is_alive(), "pending caller was not unblocked"
+            assert isinstance(sender_outcome.get("error"), ServerDiedError)
+            assert isinstance(pending_outcome.get("error"), ServerDiedError)
+            assert not handle.process.is_alive()
+            with pytest.raises(ServerDiedError):
+                w0.echo(b"later")
+            assert w1.echo(b"still serving") == b"still serving"
+        finally:
+            fabric.kill_worker(0)  # unblocks a sender this test found hung
+            env.uninstall_procfabric()
 
 
 def export_counter_with_obsd(env, index):
