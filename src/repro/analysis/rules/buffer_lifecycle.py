@@ -132,6 +132,9 @@ class _FunctionAnalysis:
         )
 
     def _is_acquisition(self, node: ast.expr) -> bool:
+        if isinstance(node, ast.IfExp):
+            # ``span = tracer.begin_invoke(...) if tracer.enabled else None``
+            return self._is_acquisition(node.body) or self._is_acquisition(node.orelse)
         if not isinstance(node, ast.Call):
             return False
         func = node.func
@@ -276,6 +279,19 @@ class _FunctionAnalysis:
             self._use_check(stmt.test, env)
             then_env = {k: v.copy() for k, v in env.items()}
             else_env = {k: v.copy() for k, v in env.items()}
+            # ``if span is not None: span.end()``: on the other branch the
+            # conditional acquisition yielded None, nothing is open.
+            test = stmt.test
+            if (
+                isinstance(test, ast.Compare)
+                and isinstance(test.left, ast.Name)
+                and test.left.id in else_env
+                and len(test.ops) == 1
+                and isinstance(test.ops[0], ast.IsNot)
+                and isinstance(test.comparators[0], ast.Constant)
+                and test.comparators[0].value is None
+            ):
+                else_env[test.left.id].state = ESCAPED
             t_term = self._block(stmt.body, then_env, protected)
             e_term = self._block(stmt.orelse, else_env, protected)
             env.clear()

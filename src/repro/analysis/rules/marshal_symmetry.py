@@ -1,19 +1,22 @@
 """marshal-symmetry: what marshal writes, unmarshal must read.
 
 Within a subcontract, ``marshal_rep`` and ``unmarshal_rep`` (and, when a
-class overrides both, ``marshal``/``unmarshal``) are two halves of one
-wire format: every *kind* of item the writer puts must have a matching
-getter on the reader, and vice versa.  The wire format is
-self-describing, so a mismatch does not corrupt memory — it raises
-``WireTypeError`` at the first incompatible peer — but that is a runtime
-failure on a path most tests never exercise (cross-subcontract
-re-routing, epoch piggybacks).  This rule catches it statically.
+class overrides both, ``marshal``/``unmarshal``) -- and within a
+representation, the ``write`` and ``read`` hooks the shared client tail
+drives -- are two halves of one wire format: every *kind* of item the
+writer puts must have a matching getter on the reader, and vice versa.
+The wire format is self-describing, so a mismatch does not corrupt
+memory — it raises ``WireTypeError`` at the first incompatible peer —
+but that is a runtime failure on a path most tests never exercise
+(cross-subcontract re-routing, epoch piggybacks).  This rule catches it
+statically.
 
 This is **tag-kind pairing, not an order proof**: the rule compares the
 set of wire kinds used by each side, so loops, branches and repeated
 fields are fine; proving byte-for-byte sequence equality is undecidable
 and not attempted.  Door identifiers and transit references share a kind
-(either getter accepts either putter's slot), and
+(either getter accepts either putter's slot; a hook's ``put_door(...)`` /
+``get_door()`` callables are that kind too), and
 ``peek_object_header``/``get_object_header`` both satisfy
 ``put_object_header``.
 """
@@ -41,6 +44,7 @@ _PUT_KINDS = {
     "put_object_header": "object_header",
     "put_door_id": "door",
     "put_door_transit": "door",
+    "put_door": "door",  # the callable a rep's write hook is handed
 }
 
 _GET_KINDS = {
@@ -57,27 +61,36 @@ _GET_KINDS = {
     "peek_object_header": "object_header",
     "get_door_id": "door",
     "get_door_transit": "door",
+    "get_door": "door",  # the callable a rep's read hook is handed
 }
 
 #: write-side method -> read-side counterpart it is compared against
-_PAIRS = (("marshal_rep", "unmarshal_rep"), ("marshal", "unmarshal"))
+_PAIRS = (
+    ("marshal_rep", "unmarshal_rep"),
+    ("marshal", "unmarshal"),
+    ("write", "read"),
+)
 
 
 def _kinds(func: ast.FunctionDef, table: dict[str, str]) -> set[str]:
     found: set[str] = set()
     for node in ast.walk(func):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            kind = table.get(node.func.attr)
-            if kind is not None:
-                found.add(kind)
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "attr", None) or getattr(func, "id", None)
+        kind = table.get(name)
+        if kind is not None:
+            found.add(kind)
     return found
 
 
 class MarshalSymmetryRule(Rule):
     name = "marshal-symmetry"
     description = (
-        "within a subcontract, the put_* kinds of marshal/marshal_rep "
-        "must pair with the get_* kinds of unmarshal/unmarshal_rep"
+        "within a subcontract or a representation, the put_* kinds of "
+        "marshal/marshal_rep/write must pair with the get_* kinds of "
+        "unmarshal/unmarshal_rep/read"
     )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:

@@ -72,82 +72,44 @@ def remote_call(
     marshal_args: Callable[[MarshalBuffer], None],
     unmarshal_results: Callable[[MarshalBuffer, "Domain"], Any],
 ) -> Any:
-    """Drive one object invocation through the subcontract vector."""
+    """Drive one object invocation through the subcontract vector.
+
+    When tracing is on the call runs inside the client-side invoke span
+    (the root of a fresh trace, or a child of the thread's current span
+    when called from inside a handler); untraced, ``span`` is ``None``
+    and every branch on it falls through.
+    """
     obj._check_live()
     domain = obj._domain
     kernel = domain.kernel
     clock = kernel.clock
     subcontract = obj._subcontract
-
-    if kernel.tracer.enabled:
-        return _traced_remote_call(
-            obj,
-            opname,
-            marshal_args,
-            unmarshal_results,
-            domain,
-            clock,
-            subcontract,
-            kernel.tracer,
-        )
-
-    buffer = domain.acquire_buffer()
+    tracer = kernel.tracer
+    span = (
+        tracer.begin_invoke(domain, opname, subcontract.id)
+        if tracer.enabled
+        else None
+    )
     try:
-        clock.charge("indirect_call")  # stubs -> subcontract (preamble)
-        subcontract.invoke_preamble(obj, buffer)
-        buffer.put_string(opname)
-        marshal_args(buffer)
-        clock.charge("indirect_call")  # stubs -> subcontract (invoke)
-        reply = subcontract.invoke(obj, buffer)
-    finally:
-        # The request is fully consumed once invoke returns (or failed
-        # before transmission).  A failed call may leave marshalled door
-        # arguments in transit; recycle discards them (so unreferenced
-        # notifications still fire) before pooling the buffer.
-        buffer.recycle()
-
-    status = reply.get_int8()
-    if status == STATUS_EXCEPTION:
-        remote_type = reply.get_string()
-        message = reply.get_string()
-        reply.recycle()
-        raise RemoteApplicationError(remote_type, message)
-    if status == STATUS_REVOKED:
-        message = reply.get_string()
-        reply.recycle()
-        raise RevokedObjectError(message)
-    results = unmarshal_results(reply, domain)
-    reply.release()
-    return results
-
-
-def _traced_remote_call(
-    obj: SpringObject,
-    opname: str,
-    marshal_args: Callable[[MarshalBuffer], None],
-    unmarshal_results: Callable[[MarshalBuffer, "Domain"], Any],
-    domain: "Domain",
-    clock,
-    subcontract,
-    tracer,
-) -> Any:
-    """Traced twin of :func:`remote_call`: identical protocol, wrapped in
-    the client-side invoke span (the root of a fresh trace, or a child of
-    the thread's current span when called from inside a handler)."""
-    with tracer.begin_invoke(domain, opname, subcontract.id) as span:
         buffer = domain.acquire_buffer()
         try:
             clock.charge("indirect_call")  # stubs -> subcontract (preamble)
             subcontract.invoke_preamble(obj, buffer)
             buffer.put_string(opname)
             marshal_args(buffer)
-            span.annotate(request_bytes=buffer.size)
+            if span is not None:
+                span.annotate(request_bytes=buffer.size)
             clock.charge("indirect_call")  # stubs -> subcontract (invoke)
             reply = subcontract.invoke(obj, buffer)
         finally:
+            # The request is fully consumed once invoke returns (or failed
+            # before transmission).  A failed call may leave marshalled door
+            # arguments in transit; recycle discards them (so unreferenced
+            # notifications still fire) before pooling the buffer.
             buffer.recycle()
 
-        span.annotate(reply_bytes=reply.size)
+        if span is not None:
+            span.annotate(reply_bytes=reply.size)
         status = reply.get_int8()
         if status == STATUS_EXCEPTION:
             remote_type = reply.get_string()
@@ -161,6 +123,13 @@ def _traced_remote_call(
         results = unmarshal_results(reply, domain)
         reply.release()
         return results
+    except BaseException as exc:
+        if span is not None:
+            span.record_error(exc)
+        raise
+    finally:
+        if span is not None:
+            span.end()
 
 
 def remote_type_query(obj: SpringObject) -> tuple[str, ...]:

@@ -17,11 +17,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Callable
 
-from repro.kernel.errors import (
-    CommunicationError,
-    DeadlineExceeded,
-    NetworkPartitionError,
-)
+from repro.kernel.errors import DeadlineExceeded, NetworkPartitionError
 from repro.net.machine import Machine
 
 if TYPE_CHECKING:
@@ -261,41 +257,30 @@ class NetworkFabric:
         # the caller's failure path recycles the request.
         reply = self.kernel.incoming(door, buffer)
 
-        # Reply leg: partitions that formed mid-call lose the reply.  The
-        # reply travels dst -> src, so it is that *direction* that must
-        # be open — a one-way cut of the return path loses replies while
-        # requests keep landing.
-        if self.partitioned(dst, src):
-            # The reply never reaches the caller, so nobody else will
-            # clean it up: drop its in-transit doors and return it to its
-            # server-side pool here.
-            reply.recycle()
-            raise NetworkPartitionError(
-                f"reply lost: machines {src.name!r} and {dst.name!r} partitioned"
-            )
-        if chaos is not None:
-            try:
-                chaos.on_carry(src, dst, "reply")
-            except CommunicationError:
-                # A dropped reply is lost exactly like a reply lost to a
-                # partition: recycle it here, nobody else will.
-                reply.recycle()
-                raise
+        # Reply leg.  A reply that does not reach the caller is nobody
+        # else's to clean up: whatever loses it, drop its in-transit doors
+        # and return it to its server-side pool here.
         try:
+            # Partitions that formed mid-call lose the reply.  It travels
+            # dst -> src, so it is that *direction* that must be open — a
+            # one-way cut of the return path loses replies while requests
+            # keep landing.
+            if self.partitioned(dst, src):
+                raise NetworkPartitionError(
+                    f"reply lost: machines {src.name!r} and {dst.name!r} partitioned"
+                )
+            if chaos is not None:
+                chaos.on_carry(src, dst, "reply")
             dst.net_server.outbound_reply(reply.live_door_count(), domain=door.server)
             self._wire_time(reply.size, src, dst)
             src.net_server.inbound_reply(reply.live_door_count(), domain=caller)
-        except DeadlineExceeded:
-            # The netserver refused a translation leg: the reply never
-            # reaches the caller, so clean it up here.
+            if dl is not None and self.kernel.clock.now_us >= dl:
+                raise DeadlineExceeded(
+                    f"reply from {dst.name!r} landed after the deadline"
+                )
+        except BaseException:
             reply.recycle()
             raise
-        if dl is not None and self.kernel.clock.now_us >= dl:
-            # The reply landed after the caller's budget expired.
-            reply.recycle()
-            raise DeadlineExceeded(
-                f"reply from {dst.name!r} landed after the deadline"
-            )
         # Shared regions do not span machines; never let one leak across.
         reply.region = None
         return reply

@@ -28,15 +28,14 @@ server through D1.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.object import SpringObject
-from repro.core.subcontract import ClientSubcontract
 from repro.kernel.errors import CommunicationError, InvalidDoorError
 from repro.marshal.buffer import MarshalBuffer
 from repro.runtime import tsan as _tsan
 from repro.runtime.retry import BUSY, SPENT, failure_verdict
-from repro.subcontracts.common import quiet_delete
+from repro.subcontracts.common import RepClient, quiet_delete
 from repro.subcontracts.singleton import SingleDoorServer
 
 if TYPE_CHECKING:
@@ -82,6 +81,30 @@ class CachingRep:
         """D1 under the name the single-door server machinery revokes by."""
         return self.server_door
 
+    def write(self, buffer: MarshalBuffer, put_door: Callable) -> None:
+        """Wire form: D1, STRING manager name (D2 is machine-local and
+        never travels)."""
+        put_door(self.server_door)
+        buffer.put_string(self.manager_name)
+
+    @classmethod
+    def read(cls, buffer: MarshalBuffer, get_door: Callable) -> "CachingRep":
+        return cls(get_door(), None, buffer.get_string())
+
+    def duplicate(self, dup_door: Callable) -> "CachingRep":
+        """Second identifiers for D1 and, while a cache front exists, D2."""
+        with self.lock:
+            d1 = dup_door(self.server_door)
+            d2 = dup_door(self.cache_door) if self.cache_door is not None else None
+        return CachingRep(d1, d2, self.manager_name)
+
+    def held_doors(self) -> tuple:
+        """D1, then D2 while a cache front exists."""
+        with self.lock:
+            if self.cache_door is None:
+                return (self.server_door,)
+            return (self.server_door, self.cache_door)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         d2 = f"#{self.cache_door.uid}" if self.cache_door else "none"
         return (
@@ -90,10 +113,14 @@ class CachingRep:
         )
 
 
-class CachingClient(ClientSubcontract):
-    """Client operations vector for the caching subcontract."""
+class CachingClient(RepClient):
+    """Client operations vector for the caching subcontract.  It hand-
+    writes the three tail operations D2 changes: ``marshal_rep`` releases
+    it, ``unmarshal_rep`` re-registers for one, ``marshal_copy`` never
+    duplicates it."""
 
     id = "caching"
+    rep_type = CachingRep
 
     #: only door-free replies up to this size are memoised for staleness
     STALE_REPLY_CAP = 4096
@@ -190,22 +217,25 @@ class CachingClient(ClientSubcontract):
     # ------------------------------------------------------------------
 
     def marshal_rep(self, obj: SpringObject, buffer: MarshalBuffer) -> None:
+        super().marshal_rep(obj, buffer)
         rep: CachingRep = obj._rep
-        buffer.put_door_id(self.domain, rep.server_door)
-        buffer.put_string(rep.manager_name)
-        if rep.cache_door is not None:
+        with rep.lock:
+            cache_door, rep.cache_door = rep.cache_door, None
+        if cache_door is not None:
             # D2 is machine-local: it does not travel, so release it.
-            quiet_delete(self.domain, rep.cache_door)
+            quiet_delete(self.domain, cache_door)
 
     def unmarshal_rep(
         self, buffer: MarshalBuffer, binding: "InterfaceBinding"
     ) -> SpringObject:
-        server_door = buffer.get_door_id(self.domain)
-        manager_name = buffer.get_string()
-        cache_door = self._register_with_local_cache(server_door, manager_name)
-        return self.make_object(
-            CachingRep(server_door, cache_door, manager_name), binding
+        obj = super().unmarshal_rep(buffer, binding)
+        rep: CachingRep = obj._rep
+        cache_door = self._register_with_local_cache(
+            rep.server_door, rep.manager_name
         )
+        with rep.lock:
+            rep.cache_door = cache_door
+        return obj
 
     def _register_with_local_cache(
         self, server_door: "DoorIdentifier", manager_name: str
@@ -242,20 +272,6 @@ class CachingClient(ClientSubcontract):
         finally:
             manager.spring_consume()
 
-    # ------------------------------------------------------------------
-
-    def copy(self, obj: SpringObject) -> SpringObject:
-        obj._check_live()
-        kernel = self.domain.kernel
-        rep: CachingRep = obj._rep
-        d1 = kernel.copy_door_id(self.domain, rep.server_door)
-        d2 = (
-            kernel.copy_door_id(self.domain, rep.cache_door)
-            if rep.cache_door is not None
-            else None
-        )
-        return self.make_object(CachingRep(d1, d2, rep.manager_name), obj._binding)
-
     def marshal_copy(self, obj: SpringObject, buffer: MarshalBuffer) -> None:
         # Fused copy+marshal (Section 5.1.5).  The plain copy-then-marshal
         # path would duplicate D2 only to delete it again (D2 never
@@ -267,22 +283,6 @@ class CachingClient(ClientSubcontract):
         buffer.put_object_header(self.id)
         buffer.put_door_id(self.domain, d1)
         buffer.put_string(rep.manager_name)
-
-    def consume(self, obj: SpringObject) -> None:
-        obj._check_live()
-        rep: CachingRep = obj._rep
-        quiet_delete(self.domain, rep.server_door)
-        if rep.cache_door is not None:
-            quiet_delete(self.domain, rep.cache_door)
-        obj._mark_consumed()
-
-    def type_info(self, obj: SpringObject) -> tuple[str, ...]:
-        # Route the type query to the real server, not the cache front
-        # (the front forwards unknown operations, but asking the source
-        # avoids a stale cached answer).
-        from repro.core.stubs import remote_type_query
-
-        return remote_type_query(obj)
 
 
 class CachingServer(SingleDoorServer):

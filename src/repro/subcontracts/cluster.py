@@ -14,16 +14,21 @@ uses the tag to dispatch to a particular object.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.errors import RevokedObjectError
 from repro.core.object import SpringObject
 from repro.kernel.errors import CommunicationError
 from repro.core.registry import ensure_registry
 from repro.core.stubs import write_revoked_status
-from repro.core.subcontract import ClientSubcontract, ServerSubcontract
+from repro.core.subcontract import ServerSubcontract
 from repro.marshal.buffer import MarshalBuffer
-from repro.subcontracts.common import gossip_evicted, make_door_handler
+from repro.subcontracts.common import (
+    RepClient,
+    SingleDoorRep,
+    gossip_evicted,
+    make_door_handler,
+)
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
@@ -32,24 +37,34 @@ if TYPE_CHECKING:
 __all__ = ["ClusterClient", "ClusterServer", "ClusterRep"]
 
 
-class ClusterRep:
+class ClusterRep(SingleDoorRep):
     """A door identifier shared with the whole cluster, plus this
     object's integer tag."""
 
-    __slots__ = ("door", "tag")
+    __slots__ = ("tag",)
 
     def __init__(self, door: "DoorIdentifier", tag: int) -> None:
         self.door = door
         self.tag = tag
 
+    def write(self, buffer: MarshalBuffer, put_door: Callable) -> None:
+        """Wire form: the door identifier, INT32 tag."""
+        put_door(self.door)
+        buffer.put_int32(self.tag)
+
+    @classmethod
+    def read(cls, buffer: MarshalBuffer, get_door: Callable) -> "ClusterRep":
+        return cls(get_door(), buffer.get_int32())
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ClusterRep door_id=#{self.door.uid} tag={self.tag}>"
 
 
-class ClusterClient(ClientSubcontract):
+class ClusterClient(RepClient):
     """Client operations vector for the cluster subcontract."""
 
     id = "cluster"
+    rep_type = ClusterRep
 
     def invoke_preamble(self, obj: SpringObject, buffer: MarshalBuffer) -> None:
         # Ship the object's tag ahead of the marshalled arguments so the
@@ -83,38 +98,6 @@ class ClusterClient(ClientSubcontract):
         reply = kernel.door_call(self.domain, obj._rep.door, buffer)
         kernel.clock.charge("memory_copy_byte", reply.size)
         return reply
-
-    def marshal_rep(self, obj: SpringObject, buffer: MarshalBuffer) -> None:
-        rep: ClusterRep = obj._rep
-        buffer.put_door_id(self.domain, rep.door)
-        buffer.put_int32(rep.tag)
-
-    def unmarshal_rep(
-        self, buffer: MarshalBuffer, binding: "InterfaceBinding"
-    ) -> SpringObject:
-        door = buffer.get_door_id(self.domain)
-        tag = buffer.get_int32()
-        return self.make_object(ClusterRep(door, tag), binding)
-
-    def copy(self, obj: SpringObject) -> SpringObject:
-        obj._check_live()
-        rep: ClusterRep = obj._rep
-        duplicate = self.domain.kernel.copy_door_id(self.domain, rep.door)
-        return self.make_object(ClusterRep(duplicate, rep.tag), obj._binding)
-
-    def marshal_copy(self, obj: SpringObject, buffer: MarshalBuffer) -> None:
-        obj._check_live()
-        self.domain.kernel.clock.charge("indirect_call")
-        rep: ClusterRep = obj._rep
-        duplicate = self.domain.kernel.copy_door_id(self.domain, rep.door)
-        buffer.put_object_header(self.id)
-        buffer.put_door_id(self.domain, duplicate)
-        buffer.put_int32(rep.tag)
-
-    def consume(self, obj: SpringObject) -> None:
-        obj._check_live()
-        self.domain.kernel.delete_door_id(self.domain, obj._rep.door)
-        obj._mark_consumed()
 
 
 class ClusterServer(ServerSubcontract):

@@ -81,7 +81,9 @@ class MigratoryRep:
 
 
 class MigratoryClient(ClientSubcontract):
-    """Client operations vector for the migratory subcontract."""
+    """Client operations vector for the migratory subcontract.  The tail
+    is hand-written: the rep is a door *or* live local state, and reading
+    one back needs the binding the shared hooks never see."""
 
     id = "migratory"
 

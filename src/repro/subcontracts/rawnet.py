@@ -31,17 +31,18 @@ channels — only its invoke path is packet-based.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.errors import SubcontractError
 from repro.core.object import SpringObject
 from repro.core.registry import ensure_registry
-from repro.core.subcontract import ClientSubcontract, ServerSubcontract
+from repro.core.subcontract import ServerSubcontract
 from repro.kernel.errors import CommunicationError, DeadlineExceeded
 from repro.marshal.buffer import MarshalBuffer
 from repro.marshal.codec import Decoder, Encoder
 from repro.marshal.errors import MarshalError
 from repro.runtime.retry import RetryPolicy
+from repro.subcontracts.common import RepClient
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
@@ -84,6 +85,26 @@ class RawNetRep:
     def __init__(self, machine_name: str, port: str) -> None:
         self.machine_name = machine_name
         self.port = port
+
+    # The object itself travels through the ordinary kernel-mediated
+    # channels; the rep holds no door, so the door callables go unused.
+
+    def write(self, buffer: MarshalBuffer, put_door: Callable) -> None:
+        """Wire form: STRING machine name, STRING port."""
+        buffer.put_string(self.machine_name)
+        buffer.put_string(self.port)
+
+    @classmethod
+    def read(cls, buffer: MarshalBuffer, get_door: Callable) -> "RawNetRep":
+        return cls(buffer.get_string(), buffer.get_string())
+
+    def duplicate(self, dup_door: Callable) -> "RawNetRep":
+        """The same endpoint; there is nothing to reference-count."""
+        return RawNetRep(self.machine_name, self.port)
+
+    def held_doors(self) -> tuple:
+        """None: rawnet never touches a door."""
+        return ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RawNetRep {self.machine_name}:{self.port}>"
@@ -194,10 +215,11 @@ def _client_endpoint(domain: "Domain") -> _ClientEndpoint:
     return endpoint
 
 
-class RawNetClient(ClientSubcontract):
+class RawNetClient(RepClient):
     """Client operations vector for the rawnet subcontract."""
 
     id = "rawnet"
+    rep_type = RawNetRep
 
     #: the retransmission discipline; per-domain budget override below
     rto_policy = DEFAULT_RTO_POLICY
@@ -275,27 +297,6 @@ class RawNetClient(ClientSubcontract):
             f"rawnet: no reply from {rep.machine_name}:{rep.port} after "
             f"{budget} attempts"
         )
-
-    # -- transmission of the object itself (door-free rep) ---------------
-
-    def marshal_rep(self, obj: SpringObject, buffer: MarshalBuffer) -> None:
-        rep: RawNetRep = obj._rep
-        buffer.put_string(rep.machine_name)
-        buffer.put_string(rep.port)
-
-    def unmarshal_rep(self, buffer: MarshalBuffer, binding: "InterfaceBinding"):
-        machine_name = buffer.get_string()
-        port = buffer.get_string()
-        return self.make_object(RawNetRep(machine_name, port), binding)
-
-    def copy(self, obj: SpringObject) -> SpringObject:
-        obj._check_live()
-        rep: RawNetRep = obj._rep
-        return self.make_object(RawNetRep(rep.machine_name, rep.port), obj._binding)
-
-    def consume(self, obj: SpringObject) -> None:
-        obj._check_live()
-        obj._mark_consumed()
 
 
 class RawNetServer(ServerSubcontract):

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.errors import SubcontractError
 from repro.core.object import SpringObject
-from repro.core.subcontract import ClientSubcontract
 from repro.kernel.errors import CommunicationError, InvalidDoorError
 from repro.marshal.buffer import MarshalBuffer
 from repro.runtime.idem import DedupMemo, wrap_idempotent
@@ -40,7 +39,12 @@ from repro.runtime.retry import (
     RetryPolicy,
     failure_verdict,
 )
-from repro.subcontracts.common import gossip_evicted, quiet_delete
+from repro.subcontracts.common import (
+    RepClient,
+    SingleDoorRep,
+    gossip_evicted,
+    quiet_delete,
+)
 from repro.subcontracts.singleton import SingleDoorServer
 
 if TYPE_CHECKING:
@@ -66,23 +70,33 @@ DEFAULT_RETRY_POLICY = RetryPolicy(
 )
 
 
-class ReconnectableRep:
+class ReconnectableRep(SingleDoorRep):
     """A normal door identifier, plus an object name."""
 
-    __slots__ = ("door", "name")
+    __slots__ = ("name",)
 
     def __init__(self, door: "DoorIdentifier", name: str) -> None:
         self.door = door
         self.name = name
 
+    def write(self, buffer: MarshalBuffer, put_door: Callable) -> None:
+        """Wire form: the door identifier, STRING object name."""
+        put_door(self.door)
+        buffer.put_string(self.name)
+
+    @classmethod
+    def read(cls, buffer: MarshalBuffer, get_door: Callable) -> "ReconnectableRep":
+        return cls(get_door(), buffer.get_string())
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ReconnectableRep door_id=#{self.door.uid} name={self.name!r}>"
 
 
-class ReconnectableClient(ClientSubcontract):
+class ReconnectableClient(RepClient):
     """Client operations vector for the reconnectable subcontract."""
 
     id = "reconnectable"
+    rep_type = ReconnectableRep
 
     #: the retry discipline — backoff, breaker, and the budget
     #: (``max_attempts``); tests override with derive()
@@ -206,38 +220,6 @@ class ReconnectableClient(ClientSubcontract):
         rep.door = fresh._rep.door
         fresh._mark_consumed()  # we absorbed its representation
         quiet_delete(self.domain, old_door)
-
-    def marshal_rep(self, obj: SpringObject, buffer: MarshalBuffer) -> None:
-        rep: ReconnectableRep = obj._rep
-        buffer.put_door_id(self.domain, rep.door)
-        buffer.put_string(rep.name)
-
-    def unmarshal_rep(
-        self, buffer: MarshalBuffer, binding: "InterfaceBinding"
-    ) -> SpringObject:
-        door = buffer.get_door_id(self.domain)
-        name = buffer.get_string()
-        return self.make_object(ReconnectableRep(door, name), binding)
-
-    def copy(self, obj: SpringObject) -> SpringObject:
-        obj._check_live()
-        rep: ReconnectableRep = obj._rep
-        duplicate = self.domain.kernel.copy_door_id(self.domain, rep.door)
-        return self.make_object(ReconnectableRep(duplicate, rep.name), obj._binding)
-
-    def marshal_copy(self, obj: SpringObject, buffer: MarshalBuffer) -> None:
-        obj._check_live()
-        self.domain.kernel.clock.charge("indirect_call")
-        rep: ReconnectableRep = obj._rep
-        duplicate = self.domain.kernel.copy_door_id(self.domain, rep.door)
-        buffer.put_object_header(self.id)
-        buffer.put_door_id(self.domain, duplicate)
-        buffer.put_string(rep.name)
-
-    def consume(self, obj: SpringObject) -> None:
-        obj._check_live()
-        quiet_delete(self.domain, obj._rep.door)
-        obj._mark_consumed()
 
 
 class ReconnectableServer(SingleDoorServer):

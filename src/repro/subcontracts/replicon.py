@@ -20,12 +20,11 @@ identifiers which the client adopts.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.errors import SubcontractError
 from repro.core.object import SpringObject
 from repro.core.registry import ensure_registry
-from repro.core.subcontract import ClientSubcontract
 from repro.kernel.errors import (
     CommunicationError,
     InvalidDoorError,
@@ -35,7 +34,13 @@ from repro.marshal.buffer import MarshalBuffer
 from repro.runtime import tsan as _tsan
 from repro.runtime.idem import DedupMemo, wrap_idempotent
 from repro.runtime.retry import BUSY, EVICTED, SPENT, RetryPolicy, failure_verdict
-from repro.subcontracts.common import gossip_evicted, make_door_handler, quiet_delete
+from repro.subcontracts.common import (
+    DoorSetRep,
+    RepClient,
+    gossip_evicted,
+    make_door_handler,
+    quiet_delete,
+)
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
@@ -51,33 +56,47 @@ DEFAULT_FAILOVER_POLICY = RetryPolicy(base_us=0.0, multiplier=1.0, max_attempts=
 
 
 @_tsan.shared_state
-class RepliconRep:
+class RepliconRep(DoorSetRep):
     """A set of kernel door identifiers, one per replica, plus the epoch
     of the replica set they came from.
 
     Client threads sharing one replicon object mutate the rep on
     failover (pruning a dead member) and on epoch updates (adopting a
     fresh door set); ``lock`` serializes those updates against the
-    member selection at the top of each invoke.
+    member selection at the top of each invoke and against the hooks.
     """
 
-    __slots__ = ("doors", "epoch", "lock")
+    __slots__ = ("epoch",)
 
     def __init__(self, doors: list["DoorIdentifier"], epoch: int) -> None:
-        self.lock = _tsan.instrument_lock(
-            threading.Lock(), f"RepliconRep.lock@{id(self):x}"
-        )
-        self.doors = doors
+        super().__init__(doors)
         self.epoch = epoch
+
+    def write(self, buffer: MarshalBuffer, put_door: Callable) -> None:
+        """Wire form: INT32 epoch, door count, each door identifier."""
+        with self.lock:
+            buffer.put_int32(self.epoch)
+            self._put_doors(buffer, put_door)
+
+    @classmethod
+    def read(cls, buffer: MarshalBuffer, get_door: Callable) -> "RepliconRep":
+        epoch = buffer.get_int32()
+        return cls(cls._get_doors(buffer, get_door), epoch)
+
+    def duplicate(self, dup_door: Callable) -> "RepliconRep":
+        """A second identifier for every current member, same epoch."""
+        with self.lock:
+            return RepliconRep([dup_door(door) for door in self.doors], self.epoch)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RepliconRep {len(self.doors)} doors epoch={self.epoch}>"
 
 
-class RepliconClient(ClientSubcontract):
+class RepliconClient(RepClient):
     """Client operations vector for the replicon subcontract."""
 
     id = "replicon"
+    rep_type = RepliconRep
 
     #: the failover discipline; derive() to add backoff between members
     failover_policy = DEFAULT_FAILOVER_POLICY
@@ -237,49 +256,6 @@ class RepliconClient(ClientSubcontract):
                 new_epoch=new_epoch,
                 members=len(new_doors),
             )
-
-    def marshal_rep(self, obj: SpringObject, buffer: MarshalBuffer) -> None:
-        # Section 5.1.1: "marshalling the count of door identifiers and
-        # then marshalling each of its door identifiers in turn."
-        rep: RepliconRep = obj._rep
-        buffer.put_int32(rep.epoch)
-        buffer.put_sequence_header(len(rep.doors))
-        for door in rep.doors:
-            buffer.put_door_id(self.domain, door)
-
-    def unmarshal_rep(
-        self, buffer: MarshalBuffer, binding: "InterfaceBinding"
-    ) -> SpringObject:
-        epoch = buffer.get_int32()
-        count = buffer.get_sequence_header()
-        doors = [buffer.get_door_id(self.domain) for _ in range(count)]
-        return self.make_object(RepliconRep(doors, epoch), binding)
-
-    def copy(self, obj: SpringObject) -> SpringObject:
-        obj._check_live()
-        rep: RepliconRep = obj._rep
-        kernel = self.domain.kernel
-        doors = [kernel.copy_door_id(self.domain, door) for door in rep.doors]
-        return self.make_object(RepliconRep(doors, rep.epoch), obj._binding)
-
-    def marshal_copy(self, obj: SpringObject, buffer: MarshalBuffer) -> None:
-        # Fused copy+marshal: duplicate each door identifier straight into
-        # the buffer (Section 5.1.5).
-        obj._check_live()
-        self.domain.kernel.clock.charge("indirect_call")
-        rep: RepliconRep = obj._rep
-        kernel = self.domain.kernel
-        buffer.put_object_header(self.id)
-        buffer.put_int32(rep.epoch)
-        buffer.put_sequence_header(len(rep.doors))
-        for door in rep.doors:
-            buffer.put_door_id(self.domain, kernel.copy_door_id(self.domain, door))
-
-    def consume(self, obj: SpringObject) -> None:
-        obj._check_live()
-        for door in obj._rep.doors:
-            quiet_delete(self.domain, door)
-        obj._mark_consumed()
 
 
 @_tsan.shared_state

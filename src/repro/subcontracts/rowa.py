@@ -36,17 +36,22 @@ any replica applied the call prunes nothing.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.errors import SubcontractError
 from repro.core.object import SpringObject
 from repro.core.registry import ensure_registry
-from repro.core.subcontract import ClientSubcontract
 from repro.kernel.errors import CommunicationError, InvalidDoorError
 from repro.marshal.buffer import MarshalBuffer
 from repro.marshal.errors import MarshalError
+from repro.runtime import tsan as _tsan
 from repro.runtime.retry import BUSY, SPENT, failure_verdict
-from repro.subcontracts.common import make_door_handler, quiet_delete
+from repro.subcontracts.common import (
+    DoorSetRep,
+    RepClient,
+    make_door_handler,
+    quiet_delete,
+)
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
@@ -56,23 +61,46 @@ if TYPE_CHECKING:
 __all__ = ["RowaClient", "RowaGroup", "RowaRep"]
 
 
-class RowaRep:
+@_tsan.shared_state
+class RowaRep(DoorSetRep):
     """Doors to every replica, plus the declared read-operation names."""
 
-    __slots__ = ("doors", "read_ops")
+    __slots__ = ("read_ops",)
 
     def __init__(self, doors: list["DoorIdentifier"], read_ops: frozenset[str]) -> None:
-        self.doors = doors
+        super().__init__(doors)
         self.read_ops = read_ops
+
+    def write(self, buffer: MarshalBuffer, put_door: Callable) -> None:
+        """Wire form: the sorted read-operation names, door count, each
+        door identifier."""
+        buffer.put_sequence_header(len(self.read_ops))
+        for opname in sorted(self.read_ops):
+            buffer.put_string(opname)
+        with self.lock:
+            self._put_doors(buffer, put_door)
+
+    @classmethod
+    def read(cls, buffer: MarshalBuffer, get_door: Callable) -> "RowaRep":
+        read_ops = frozenset(
+            buffer.get_string() for _ in range(buffer.get_sequence_header())
+        )
+        return cls(cls._get_doors(buffer, get_door), read_ops)
+
+    def duplicate(self, dup_door: Callable) -> "RowaRep":
+        """A second identifier for every current member, same read set."""
+        with self.lock:
+            return RowaRep([dup_door(door) for door in self.doors], self.read_ops)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RowaRep {len(self.doors)} doors reads={sorted(self.read_ops)}>"
 
 
-class RowaClient(ClientSubcontract):
+class RowaClient(RepClient):
     """Client operations vector for the rowa subcontract."""
 
     id = "rowa"
+    rep_type = RowaRep
 
     def invoke(self, obj: SpringObject, buffer: MarshalBuffer) -> MarshalBuffer:
         rep: RowaRep = obj._rep
@@ -89,7 +117,7 @@ class RowaClient(ClientSubcontract):
     def _read_one(self, rep: RowaRep, buffer: MarshalBuffer) -> MarshalBuffer:
         kernel = self.domain.kernel
         last_busy = None
-        for door in tuple(rep.doors):
+        for door in rep.held_doors():
             try:
                 kernel.clock.charge("memory_copy_byte", buffer.size)
                 reply = kernel.door_call(self.domain, door, buffer)
@@ -100,7 +128,10 @@ class RowaClient(ClientSubcontract):
                 if verdict is BUSY:
                     last_busy = failure
                 else:
-                    rep.doors.remove(door)
+                    # A sibling thread may have pruned it concurrently.
+                    with rep.lock:
+                        if door in rep.doors:
+                            rep.doors.remove(door)
                     quiet_delete(self.domain, door)
                 continue
             kernel.clock.charge("memory_copy_byte", reply.size)
@@ -119,7 +150,7 @@ class RowaClient(ClientSubcontract):
         first_reply: MarshalBuffer | None = None
         last_busy = None
         applied, shed, missed = [], [], []
-        for door in rep.doors:
+        for door in rep.held_doors():
             try:
                 kernel.clock.charge("memory_copy_byte", buffer.size)
                 reply = kernel.door_call(self.domain, door, buffer)
@@ -139,8 +170,11 @@ class RowaClient(ClientSubcontract):
                 first_reply = reply
         # Available copies: once any replica applied the write, whoever
         # missed it holds stale state and leaves the set, even a merely
-        # busy one; if none did, only the dead leave.
-        rep.doors = applied or shed
+        # busy one; if none did, only the dead leave.  Under the lock, so
+        # a sibling's copy or transmission finishes its walk before the
+        # leavers' identifiers are deleted.
+        with rep.lock:
+            rep.doors = applied or shed
         for door in (missed + shed) if applied else missed:
             quiet_delete(self.domain, door)
         if first_reply is not None:
@@ -148,40 +182,6 @@ class RowaClient(ClientSubcontract):
         if last_busy is not None:
             raise last_busy
         raise CommunicationError("rowa: no replica accepted the write")
-
-    # ------------------------------------------------------------------
-
-    def marshal_rep(self, obj: SpringObject, buffer: MarshalBuffer) -> None:
-        rep: RowaRep = obj._rep
-        buffer.put_sequence_header(len(rep.read_ops))
-        for opname in sorted(rep.read_ops):
-            buffer.put_string(opname)
-        buffer.put_sequence_header(len(rep.doors))
-        for door in rep.doors:
-            buffer.put_door_id(self.domain, door)
-
-    def unmarshal_rep(self, buffer: MarshalBuffer, binding: "InterfaceBinding"):
-        read_ops = frozenset(
-            buffer.get_string() for _ in range(buffer.get_sequence_header())
-        )
-        doors = [
-            buffer.get_door_id(self.domain)
-            for _ in range(buffer.get_sequence_header())
-        ]
-        return self.make_object(RowaRep(doors, read_ops), binding)
-
-    def copy(self, obj: SpringObject) -> SpringObject:
-        obj._check_live()
-        rep: RowaRep = obj._rep
-        kernel = self.domain.kernel
-        doors = [kernel.copy_door_id(self.domain, door) for door in rep.doors]
-        return self.make_object(RowaRep(doors, rep.read_ops), obj._binding)
-
-    def consume(self, obj: SpringObject) -> None:
-        obj._check_live()
-        for door in obj._rep.doors:
-            quiet_delete(self.domain, door)
-        obj._mark_consumed()
 
 
 class RowaGroup:

@@ -64,6 +64,9 @@ class SimplexInlineVector(ClientSubcontract):
     for cross-domain communication.  When and if the object is actually
     marshalled for transmission to another domain, the subcontract will
     finally create these resources." (Section 5.2.1)
+
+    The tail is hand-written: the rep has no door until one is needed,
+    and what it unmarshals to is a plain simplex object, not itself.
     """
 
     id = "simplex"

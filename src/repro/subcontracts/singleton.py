@@ -7,10 +7,17 @@ transmits the door identifier (moving the object); copy duplicates the
 door identifier.
 
 Singleton is the plain case of one kernel door per exported object, so
-both halves are written as reusable bases: ``SingleDoorClient`` is the
-client vector of simplex, realtime, synchronized, shm, transact and
-video; ``SingleDoorServer`` is the server half of those six and of
-caching, reconnectable and migratory.
+both halves are written as reusable bases.  Who inherits which half:
+
+* the client tail (``common.RepClient``: marshal, unmarshal, copy,
+  marshal_copy, consume over the representation's four hooks) -- every
+  bundled vector except migratory and simplex's inline vector, whose
+  representations change shape; caching overrides the three operations
+  its machine-local D2 changes;
+* ``SingleDoorClient`` (that tail plus the one-door ``invoke``) --
+  singleton, simplex, realtime, synchronized, shm, transact and video;
+* ``SingleDoorServer`` (export, revoke, unreferenced) -- those seven and
+  caching, reconnectable and migratory.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.object import SpringObject
 from repro.core.registry import ensure_registry
-from repro.core.subcontract import ClientSubcontract, ServerSubcontract
-from repro.subcontracts.common import SingleDoorRep, make_door_handler
+from repro.core.subcontract import ServerSubcontract
+from repro.subcontracts.common import RepClient, SingleDoorRep, make_door_handler
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
@@ -30,8 +37,11 @@ if TYPE_CHECKING:
 __all__ = ["SingleDoorClient", "SingleDoorServer", "SingletonClient", "SingletonServer"]
 
 
-class SingleDoorClient(ClientSubcontract):
-    """Reusable client vector for one-door-per-object subcontracts."""
+class SingleDoorClient(RepClient):
+    """Reusable client vector for one-door-per-object subcontracts: the
+    shared tail plus the one-door ``invoke``."""
+
+    rep_type = SingleDoorRep
 
     def invoke(self, obj: SpringObject, buffer: "MarshalBuffer") -> "MarshalBuffer":
         kernel = self.domain.kernel
@@ -45,35 +55,6 @@ class SingleDoorClient(ClientSubcontract):
         if reply.region is None:
             kernel.clock.charge("memory_copy_byte", reply.size)
         return reply
-
-    def marshal_rep(self, obj: SpringObject, buffer: "MarshalBuffer") -> None:
-        buffer.put_door_id(self.domain, obj._rep.door)
-
-    def unmarshal_rep(
-        self, buffer: "MarshalBuffer", binding: "InterfaceBinding"
-    ) -> SpringObject:
-        door = buffer.get_door_id(self.domain)
-        return self.make_object(SingleDoorRep(door), binding)
-
-    def copy(self, obj: SpringObject) -> SpringObject:
-        obj._check_live()
-        duplicate = self.domain.kernel.copy_door_id(self.domain, obj._rep.door)
-        return self.make_object(SingleDoorRep(duplicate), obj._binding)
-
-    def marshal_copy(self, obj: SpringObject, buffer: "MarshalBuffer") -> None:
-        # Fused copy+marshal (Section 5.1.5): duplicate the door identifier
-        # straight into the buffer without fabricating (and immediately
-        # destroying) an intermediate Spring object.
-        obj._check_live()
-        self.domain.kernel.clock.charge("indirect_call")
-        duplicate = self.domain.kernel.copy_door_id(self.domain, obj._rep.door)
-        buffer.put_object_header(self.id)
-        buffer.put_door_id(self.domain, duplicate)
-
-    def consume(self, obj: SpringObject) -> None:
-        obj._check_live()
-        self.domain.kernel.delete_door_id(self.domain, obj._rep.door)
-        obj._mark_consumed()
 
 
 class SingletonClient(SingleDoorClient):

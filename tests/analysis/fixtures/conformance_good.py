@@ -34,6 +34,36 @@ class CompleteClient(IntermediateClient):
         pass
 
 
+class TailClient(ClientSubcontract):
+    """The shared client tail: everything but invoke, written once over
+    the representation's hooks (``subcontracts.common.RepClient``)."""
+
+    def marshal_rep(self, obj, buffer):
+        obj._rep.write(buffer, None)
+
+    def unmarshal_rep(self, buffer, binding):
+        return self.rep_type.read(buffer, None)
+
+    def copy(self, obj):
+        return obj._rep.duplicate(None)
+
+    def marshal_copy(self, obj, buffer):
+        obj._rep.duplicate(None).write(buffer, None)
+
+    def consume(self, obj):
+        obj._rep.held_doors()
+
+
+class InvokeOnlyClient(TailClient):
+    """Leaf that inherits the whole tail and writes only invoke."""
+
+    id = "invoke-only"
+    rep_type = object
+
+    def invoke(self, obj, buffer):
+        pass
+
+
 class WrapsMarshalErrors(ClientSubcontract):
     """Catching a marshal error is fine when the handler re-raises."""
 

@@ -55,3 +55,13 @@ def leaks_inside_loop(tracer, domain, items):
         span = tracer.begin_span(domain, "iteration", "span")
         span.annotate(item=item)
     # each iteration begins a span that nothing ends
+
+
+def conditional_span_never_ended(tracer, domain, risky):
+    invoke_span = (
+        tracer.begin_invoke(domain, "op", "singleton") if tracer.enabled else None
+    )
+    risky()
+    if invoke_span is not None:
+        invoke_span.annotate(done=True)
+    # the None arm has nothing to end; the other arm leaks

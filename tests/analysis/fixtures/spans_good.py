@@ -50,3 +50,16 @@ def nested_with_spans(tracer, domain):
     with tracer.begin_span(domain, "outer", "span"):
         with tracer.begin_span(domain, "inner", "span") as inner:
             inner.event("deep")
+
+
+def conditional_span_ended_in_finally(tracer, domain, risky):
+    # One body for traced and untraced callers: the span is None when
+    # tracing is off and every use sits behind ``is not None``.
+    span = tracer.begin_invoke(domain, "op", "singleton") if tracer.enabled else None
+    try:
+        risky()
+        if span is not None:
+            span.annotate(done=True)
+    finally:
+        if span is not None:
+            span.end()

@@ -29,3 +29,15 @@ class AsymmetricFullMarshal:
     def unmarshal(self, buffer, binding):
         buffer.get_object_header()
         return buffer.get_string()  # wrote bytes, reads string
+
+
+class RepHooksDisagree:
+    """A representation's write/read hooks are one wire format too."""
+
+    def write(self, buffer, put_door):
+        put_door(self.door)
+        buffer.put_int32(self.tag)  # never read back
+
+    @classmethod
+    def read(cls, buffer, get_door):
+        return cls(get_door(), buffer.get_string())  # never written

@@ -62,3 +62,16 @@ class WriteOnlyHalf:
 
     def marshal_rep(self, rep, buffer):
         buffer.put_int64(rep.stamp)
+
+
+class RepHooksAgree:
+    """write/read hooks pair like marshal_rep/unmarshal_rep; the
+    put_door/get_door callables they are handed are the door kind."""
+
+    def write(self, buffer, put_door):
+        put_door(self.door)
+        buffer.put_int32(self.tag)
+
+    @classmethod
+    def read(cls, buffer, get_door):
+        return cls(get_door(), buffer.get_int32())

@@ -70,6 +70,8 @@ def test_span_balance_flags_every_seeded_violation():
     assert "not ended when raising" in text
     assert "overwritten while still open" in text
     assert "begun inside a loop" in text
+    # ``span = begin_*() if enabled else None`` is an acquisition too
+    assert "span 'invoke_span' begun in 'conditional_span_never_ended'" in text
     assert all(f.rule == "span-balance" for f in findings)
     assert all(f.severity == "error" for f in findings)
     assert all(f.hint for f in findings)
@@ -77,7 +79,8 @@ def test_span_balance_flags_every_seeded_violation():
 
 def test_span_balance_accepts_sanctioned_idioms():
     # with-statement (aliased and bare), try/finally end, per-branch
-    # ends, ownership transfer via return, and nested with-spans.
+    # ends, ownership transfer via return, nested with-spans, and a
+    # conditional span ended behind ``is not None`` in a finally.
     assert run_rule("span-balance", "spans_good.py") == []
 
 
@@ -107,7 +110,8 @@ def test_conformance_flags_every_seeded_violation():
 
 
 def test_conformance_accepts_correct_subcontracts():
-    # Intermediate bases, inherited ops, wrapped-and-reraised marshal
+    # Intermediate bases, inherited ops (a leaf that inherits the whole
+    # client tail and writes only invoke), wrapped-and-reraised marshal
     # errors, and defaulted extra parameters must all pass.
     assert run_rule("subcontract-conformance", "conformance_good.py") == []
 
@@ -123,12 +127,16 @@ def test_symmetry_flags_unpaired_kinds_in_both_directions():
     # full marshal/unmarshal pairs are checked too, both directions
     assert "marshal writes a 'bytes' item that unmarshal never reads" in text
     assert "unmarshal reads a 'string' item that marshal never writes" in text
+    # ... and so are a representation's write/read hooks
+    assert "RepHooksDisagree.write writes a 'int32' item that read never reads" in text
+    assert "RepHooksDisagree.read reads a 'string' item that write never writes" in text
 
 
 def test_symmetry_accepts_paired_kinds():
     # door_transit/door_id unify, peek counts as a read, loops and
-    # branches are fine (set comparison, not order proof), and a class
-    # defining only one half of a pair is not checked.
+    # branches are fine (set comparison, not order proof), a class
+    # defining only one half of a pair is not checked, and a rep's
+    # put_door/get_door hook callables are the door kind.
     assert run_rule("marshal-symmetry", "symmetry_good.py") == []
 
 

@@ -88,14 +88,14 @@ def test_generated_stub_source_has_no_unbounded_queues():
 
 
 def test_generated_stub_source_is_span_balanced():
-    # The traced twin each fused stub delegates to opens a client invoke
-    # span; the generated with-statement must satisfy span-balance.
+    # Each fused stub opens a client invoke span when tracing is on; the
+    # generated conditional begin / finally end must satisfy span-balance.
     from repro.idl.compiler import compile_idl
     from repro.idl.specialize import generate_specialized_source
 
     module_idl = compile_idl("interface probe { int32 poke(int32 n); }")
     source = generate_specialized_source(module_idl.binding("probe"))
-    assert "begin_invoke" in source  # the traced twin is actually there
+    assert "begin_invoke" in source  # the span is actually there
     module = SourceModule("<generated probe stub>", text=source)
     analyzer = default_analyzer(selected=frozenset({"span-balance"}))
     findings = analyzer.run_modules([module])

@@ -5,8 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.kernel import NetworkPartitionError
+from repro.kernel.errors import DeadlineExceeded
 from repro.marshal.buffer import MarshalBuffer
 from repro.runtime.faults import partitioned
+from repro.runtime.transfer import transfer
+from repro.subcontracts.shm import SharedRegion, ShmServer
 from repro.subcontracts.simplex import SimplexServer
 from tests.conftest import CounterImpl
 
@@ -109,6 +112,63 @@ class TestPartitions:
 
     def test_heal_unknown_pair_is_noop(self, env):
         env.fabric.heal("x", "y")  # must not raise
+
+
+class TestLostReply:
+    """A reply that never reaches its caller is the fabric's to clean up:
+    back to the server's pool, whatever lost it."""
+
+    def test_reply_lost_to_a_partition_formed_mid_call_is_recycled(
+        self, env, counter_module
+    ):
+        class CutsTheReturnPath(CounterImpl):
+            def add(self, n):
+                env.fabric.partition_oneway("machine-a", "machine-b")
+                return super().add(n)
+
+        server = env.create_domain("machine-a", "server")
+        client = env.create_domain("machine-b", "client")
+        binding = counter_module.binding("counter")
+        impl = CutsTheReturnPath()
+        remote = transfer(SimplexServer(server).export(impl, binding), client)
+        with pytest.raises(NetworkPartitionError, match="reply lost"):
+            remote.add(1)
+        assert impl.value == 1  # the request did land
+        assert server.buffer_acquires == server.buffer_releases
+
+    def test_reply_landing_after_the_buffer_deadline_is_recycled(self, world):
+        # The budget rides the buffer's slot, not this thread's deadline
+        # (as for a call a forwarder relays), so no netserver leg refuses
+        # first and the fabric's own landing check is what fires.
+        env, server, client, remote = world
+        request = client.acquire_buffer()
+        request.put_string("total")
+        request.deadline_us = env.clock.now_us + 1.5 * env.fabric.latency_us
+        request.seal_for_transmission(client)
+        try:
+            with pytest.raises(DeadlineExceeded, match="landed after the deadline"):
+                env.kernel.fabric(client, remote._rep.door.door, request)
+        finally:
+            request.recycle()
+        assert server.buffer_acquires == server.buffer_releases
+
+    def test_cross_machine_reply_carries_no_region(self, env, counter_module):
+        # Shared regions do not span machines: a reply the shm server
+        # stamped with its request's region must arrive without it, or
+        # the client would skip the copy charge for bytes that did cross.
+        server = env.create_domain("machine-a", "server")
+        client = env.create_domain("machine-b", "client")
+        binding = counter_module.binding("counter")
+        remote = transfer(ShmServer(server).export(CounterImpl(), binding), client)
+        request = client.acquire_buffer()
+        request.put_string("total")
+        request.region = SharedRegion(client.machine)
+        try:
+            reply = env.kernel.door_call(client, remote._rep.door, request)
+        finally:
+            request.recycle()
+        assert reply.region is None
+        reply.release()
 
 
 class TestNetServerAccounting:

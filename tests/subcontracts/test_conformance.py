@@ -19,6 +19,14 @@ cannot skip it — rejects unknown export options, and every server with
 a door per object notifies ``unreferenced`` exactly once when the last
 identifier goes, never on ``revoke``, labels its door
 ``"<id>:<interface>"`` and forgets the door when it goes.
+
+The third part is the client tail's checklist (§5.1.1-5.1.6), over every
+bundled ``ClientSubcontract`` -- found the same way: ``marshal_copy`` is
+``copy`` then ``marshal`` (same wire bytes and doors, no more sim time);
+copy, give and consume conserve identifiers and door refcounts in both
+domains; consume and copy outlive the server's crash; a ``marshal_copy``
+recycled undelivered leaves the sender's table as it was; and the last
+consume anywhere is what fires the server's ``unreferenced``.
 """
 
 from __future__ import annotations
@@ -26,7 +34,9 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import json
+import pathlib
 import pkgutil
+import re
 from typing import Any, Callable
 
 import pytest
@@ -34,9 +44,10 @@ import pytest
 import repro.subcontracts
 from repro.core.errors import ObjectConsumedError
 from repro.core.object import SpringObject
-from repro.core.subcontract import ServerSubcontract
+from repro.core.subcontract import ClientSubcontract, ServerSubcontract
 from repro.kernel.errors import CommunicationError, DoorRevokedError, InvalidDoorError
 from repro.marshal.buffer import MarshalBuffer
+from repro.runtime.faults import crash_domain
 from repro.runtime.transfer import give, transfer
 from tests.conftest import CounterImpl
 
@@ -240,11 +251,11 @@ class TestConformance:
 # ----------------------------------------------------------------------
 
 
-def _bundled_servers() -> list[type]:
-    """Every concrete server subcontract under ``repro.subcontracts``."""
+def _bundled(root: type) -> list[type]:
+    """Every concrete subclass of ``root`` under ``repro.subcontracts``."""
     for module in pkgutil.iter_modules(repro.subcontracts.__path__):
         importlib.import_module(f"repro.subcontracts.{module.name}")
-    found, frontier = set(), [ServerSubcontract]
+    found, frontier = set(), [root]
     while frontier:
         cls = frontier.pop()
         frontier.extend(cls.__subclasses__())
@@ -290,7 +301,7 @@ SERVER_RECIPES = {
     "RawNetServer": ServerRecipe(door_per_object=False),
 }
 
-SERVERS = _bundled_servers()
+SERVERS = _bundled(ServerSubcontract)
 DOOR_SERVERS = [
     cls
     for cls in SERVERS
@@ -410,3 +421,196 @@ class TestDoorPerObjectServer:
         served = ServedWorld(world, cls)
         served.export()
         assert served.door.label == f"{cls.id}:{served.binding.name}"
+
+
+# ----------------------------------------------------------------------
+# the client tail (§5.1.1-5.1.6)
+# ----------------------------------------------------------------------
+
+
+def _simplex_inline(env, server, binding):
+    from repro.subcontracts.simplex import SimplexServer
+
+    return SimplexServer(server).export(CounterImpl(), binding, inline=True)
+
+
+@dataclasses.dataclass(frozen=True)
+class ClientRecipe:
+    """How the checklist gets an object driven by one client vector."""
+
+    export: Callable[[Any, Any, Any], SpringObject]
+    #: the door-per-object server whose ``unreferenced`` the last consume
+    #: must fire; None where no per-object notification exists
+    server: str | None = None
+    #: False for the one vector that only ever lives beside its impl
+    travels: bool = True
+
+
+CLIENT_RECIPES = {
+    "SingletonClient": ClientRecipe(_singleton, "SingletonServer"),
+    "SimplexClient": ClientRecipe(_simplex, "SimplexServer"),
+    "SimplexInlineVector": ClientRecipe(_simplex_inline, travels=False),
+    "RealtimeClient": ClientRecipe(_realtime, "RealtimeServer"),
+    "SynchronizedClient": ClientRecipe(_synchronized, "SynchronizedServer"),
+    "ShmClient": ClientRecipe(_shm, "ShmServer"),
+    "VideoClient": ClientRecipe(_video, "VideoServer"),
+    # (the module-level ``_transact`` is by now the server recipe's maker)
+    "TransactClient": ClientRecipe(EXPORTERS["transact"], "TransactServer"),
+    "CachingClient": ClientRecipe(_caching, "CachingServer"),
+    "ReconnectableClient": ClientRecipe(_reconnectable, "ReconnectableServer"),
+    "MigratoryClient": ClientRecipe(_migratory, "MigratoryServer"),
+    "ClusterClient": ClientRecipe(_cluster),
+    "RawNetClient": ClientRecipe(_rawnet),
+    "RepliconClient": ClientRecipe(_replicon),
+    "RowaClient": ClientRecipe(_rowa),
+}
+
+CLIENTS = _bundled(ClientSubcontract)
+_RECIPES = [CLIENT_RECIPES.get(cls.__name__, ClientRecipe(None)) for cls in CLIENTS]
+TRAVELLING = [cls for cls, recipe in zip(CLIENTS, _RECIPES) if recipe.travels]
+NOTIFYING = [cls for cls, recipe in zip(CLIENTS, _RECIPES) if recipe.server]
+
+
+def test_every_bundled_client_has_a_recipe():
+    assert {cls.__name__ for cls in CLIENTS} == set(CLIENT_RECIPES)
+    assert len(CLIENTS) >= 15 and len(NOTIFYING) >= 10
+
+
+class HeldWorld:
+    """An object of vector ``cls``: held in the client domain when the
+    vector travels, beside its impl when it does not; ``peer`` is the
+    other domain."""
+
+    def __init__(self, world, cls: type, obj: SpringObject | None = None) -> None:
+        self.env, self.server, client, self.binding = world
+        recipe = CLIENT_RECIPES.get(cls.__name__)
+        if recipe is None:
+            pytest.fail(f"{cls.__name__} has no entry in CLIENT_RECIPES")
+        self.holder, self.peer = (
+            (client, self.server) if recipe.travels else (self.server, client)
+        )
+        #: identifiers the holder owned before the object reached it
+        self.owned_before = len(self.holder.door_ids)
+        if obj is None:
+            obj = recipe.export(self.env, self.server, self.binding)
+        if recipe.travels:
+            obj = transfer(obj, client)
+        assert type(obj._subcontract) is cls
+        self.obj = obj
+
+    def ledger(self) -> tuple:
+        """Identifiers each domain owns and every live door's refcount."""
+        return (
+            len(self.holder.door_ids),
+            len(self.peer.door_ids),
+            {uid: door.refcount for uid, door in self.env.kernel.doors.items() if door.refcount},
+        )
+
+    def marshalled(self, fused: bool) -> tuple[MarshalBuffer, dict]:
+        """The object's copy on the wire, and what putting it there cost."""
+        clock = self.env.kernel.clock
+        clock.reset_tally()
+        buffer = MarshalBuffer(self.env.kernel)
+        vector = self.obj._subcontract
+        if fused:
+            vector.marshal_copy(self.obj, buffer)
+        else:
+            vector.marshal(vector.copy(self.obj), buffer)
+        return buffer, clock.tally()
+
+
+@pytest.mark.parametrize("cls", CLIENTS, ids=_by_name)
+class TestClientTail:
+    def test_marshal_copy_is_copy_then_marshal(self, world, cls):
+        held = HeldWorld(world, cls)
+        fused, fused_cost = held.marshalled(fused=True)
+        plain, plain_cost = held.marshalled(fused=False)
+        assert bytes(fused.data) == bytes(plain.data)
+        assert fused.live_door_count() == plain.live_door_count()
+        assert set(fused_cost) <= set(plain_cost)
+        for event, spent_us in fused_cost.items():
+            assert spent_us <= plain_cost[event] + 1e-9, event
+        assert held.obj.total() == 0  # the original is still whole
+
+    def test_copy_then_consume_conserves_identifiers(self, world, cls):
+        held = HeldWorld(world, cls)
+        before = held.ledger()
+        duplicate = held.obj.spring_copy()
+        assert duplicate.add(1) == 1 and held.obj.total() == 1
+        duplicate.spring_consume()
+        assert held.ledger() == before
+
+    def test_give_then_consume_conserves_identifiers(self, world, cls):
+        held = HeldWorld(world, cls)
+        before = held.ledger()
+        given = give(held.obj, held.peer)
+        assert given.add(1) == 1 and held.obj.total() == 1
+        given.spring_consume()
+        assert held.ledger() == before
+
+    def test_recycled_marshal_copy_leaves_the_sender_unchanged(self, world, cls):
+        held = HeldWorld(world, cls)
+        before = held.ledger()
+        buffer, _ = held.marshalled(fused=True)
+        buffer.recycle()
+        assert held.ledger() == before
+        assert held.obj.total() == 0
+
+
+@pytest.mark.parametrize("cls", TRAVELLING, ids=_by_name)
+def test_copy_and_consume_outlive_the_server(world, cls):
+    held = HeldWorld(world, cls)
+    owned = len(held.holder.door_ids)
+    crash_domain(held.server)
+    duplicate = held.obj.spring_copy()
+    duplicate.spring_consume()
+    assert len(held.holder.door_ids) == owned
+    held.obj.spring_consume()
+    assert len(held.holder.door_ids) == held.owned_before
+
+
+@pytest.mark.parametrize("cls", NOTIFYING, ids=_by_name)
+def test_last_consume_anywhere_fires_unreferenced_once(world, cls):
+    recipe = CLIENT_RECIPES[cls.__name__]
+    served = ServedWorld(world, next(s for s in SERVERS if s.__name__ == recipe.server))
+    impl, reclaimed = served.recipe.impl(), []
+    held = HeldWorld(world, cls, served.export(impl, unreferenced=reclaimed.append))
+    spare = give(held.obj, held.peer)
+    held.obj.spring_consume()
+    served.recipe.release(served.server)
+    assert reclaimed == []  # the copy in the other domain still names the door
+    spare.spring_consume()
+    assert reclaimed == [impl]
+
+
+def test_documented_client_sample_inherits_the_tail(world):
+    """docs/writing-a-subcontract.md §1 prints a rep with its hooks and a
+    vector that inherits the tail; run the printed code."""
+    from repro.core.registry import ensure_registry
+    from repro.subcontracts.singleton import SingleDoorServer
+
+    guide = pathlib.Path(__file__).parents[2] / "docs" / "writing-a-subcontract.md"
+    section = guide.read_text().split("## 1. The client operations vector")[1]
+    sample = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    printed: dict = {}
+    exec(compile(sample, str(guide), "exec"), printed)
+
+    class TaggedServer(SingleDoorServer):
+        id = "tagged"
+
+        def make_rep(self, door_id, binding):
+            return printed["TaggedRep"](door_id, 7)
+
+    env, server, client, binding = world
+    for domain in (server, client):
+        ensure_registry(domain).register(printed["TaggedClient"])
+    reclaimed = []
+    exported = TaggedServer(server).export(CounterImpl(), binding, unreferenced=reclaimed.append)
+    obj = transfer(exported, client)
+    handles = [obj, obj.spring_copy(), give(obj, server)]
+    assert [handle._rep.tag for handle in handles] == [7, 7, 7]
+    assert [handle.add(1) for handle in handles] == [1, 2, 3]
+    for handle in handles:
+        assert reclaimed == []
+        handle.spring_consume()
+    assert len(reclaimed) == 1
