@@ -3,13 +3,13 @@
 Two questions, in the P3–P8 style:
 
 1. **What does the uninstalled exactly-once plane cost the hot path?**
-   Nothing measurable: with no ``idempotency_key`` context live anywhere
-   in the process, ``door_call``'s stamp gate is one plain attribute
-   read (``kernel._idem_depth``) + one branch, and delivery's key-
-   hygiene gate is one ``__slots__`` read (``buffer.idem_key``) + one
-   branch.  The PR gates are the usual pair — the general-stub simulated
-   time stays *bit-for-bit* the pre-P9 figure (asserted on every run
-   against :data:`PRE_P9_GENERAL_SIM_US`), and the PR-time interleaved
+   Nothing measurable: with an empty call context, ``door_call``'s
+   stamp gate is one thread-slot read (``kernel.context.value``) + one
+   branch, and delivery's context gate is one ``__slots__`` read
+   (``buffer.ctx``) + one branch.  The PR gates are the usual pair —
+   the general-stub simulated time stays *bit-for-bit* the pre-P9
+   figure (asserted on every run against
+   :data:`PRE_P9_GENERAL_SIM_US`), and the PR-time interleaved
    A/B against a worktree at the pre-P9 commit stays inside the 2% wall
    gate (committed in :data:`PR_AB_VS_PRE_P9`).
 

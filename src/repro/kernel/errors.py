@@ -95,9 +95,9 @@ class ServerBusyError(CommunicationError):
 class DeadlineExceeded(CommunicationError):
     """The call's deadline expired before it completed.
 
-    A ``deadline_us`` installed with :func:`repro.runtime.deadline.deadline`
-    travels in the wire context next to the trace context and is enforced
-    at the door, fabric, and network-server legs.  It is a communication
+    A deadline installed with :func:`repro.runtime.deadline.deadline`
+    travels in the call context and is enforced at the door, fabric,
+    network-server and process-fabric legs.  It is a communication
     failure — the server may or may not have executed the operation — but
     retry policies treat it as *non-retryable*: the caller's time budget
     is spent, so retrying would only dishonour the deadline further.

@@ -42,7 +42,8 @@ from repro.kernel.errors import (
     InvalidDoorError,
     ServerDiedError,
 )
-from repro.obs.tracer import NULL_TRACER
+from repro.marshal.context import DEADLINE, HOP_KEYS
+from repro.obs.tracer import NULL_TRACER, TRACE
 
 if TYPE_CHECKING:
     from repro.marshal.buffer import MarshalBuffer
@@ -55,24 +56,16 @@ __all__ = ["Kernel"]
 _TSAN_FROM_ENV = os.environ.get("REPRO_TSAN", "") not in ("", "0")
 
 
-class _ThreadDeadline(threading.local):
-    """Per-thread deadline slot with a class-level default.
+class _ThreadContext(threading.local):
+    """Per-thread call-context slot with a class-level default.
 
-    The default makes the unset read (`self._deadline.value`) an ordinary
-    attribute lookup; ``getattr(local, "value", None)`` on a fresh thread
-    is AttributeError-driven and ~6x slower — too hot for the gate that
-    runs on every door call.
+    The default makes the unset read (``kernel.context.value``) an
+    ordinary attribute lookup; ``getattr(local, "value", None)`` on a
+    fresh thread is AttributeError-driven and ~6x slower — too hot for
+    the gate that runs on every door call.
     """
 
-    value: float | None = None
-
-
-class _ThreadIdem(threading.local):
-    """Per-thread idempotency-key slot, class-level default like
-    :class:`_ThreadDeadline` (the unset read must stay one attribute
-    lookup — this slot is consulted on every door call)."""
-
-    value: int | None = None
+    value: dict | None = None
 
 
 class Kernel:
@@ -107,20 +100,9 @@ class Kernel:
         #: the tracer, uninstalled costs one attribute read + one branch
         #: per interception point and zero simulated time.
         self.chaos = None
-        # Per-thread absolute call deadline (sim-us); installed by
-        # repro.runtime.deadline.deadline() and stamped onto buffers at
-        # door_call so the budget follows the call across machines.
-        self._deadline = _ThreadDeadline()
-        # Per-thread idempotency key; installed by
-        # repro.runtime.idem.idempotency_key() and stamped onto buffers
-        # at door_call.  Cleared around handler delivery: the key names
-        # ONE logical request, so calls a handler makes never inherit it.
-        self._idem = _ThreadIdem()
-        #: count of live idempotency_key contexts (any thread).  Zero on
-        #: the unkeyed fast path, so door_call's stamp gate is one plain
-        #: attribute read + branch — the thread-local is only consulted
-        #: while some thread actually holds a key.
-        self._idem_depth = 0
+        #: the calling thread's call context (repro.marshal.context): stamped
+        #: onto buffers at door_call, swapped for the request's in incoming
+        self.context = _ThreadContext()
         # Kernel-scoped sequence counters (txn ids, saga ids, idempotency
         # keys).  Process-global counters leak state between worlds and
         # break seed-swept replays; these reset with the kernel.
@@ -310,7 +292,7 @@ class Kernel:
         """Execute a cross-address-space call through a door.
 
         This is the launch leg: the kernel validates the caller's budget
-        and capability, stamps the out-of-band slots, seals the buffer
+        and capability, stamps the caller's call context, seals the buffer
         and routes it — to the network fabric when the server lives on
         another machine, otherwise straight to :meth:`incoming`, which
         the fabric also ends in.  The gate order is the "launch" rows
@@ -321,12 +303,14 @@ class Kernel:
         # Before the capability check: retry loops must see a spent
         # budget as DeadlineExceeded (which they refuse to retry), not as
         # a dead door's retryable ServerDiedError.
-        dl = self._deadline.value
-        if dl is not None and self.clock.now_us >= dl:
-            raise DeadlineExceeded(
-                f"deadline passed before calling door #{ident.uid} "
-                f"({self.clock.now_us - dl:.1f} us over budget)"
-            )
+        ctx = self.context.value
+        if ctx is not None:
+            dl = ctx.get(DEADLINE)
+            if dl is not None and self.clock.now_us >= dl:
+                raise DeadlineExceeded(
+                    f"deadline passed before calling door #{ident.uid} "
+                    f"({self.clock.now_us - dl:.1f} us over budget)"
+                )
 
         with self._table_lock:
             self._check_usable(caller, ident, for_call=True)
@@ -337,20 +321,10 @@ class Kernel:
                 f"server domain {server.name!r} of door #{door.uid} has crashed"
             )
 
-        # Stamp the deadline onto the buffer's out-of-band slot so the
-        # budget follows the call across machines (release/recycle clear
-        # the slot, so unbounded calls need no write here).
-        if dl is not None:
-            buffer.deadline_us = dl
-
-        # Stamp the idempotency key the same way; a retry loop reusing
-        # this buffer re-stamps the same key, which is the point.  Gated
-        # on the live-context count so the unkeyed path never pays the
-        # thread-local read.
-        if self._idem_depth:
-            ik = self._idem.value
-            if ik is not None:
-                buffer.idem_key = ik
+        # The call context follows the call on the buffer's out-of-band
+        # slot (release clears it: a call that carries nothing writes none).
+        if ctx is not None:
+            buffer.ctx = ctx
 
         chaos = self.chaos
         if chaos is not None:
@@ -372,9 +346,8 @@ class Kernel:
         )
         tracer = self.tracer
         if tracer.enabled:
-            # The door span's context crosses the transmission boundary
-            # in the buffer's out-of-band slot, never in the marshalled
-            # bytes (domain isolation: only the two integers travel).
+            # The door span is the trace context of this hop: it rides in
+            # the buffer's call context, never in the marshalled bytes.
             with tracer.begin_span(
                 caller,
                 door.label or f"door#{door.uid}",
@@ -383,7 +356,7 @@ class Kernel:
                 server=server.name,
                 remote=remote,
             ) as span:
-                buffer.trace_ctx = span.ctx
+                buffer.ctx = span.stamp(ctx)
                 try:
                     reply = (
                         self.fabric(caller, door, buffer)
@@ -391,7 +364,7 @@ class Kernel:
                         else self.incoming(door, buffer)
                     )
                 finally:
-                    buffer.trace_ctx = None
+                    buffer.ctx = ctx
         else:
             reply = (
                 self.fabric(caller, door, buffer)
@@ -431,45 +404,44 @@ class Kernel:
                 door.calls_handled += 1
             # The request has been consumed: from here a refusal (late
             # arrival, crash-mid-call) counts as a handled call.
-            dl = buffer.deadline_us
-            if dl is not None and self.clock.now_us >= dl:
-                raise DeadlineExceeded(
-                    f"deadline passed before door #{door.uid} handler ran "
-                    f"({self.clock.now_us - dl:.1f} us over budget)"
-                )
+            ctx = buffer.ctx
+            if ctx is not None:
+                dl = ctx.get(DEADLINE)
+                if dl is not None and self.clock.now_us >= dl:
+                    raise DeadlineExceeded(
+                        f"deadline passed before door #{door.uid} handler ran "
+                        f"({self.clock.now_us - dl:.1f} us over budget)"
+                    )
             chaos = self.chaos
             if chaos is not None:
                 chaos.on_deliver(door)
             depth_local = self._depth
             depth = getattr(depth_local, "value", 0)
             depth_local.value = depth + 1
-            # The idempotency key names exactly one logical request:
-            # clear the thread slot while the handler runs so its nested
-            # calls don't inherit the caller's key, and restore it for
-            # the caller's retry loop.  Gated on the buffer's slot —
-            # door_call stamps it whenever the thread slot is set, so an
-            # unkeyed delivery pays one __slots__ read + branch, never
-            # the (much slower) thread-local read.
-            if buffer.idem_key is not None:
-                idem_local = self._idem
-                ik = idem_local.value
-                if ik is not None:
-                    idem_local.value = None
-            else:
-                ik = None
+            # The handler runs in the context that came with the call, less
+            # the keys that name this hop only (an idempotency key names one
+            # request, not the calls it makes); door_call stamps every
+            # non-empty context, so a call carrying none is already in its own.
+            if ctx is not None:
+                ctx_local = self.context
+                held = ctx_local.value
+                inherited = ctx.copy()
+                for key_id in HOP_KEYS:
+                    inherited.pop(key_id, None)
+                ctx_local.value = inherited or None
             ts = self.tsan
             if ts is not None:
                 ts.on_door_receive(door, buffer)
             tracer = self.tracer
             try:
                 if tracer.enabled:
-                    # The handler span's parent is ONLY the context that
-                    # crossed the wire, never the delivering thread's
-                    # stack.
+                    # The handler span's parent is ONLY the trace context
+                    # that crossed with the call, never the delivering
+                    # thread's stack.
                     with tracer.begin_handler(
                         server,
                         door.label or f"door#{door.uid}",
-                        buffer.trace_ctx,
+                        ctx.get(TRACE) if ctx is not None else None,
                         door=door.uid,
                     ):
                         reply = door.handler(buffer)
@@ -477,8 +449,8 @@ class Kernel:
                     reply = door.handler(buffer)
             finally:
                 depth_local.value = depth
-                if ik is not None:
-                    idem_local.value = ik
+                if ctx is not None:
+                    ctx_local.value = held
             if ts is not None:
                 ts.on_reply_send(reply)
             return reply

@@ -101,9 +101,7 @@ class MarshalBuffer:
         "_real_enc",
         "_real_dec",
         "_released_at",
-        "trace_ctx",
-        "deadline_us",
-        "idem_key",
+        "ctx",
     )
 
     def __init__(self, kernel: "Kernel | None" = None) -> None:
@@ -124,18 +122,9 @@ class MarshalBuffer:
         self._pooled = False
         self._retired = False
         self._released_at: str | None = None
-        #: out-of-band trace context ``(trace_id, span_id)`` stamped by the
-        #: kernel's traced door leg; like ``doors``, it crosses the
-        #: transmission boundary without entering the marshalled bytes.
-        self.trace_ctx: tuple[int, int] | None = None
-        #: out-of-band absolute call deadline (sim-us) stamped by the
-        #: kernel at door_call; enforced at the fabric, netserver, and
-        #: delivery legs (see repro.runtime.deadline).
-        self.deadline_us: float | None = None
-        #: out-of-band idempotency key (u64) stamped by the kernel at
-        #: door_call; consulted by server-side dedup memos so a retried
-        #: request returns the recorded reply (see repro.runtime.idem).
-        self.idem_key: int | None = None
+        #: the call context (repro.marshal.context) stamped at door_call;
+        #: like ``doors``, it crosses without entering the marshalled bytes
+        self.ctx: dict | None = None
 
     # ------------------------------------------------------------------
     # write side
@@ -424,9 +413,7 @@ class MarshalBuffer:
         self.doors = []
         self.region = None
         self.sealed = False
-        self.trace_ctx = None
-        self.deadline_us = None
-        self.idem_key = None
+        self.ctx = None
         self._real_dec.pos = 0
         # Stale handles now fail loudly on any put/get (use-after-release).
         self._enc = self._dec = _RELEASED_STREAM

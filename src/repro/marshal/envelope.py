@@ -4,31 +4,34 @@ The process fabric (:mod:`repro.net.procfabric`) carries door calls
 between real OS processes.  The *payload* of such a call is the exact
 byte stream a :class:`~repro.marshal.buffer.MarshalBuffer` already
 produced — the wire format IS the inter-process format, no re-marshalling
-layer exists — but three things ride on the buffer *out of band* and must
-survive the boundary: the call deadline (``deadline_us``), the trace
-context (``trace_ctx``), and the idempotency key (``idem_key``).  The
-envelope is the small fixed-size header that frames one payload and
-carries those items, plus routing (call id, target export).  The payload
-always follows its header inline on the same socket, at every size.
+layer exists — and the call context (:mod:`repro.marshal.context`) rides
+beside it, as it rides beside the bytes inside a process.  The envelope
+frames one payload: a small fixed header (routing: call id, target
+export), then the context section, then the payload inline on the same
+socket, at every size.
 
-Layout (little-endian, 56 bytes)::
+Layout (little-endian, 22-byte header)::
 
     magic        u16   0x5BC6
-    version      u8    3
+    version      u8    4
     kind         u8    CALL / REPLY / ERROR / CONTROL / CONTROL_REPLY
     call_id      u64   request/reply correlation
     target       u32   export id (CALL) or control op (CONTROL)
-    flags        u32   DEADLINE / TRACE / IDEM bits; any other bit is refused
-    budget_us    f64   remaining deadline budget (sim-us), if DEADLINE
-    trace_id     u64   wire trace context, if TRACE
-    span_id      u64   wire trace context, if TRACE
+    context_len  u16   context section byte count, at most MAX_CONTEXT
     payload_len  u32   payload byte count, at most MAX_PAYLOAD
-    idem_key     u64   idempotency key of the logical request, if IDEM
 
-The deadline crosses as a *remaining budget* rather than an absolute
-instant because each process runs its own simulated clock; the receiver
-re-anchors the budget on its clock and the existing delivery-leg check
-enforces it unchanged.
+The context section is one entry per key of the call context::
+
+    key id       u8    a registered key (repro.marshal.context.KEYS)
+    length       u8    value byte count
+    value              the key's codec output
+
+The envelope reads no key: each key's codec encodes its value on the
+sender's clock and decodes it on the receiver's, which is how a deadline
+crosses as a *remaining budget* re-anchored on the receiving process's
+own simulated clock.  The section is read together with the payload,
+and refused as a whole — truncated, an unknown key id, a value
+its codec cannot read — before the payload is handed to anyone.
 
 Error payloads reuse the ordinary :class:`~repro.marshal.codec.Encoder`
 items: a string (exception type name), a string (message), and a float64
@@ -39,13 +42,16 @@ signal round-trips exactly).
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.marshal.codec import Decoder, Encoder
+from repro.marshal.context import KEYS
 from repro.marshal.errors import MarshalError
 
 if TYPE_CHECKING:
     import socket
+
+    from repro.kernel.clock import SimClock
 
 __all__ = [
     "Envelope",
@@ -55,11 +61,10 @@ __all__ = [
     "KIND_ERROR",
     "KIND_CONTROL",
     "KIND_CONTROL_REPLY",
-    "FLAG_DEADLINE",
-    "FLAG_TRACE",
-    "FLAG_IDEM",
     "HEADER",
+    "MAX_CONTEXT",
     "MAX_PAYLOAD",
+    "pack_context",
     "pack_error",
     "unpack_error",
     "send_envelope",
@@ -68,7 +73,7 @@ __all__ = [
 ]
 
 MAGIC = 0x5BC6
-VERSION = 3
+VERSION = 4
 
 KIND_CALL = 1
 KIND_REPLY = 2
@@ -78,16 +83,12 @@ KIND_CONTROL_REPLY = 5
 
 _KINDS = (KIND_CALL, KIND_REPLY, KIND_ERROR, KIND_CONTROL, KIND_CONTROL_REPLY)
 
-#: ``budget_us`` is meaningful (the call carries a deadline)
-FLAG_DEADLINE = 0x2
-#: ``trace_id``/``span_id`` are meaningful (the call carries a context)
-FLAG_TRACE = 0x4
-#: ``idem_key`` is meaningful (the call names a logical request)
-FLAG_IDEM = 0x8
+HEADER = struct.Struct("<HBBQIHI")
 
-_KNOWN_FLAGS = FLAG_DEADLINE | FLAG_TRACE | FLAG_IDEM
-
-HEADER = struct.Struct("<HBBQIIdQQIQ")
+#: largest context section one envelope may carry.  ``context_len`` is read
+#: off the wire; a context is a handful of small keys, so anything near
+#: this is a corrupt or hostile header, not a call.
+MAX_CONTEXT = 1024
 
 #: largest payload one envelope may frame.  ``payload_len`` is a u32 read
 #: off the wire: without a cap, one corrupt header would leave the reader
@@ -99,71 +100,14 @@ class ChannelClosedError(Exception):
     """The peer closed the socket mid-stream (worker death, shutdown)."""
 
 
-class Envelope:
-    """One decoded envelope: header fields plus the payload bytes."""
+class Envelope(NamedTuple):
+    """One decoded envelope: routing, call context, payload bytes."""
 
-    __slots__ = (
-        "kind",
-        "call_id",
-        "target",
-        "flags",
-        "budget_us",
-        "trace_ctx",
-        "payload",
-        "idem_key",
-    )
-
-    def __init__(
-        self,
-        kind: int,
-        call_id: int,
-        target: int,
-        flags: int,
-        budget_us: float | None,
-        trace_ctx: tuple[int, int] | None,
-        payload: bytes,
-        idem_key: "int | None" = None,
-    ) -> None:
-        self.kind = kind
-        self.call_id = call_id
-        self.target = target
-        self.flags = flags
-        self.budget_us = budget_us
-        self.trace_ctx = trace_ctx
-        self.payload = payload
-        self.idem_key = idem_key
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Envelope kind={self.kind} call={self.call_id} "
-            f"target={self.target} {len(self.payload)}B flags={self.flags:#x}>"
-        )
-
-
-def pack_header(
-    kind: int,
-    call_id: int,
-    target: int,
-    flags: int,
-    budget_us: float,
-    trace_id: int,
-    span_id: int,
-    payload_len: int,
-    idem_key: int = 0,
-) -> bytes:
-    return HEADER.pack(
-        MAGIC,
-        VERSION,
-        kind,
-        call_id,
-        target,
-        flags,
-        budget_us,
-        trace_id,
-        span_id,
-        payload_len,
-        idem_key,
-    )
+    kind: int
+    call_id: int
+    target: int
+    ctx: "dict | None"
+    payload: bytes
 
 
 def pack_error(exc: BaseException) -> bytes:
@@ -194,9 +138,48 @@ def read_exact(sock: "socket.socket", count: int) -> bytes:
             )
         chunks.append(chunk)
         remaining -= len(chunk)
-    if len(chunks) == 1:
-        return chunks[0]
     return b"".join(chunks)
+
+
+def pack_context(ctx: dict, now_us: float = 0.0) -> bytes:
+    """The context section for ``ctx``, each key encoded on the sender's
+    clock reading ``now_us``; refuses what the receiver would refuse."""
+    section = bytearray()
+    for key_id, value in ctx.items():
+        data = KEYS[key_id].encode(value, now_us)
+        if len(data) > 0xFF:
+            raise MarshalError(
+                f"context key {KEYS[key_id].name!r} encoded {len(data)}B, over 255B"
+            )
+        section += bytes((key_id, len(data))) + data
+    if len(section) > MAX_CONTEXT:
+        raise MarshalError(
+            f"context of {len(section)}B exceeds the envelope limit of {MAX_CONTEXT}B"
+        )
+    return bytes(section)
+
+
+def _unpack_context(section: bytes, clock: "SimClock | None") -> dict:
+    now_us = clock.now_us if clock is not None else 0.0
+    ctx: dict = {}
+    pos, end = 0, len(section)
+    while pos < end:
+        if pos + 2 > end or pos + 2 + section[pos + 1] > end:
+            raise ChannelClosedError("truncated envelope context entry")
+        key_id, size = section[pos], section[pos + 1]
+        key = KEYS.get(key_id)
+        if key is None or key_id in ctx:
+            raise ChannelClosedError(
+                f"unknown or repeated envelope context key id {key_id}"
+            )
+        pos += 2 + size
+        try:
+            ctx[key_id] = key.decode(section[pos - size : pos], now_us)
+        except Exception as exc:
+            raise ChannelClosedError(
+                f"envelope context key {key.name!r} refused its value: {exc}"
+            ) from exc
+    return ctx
 
 
 def send_envelope(
@@ -205,46 +188,24 @@ def send_envelope(
     call_id: int,
     target: int,
     payload: "bytes | bytearray | memoryview",
-    budget_us: float | None = None,
-    trace_ctx: tuple[int, int] | None = None,
-    idem_key: "int | None" = None,
+    context: bytes = b"",
 ) -> None:
-    """Frame and send one envelope: header, then the payload inline.
+    """Frame and send one envelope: header, context section, payload.
 
-    The payload goes to the socket as it is — the marshal buffer's
+    ``context`` is a section from :func:`pack_context`, framed unread;
+    the sender encodes its call context on its own clock.  The
+    payload goes to the socket as it is — the marshal buffer's
     ``bytearray`` is never copied into an intermediate joined message.
     Callers serialize sends per socket themselves (the fabric holds a
     per-worker send lock).
     """
-    flags = 0
-    budget = 0.0
-    if budget_us is not None:
-        flags |= FLAG_DEADLINE
-        budget = budget_us
-    trace_id = span_id = 0
-    if trace_ctx is not None:
-        flags |= FLAG_TRACE
-        trace_id, span_id = trace_ctx
-    key = 0
-    if idem_key is not None:
-        flags |= FLAG_IDEM
-        key = idem_key
     size = len(payload)
     if size > MAX_PAYLOAD:
         raise MarshalError(
             f"payload of {size}B exceeds the envelope limit of {MAX_PAYLOAD}B"
         )
-    header = pack_header(
-        kind,
-        call_id,
-        target,
-        flags,
-        budget,
-        trace_id,
-        span_id,
-        size,
-        key,
-    )
+    header = HEADER.pack(MAGIC, VERSION, kind, call_id, target, len(context), size)
+    header += context
     if not size:
         sock.sendall(header)
         return
@@ -265,47 +226,35 @@ def send_envelope(
             sock.sendall(view[sent - len(header) :])
 
 
-def recv_envelope(sock: "socket.socket") -> Envelope:
-    """Receive one envelope, refusing any header this version cannot frame.
+def recv_envelope(sock: "socket.socket", clock: "SimClock | None" = None) -> Envelope:
+    """Receive one envelope, refusing anything this version cannot frame.
 
-    The header comes off the wire, so every field that steers the reader
-    is checked before it is acted on; a refusal raises
-    :class:`ChannelClosedError` because the stream cannot be resynchronized.
+    The header and the context section come off the wire, so every field
+    that steers the reader is checked before it is acted on; a refusal
+    raises :class:`ChannelClosedError` because the stream cannot be
+    resynchronized.  The context, read together with the payload, is
+    decoded on ``clock``'s reading (0 without one).
     """
-    raw = read_exact(sock, HEADER.size)
-    (
-        magic,
-        version,
-        kind,
-        call_id,
-        target,
-        flags,
-        budget,
-        trace_id,
-        span_id,
-        payload_len,
-        idem_key,
-    ) = HEADER.unpack(raw)
+    magic, version, kind, call_id, target, context_len, payload_len = HEADER.unpack(
+        read_exact(sock, HEADER.size)
+    )
     if magic != MAGIC or version != VERSION:
         raise ChannelClosedError(
             f"bad envelope header (magic={magic:#x} version={version})"
         )
     if kind not in _KINDS:
         raise ChannelClosedError(f"unknown envelope kind {kind}")
-    if flags & ~_KNOWN_FLAGS:
-        raise ChannelClosedError(f"unknown envelope flag bits {flags:#x}")
+    if context_len > MAX_CONTEXT:
+        raise ChannelClosedError(
+            f"envelope claims a {context_len}B context, over the limit of "
+            f"{MAX_CONTEXT}B"
+        )
     if payload_len > MAX_PAYLOAD:
         raise ChannelClosedError(
             f"envelope claims a {payload_len}B payload, over the limit of "
             f"{MAX_PAYLOAD}B"
         )
-    return Envelope(
-        kind,
-        call_id,
-        target,
-        flags,
-        budget if flags & FLAG_DEADLINE else None,
-        (trace_id, span_id) if flags & FLAG_TRACE else None,
-        read_exact(sock, payload_len) if payload_len else b"",
-        idem_key if flags & FLAG_IDEM else None,
-    )
+    size = context_len + payload_len
+    body = read_exact(sock, size) if size else b""
+    ctx = _unpack_context(body[:context_len], clock) if context_len else None
+    return Envelope(kind, call_id, target, ctx, body[context_len:])

@@ -18,6 +18,7 @@ import random
 from typing import TYPE_CHECKING, Callable
 
 from repro.kernel.errors import DeadlineExceeded, NetworkPartitionError
+from repro.marshal.context import DEADLINE
 from repro.net.machine import Machine
 
 if TYPE_CHECKING:
@@ -247,7 +248,8 @@ class NetworkFabric:
         src.net_server.outbound(buffer.live_door_count(), domain=caller)
         self._wire_time(buffer.size, src, dst)
         dst.net_server.inbound(buffer.live_door_count(), domain=door.server)
-        dl = buffer.deadline_us
+        ctx = buffer.ctx
+        dl = ctx.get(DEADLINE) if ctx is not None else None
         if dl is not None and self.kernel.clock.now_us >= dl:
             raise DeadlineExceeded(
                 f"deadline passed on the request wire leg to {dst.name!r}"

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.kernel.errors import DeadlineExceeded
+from repro.marshal.context import DEADLINE
 
 if TYPE_CHECKING:
     from repro.kernel.domain import Domain
@@ -80,9 +81,10 @@ class NetworkServer:
                 TRANSLATE_DOOR_US * door_count, "net_door_translate"
             )
         # Deadline enforcement at the translation leg.  Invocation legs
-        # run synchronously on the calling thread, so the kernel's
-        # per-thread deadline is the same budget the buffer carries.
-        dl = getattr(kernel._deadline, "value", None)
+        # run synchronously on the calling thread, so the thread's call
+        # context holds the same deadline the buffer carries.
+        ctx = kernel.context.value
+        dl = ctx.get(DEADLINE) if ctx is not None else None
         if dl is not None and kernel.clock.now_us >= dl:
             raise DeadlineExceeded(
                 f"deadline passed at {span_name} on machine {self.machine.name!r}"

@@ -19,14 +19,14 @@ subcontract, deadlines, tracing, retry policies, and admission control
 all run unchanged above it — the correctness planes compose across a
 transport they were not born on:
 
-* **deadlines** — the proxy reads the buffer's out-of-band
-  ``deadline_us``, ships the *remaining budget*, and the worker
-  re-anchors it on its own clock; the ordinary incoming-leg check
-  refuses late calls and the resulting :class:`DeadlineExceeded`
-  crosses back as an ERROR envelope.
-* **tracing** — the proxy opens a ``fabric`` span and stamps its
-  context into the envelope; the worker's handler span parents from
-  that wire context alone, so both processes' spans join one trace id.
+* **deadlines** — the proxy hands the request's call context to the
+  envelope unread; the deadline crosses as the *remaining budget*, the
+  worker re-anchors it on its own clock, its ordinary incoming-leg check
+  refuses late calls (:class:`DeadlineExceeded` crosses back as an ERROR
+  envelope) and the handler's own calls inherit it.
+* **tracing** — the proxy opens a ``fabric`` span and stamps it as the
+  context's trace key; the worker's handler span parents from that
+  wire context alone, so both processes' spans join one trace id.
 * **admission** — the worker hands each call to its kernel's
   ``incoming`` leg, where the admission gate sits; a shed call's
   :class:`ServerBusyError` (with its ``retry_after_us`` hint)
@@ -66,11 +66,13 @@ from repro.kernel.errors import (
     ServerBusyError,
     ServerDiedError,
 )
+from repro.marshal.context import DEADLINE
 from repro.marshal.envelope import (
     KIND_CALL,
     KIND_CONTROL,
     KIND_ERROR,
     ChannelClosedError,
+    pack_context,
     recv_envelope,
     send_envelope,
     unpack_error,
@@ -388,28 +390,26 @@ class ProcFabric:
         kernel = self.kernel
 
         def handler(request):
-            dl = request.deadline_us
-            budget = None if dl is None else dl - kernel.clock.now_us
-            if budget is not None and budget <= 0.0:
+            # The context leaves on the clock as the request reached the
+            # proxy: budgets are measured before the carry span's probe.
+            ctx = request.ctx
+            now_us = kernel.clock.now_us if ctx is not None else 0.0
+            dl = ctx.get(DEADLINE) if ctx is not None else None
+            if dl is not None and now_us >= dl:
                 raise DeadlineExceeded(
                     f"deadline spent before crossing to worker {worker} "
-                    f"({-budget:.1f} us over budget)"
+                    f"({now_us - dl:.1f} us over budget)"
                 )
-            ik = request.idem_key
             tracer = kernel.tracer
             if tracer.enabled:
                 with tracer.begin_span(
                     bridge, _SPAN_CARRY, "fabric", worker=worker, export=name
                 ) as span:
-                    payload = self.call_raw(
-                        worker, export_id, request.data, budget, span.ctx,
-                        idem_key=ik,
-                    )
+                    context = pack_context(span.stamp(ctx), now_us)
+                    payload = self.call_raw(worker, export_id, request.data, context)
             else:
-                payload = self.call_raw(
-                    worker, export_id, request.data, budget, request.trace_ctx,
-                    idem_key=ik,
-                )
+                context = pack_context(ctx, now_us) if ctx is not None else b""
+                payload = self.call_raw(worker, export_id, request.data, context)
             reply = bridge.acquire_buffer()
             reply.data.extend(payload)
             return reply
@@ -425,26 +425,17 @@ class ProcFabric:
         worker: int,
         export_id: int,
         payload: "bytes | bytearray | memoryview",
-        budget_us: float | None = None,
-        trace_ctx: tuple[int, int] | None = None,
+        context: bytes = b"",
         timeout_s: float | None = None,
-        idem_key: "int | None" = None,
     ) -> bytes:
-        """Ship one call's wire bytes to a worker; returns the reply bytes.
+        """Ship one call's bytes and packed context; returns the reply bytes.
 
         Raises the reconstructed worker-side error for ERROR envelopes
         and :class:`ServerDiedError` when the worker dies mid-call.
         """
         handle = self._handles[worker]
         envelope = self._roundtrip(
-            handle,
-            KIND_CALL,
-            export_id,
-            payload,
-            budget_us=budget_us,
-            trace_ctx=trace_ctx,
-            timeout_s=timeout_s,
-            idem_key=idem_key,
+            handle, KIND_CALL, export_id, payload, context, timeout_s
         )
         handle.calls += 1
         if envelope.kind == KIND_ERROR:
@@ -464,25 +455,14 @@ class ProcFabric:
         call_id: int,
         target: int,
         payload: "bytes | bytearray | memoryview",
-        budget_us: float | None = None,
-        trace_ctx: tuple[int, int] | None = None,
-        idem_key: "int | None" = None,
+        context: bytes = b"",
     ) -> None:
         # The send lock keeps frames whole: one writer per socket at a time.
         with handle.send_lock:
             if not handle.alive or handle.sock is None:
                 raise ServerDiedError(f"procfabric worker {handle.index} is down")
             try:
-                send_envelope(
-                    handle.sock,
-                    kind,
-                    call_id,
-                    target,
-                    payload,
-                    budget_us=budget_us,
-                    trace_ctx=trace_ctx,
-                    idem_key=idem_key,
-                )
+                send_envelope(handle.sock, kind, call_id, target, payload, context)
             except OSError as exc:
                 # The socket failed, or took no bytes for call_timeout_s
                 # (the worker is wedged or gone).  Either way the frame
@@ -501,19 +481,14 @@ class ProcFabric:
         kind: int,
         target: int,
         payload: "bytes | bytearray | memoryview",
-        budget_us: float | None = None,
-        trace_ctx: tuple[int, int] | None = None,
+        context: bytes = b"",
         timeout_s: float | None = None,
-        idem_key: "int | None" = None,
     ):
         call_id = next(self._call_ids)
         pending = _Pending()
         handle.pending[call_id] = pending
         try:
-            self._send(
-                handle, kind, call_id, target, payload,
-                budget_us=budget_us, trace_ctx=trace_ctx, idem_key=idem_key,
-            )
+            self._send(handle, kind, call_id, target, payload, context)
         except BaseException:
             handle.pending.pop(call_id, None)
             raise
@@ -534,7 +509,7 @@ class ProcFabric:
         sock = handle.sock
         try:
             while True:
-                envelope = recv_envelope(sock)
+                envelope = recv_envelope(sock, self.kernel.clock)
                 waiting = handle.pending.pop(envelope.call_id, None)
                 if waiting is not None:
                     waiting.envelope = envelope

@@ -6,11 +6,11 @@ own deterministic clock), runs the supervisor-provided ``bootstrap``
 callable to export named objects, and then serves door calls off a
 socketpair forever.  An incoming CALL envelope's payload is the exact
 byte stream the client-side stub marshalled in the supervisor process;
-the worker wraps it in a :class:`MarshalBuffer`, re-anchors the deadline
-budget on its own clock, restores the wire trace context, and hands it
-to the kernel's ordinary incoming leg — composition (deadlines,
-admission, tracing) happens in the same code that serves in-process
-calls, which is the point.
+the worker wraps it in a :class:`MarshalBuffer` with the call context
+the envelope decoded on the worker's clock, and hands it to the
+kernel's ordinary incoming leg — composition (deadlines, idempotency
+keys, admission, tracing) happens in the same code that serves
+in-process calls, which is the point.
 
 The worker is deliberately single-threaded: one call at a time per
 worker, parallelism comes from running many workers.  Every reply
@@ -165,7 +165,7 @@ def _serve(
 
     while True:
         try:
-            envelope = recv_envelope(sock)
+            envelope = recv_envelope(sock, kernel.clock)
         except (ChannelClosedError, OSError):
             log.write("supervisor channel closed; exiting")
             return
@@ -221,17 +221,7 @@ def _serve_call(kernel: Any, table: dict, envelope: Any) -> MarshalBuffer:
     request = MarshalBuffer(kernel)
     try:
         request.data.extend(envelope.payload)
-        request.sealed = True
-        # Re-anchor the remaining budget on this process's clock: the
-        # incoming leg's arrival-deadline check then enforces it.
-        if envelope.budget_us is not None:
-            request.deadline_us = kernel.clock.now_us + envelope.budget_us
-        if envelope.trace_ctx is not None and kernel.tracer.enabled:
-            request.trace_ctx = envelope.trace_ctx
-        # The idempotency key crosses the same way the deadline does:
-        # restored out-of-band so the worker-side dedup memo sees it.
-        if envelope.idem_key is not None:
-            request.idem_key = envelope.idem_key
+        request.ctx = envelope.ctx
         reply = kernel.incoming(door, request)
     finally:
         request.discard()

@@ -22,13 +22,13 @@ Causality is carried two ways:
 * **within a call chain on one thread** — a per-thread span stack; a new
   span's parent is the stack top, which is how a nested ``remote_call``
   made from inside a server-side handler joins its caller's trace;
-* **across the transmission boundary** — ``Kernel.door_call`` stamps
-  ``(trace_id, span_id)`` into the communication buffer's out-of-band
-  ``trace_ctx`` slot (the same out-of-band channel the door vector
-  uses), and ``Kernel.incoming`` starts the handler span from that
-  context alone.  Domain isolation holds: no Python object crosses, only
-  the two integers, and the rawnet subcontract proves the point by
-  carrying the same pair in-band in its packet headers
+* **across the transmission boundary** — ``Kernel.door_call`` stamps the
+  door span's ``(trace_id, span_id)`` as the per-hop :data:`TRACE` key of
+  the buffer's call context (:meth:`Span.stamp`), and ``Kernel.incoming``
+  starts the handler span from that key alone.  Domain isolation holds:
+  no Python object crosses, only the two integers, and the rawnet
+  subcontract proves the point by carrying the same pair in-band in its
+  packet headers
   (:meth:`~repro.marshal.codec.Encoder.put_trace_ctx`).
 
 Timestamps are simulated microseconds from the kernel's ``SimClock``;
@@ -43,10 +43,12 @@ identical to an untraced tree.
 from __future__ import annotations
 
 import itertools
+import struct
 import threading
 import time
 from typing import TYPE_CHECKING, Any
 
+from repro.marshal.context import register_key
 from repro.obs.metrics import (
     BYTES_BUCKETS,
     LATENCY_BUCKETS_US,
@@ -59,7 +61,16 @@ if TYPE_CHECKING:
     from repro.kernel.domain import Domain
     from repro.kernel.nucleus import Kernel
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "install_tracer"]
+__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "TRACE", "install_tracer"]
+
+#: call-context key of the trace context ``(trace_id, span_id)``; per hop
+TRACE = register_key(
+    3,
+    "trace",
+    encode=lambda pair, now_us: struct.pack("<QQ", *pair),
+    decode=lambda data, now_us: struct.unpack("<QQ", data),
+    inherit=False,
+)
 
 
 class Span:
@@ -129,6 +140,10 @@ class Span:
     def ctx(self) -> tuple[int, int]:
         """The wire form of this span: ``(trace_id, span_id)``."""
         return (self.trace_id, self.span_id)
+
+    def stamp(self, ctx: "dict | None") -> dict:
+        """``ctx`` with this span as the trace context of the hop it opens."""
+        return {**(ctx or {}), TRACE: (self.trace_id, self.span_id)}
 
     @property
     def duration_us(self) -> float:
@@ -336,9 +351,9 @@ class Tracer:
         """Open a server-side span parented ONLY by the wire context.
 
         ``ctx`` is the ``(trace_id, parent span_id)`` pair recovered from
-        the transmission (buffer ``trace_ctx`` slot, or a rawnet packet
-        header); the thread stack is deliberately not consulted, so the
-        causal link is exactly what crossed the wire.
+        the transmission (the call context's :data:`TRACE` key, or a
+        rawnet packet header); the thread stack is deliberately not
+        consulted, so the causal link is exactly what crossed the wire.
         """
         if ctx is not None:
             trace_id, parent_id = ctx

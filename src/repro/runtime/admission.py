@@ -11,8 +11,8 @@ the server side of the PR-4 failure contract:
 * a **bounded FIFO wait queue** — calls over the limit wait their turn,
   charging ``admission_wait`` simulated time; calls over ``queue_limit``
   are shed immediately;
-* **deadline-aware shedding** — a queued call whose stamped
-  ``deadline_us`` would already be spent before it could reach the front
+* **deadline-aware shedding** — a queued call whose call-context
+  deadline would already be spent before it could reach the front
   is shed on arrival (serve what can still succeed, never what cannot);
 * an optional **adaptive mode** — AIMD on observed queue delay,
   CoDel-style: while the per-window minimum delay stays under
@@ -59,6 +59,7 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.kernel.errors import ServerBusyError
+from repro.marshal.context import DEADLINE
 from repro.runtime import tsan as _tsan
 
 if TYPE_CHECKING:
@@ -329,7 +330,9 @@ class AdmissionController:
             now = clock.now_us
             if state.bursts:
                 self._pump_bursts(state, now)
-            wait, depth = self._assess(state, now, buffer.deadline_us)
+            ctx = buffer.ctx
+            deadline = ctx.get(DEADLINE) if ctx is not None else None
+            wait, depth = self._assess(state, now, deadline)
             self._commit(state, now, wait)
             if wait > 0.0:
                 state.queued += 1

@@ -1,18 +1,21 @@
 """Call deadlines: a time budget that travels with the invocation.
 
-``with deadline(kernel, timeout_us):`` installs an *absolute* simulated
-deadline for the calling thread.  The kernel stamps it onto every
-communication buffer it transmits (out-of-band, next to the trace
-context — only a float crosses, never a Python object graph), so the
-budget follows the call through doors, the network fabric, and into
-server-side handlers, where nested calls inherit it.  Enforcement sits
-at the transmission legs:
+``with deadline(kernel, timeout_us):`` puts an *absolute* simulated
+deadline in the calling thread's call context, under the
+:data:`~repro.marshal.context.DEADLINE` key this module registers.  The
+kernel stamps the context on every buffer it transmits, so the budget
+follows the call through doors and both fabrics into server-side
+handlers, where nested calls inherit it — in a process-fabric worker
+too, where the key's codec has sent the *remaining* budget and
+re-anchored it on the worker's clock.  Enforcement sits at the
+transmission legs:
 
 * ``Kernel.door_call`` refuses to launch a call whose deadline has
   already passed;
 * the fabric checks after each wire leg (a reply that lands late is
   recycled and reported lost, exactly like a reply lost to a partition);
 * the network servers check after door-identifier translation;
+* the process fabric refuses to cross with a spent budget;
 * delivery checks on arrival, before the handler runs.
 
 Every violation surfaces as :class:`~repro.kernel.errors.DeadlineExceeded`
@@ -25,13 +28,24 @@ the budget but never extend what an outer caller granted.
 
 from __future__ import annotations
 
+import struct
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
+
+from repro.marshal.context import DEADLINE, register_key
 
 if TYPE_CHECKING:
     from repro.kernel.nucleus import Kernel
 
 __all__ = ["deadline", "remaining_us"]
+
+register_key(
+    DEADLINE,
+    "deadline",
+    encode=lambda absolute, now_us: struct.pack("<d", absolute - now_us),
+    decode=lambda data, now_us: now_us + struct.unpack("<d", data)[0],
+    inherit=True,
+)
 
 
 @contextmanager
@@ -39,16 +53,17 @@ def deadline(kernel: "Kernel", timeout_us: float) -> Iterator[float]:
     """Bound every call made in this block to ``timeout_us`` of sim time.
 
     Yields the absolute deadline (sim-us).  Restores the caller's prior
-    deadline (if any) on exit; nesting tightens, never loosens.
+    context on exit; nesting tightens, never loosens.
     """
     if timeout_us < 0:
         raise ValueError(f"cannot set a negative deadline ({timeout_us} us)")
-    local = kernel._deadline
+    local = kernel.context
     prior = local.value
     absolute = kernel.clock.now_us + timeout_us
-    if prior is not None and prior < absolute:
-        absolute = prior
-    local.value = absolute
+    outer = prior.get(DEADLINE) if prior is not None else None
+    if outer is not None and outer < absolute:
+        absolute = outer
+    local.value = {**(prior or {}), DEADLINE: absolute}
     try:
         yield absolute
     finally:
@@ -57,7 +72,8 @@ def deadline(kernel: "Kernel", timeout_us: float) -> Iterator[float]:
 
 def remaining_us(kernel: "Kernel") -> float | None:
     """Sim-us left on the calling thread's deadline; ``None`` if unbounded."""
-    value = kernel._deadline.value
+    ctx = kernel.context.value
+    value = ctx.get(DEADLINE) if ctx is not None else None
     if value is None:
         return None
     return value - kernel.clock.now_us

@@ -6,12 +6,12 @@ such guarantee: the server did the work, the result evaporated on the
 wire, and a blind retry executes it twice.  This module closes that gap
 from both sides:
 
-* ``with idempotency_key(kernel, key):`` stamps a u64 key out-of-band on
-  every buffer the calling thread transmits — the ``deadline_us``
-  pattern: only a scalar crosses, never a Python object graph.  The key
-  names one *logical* request, so a retry loop holds one key across all
-  its attempts, and the kernel clears the thread slot while a handler
-  runs (nested calls a handler makes are new logical requests).
+* ``with idempotency_key(kernel, key):`` puts a u64 key in the calling
+  thread's call context as :data:`IDEM`, stamped out-of-band on every
+  buffer the thread transmits: only a scalar crosses, never a Python
+  object graph.  The key names one *logical* request, so a retry loop
+  holds one key across all its attempts, and it is registered per hop:
+  a handler's own calls are new logical requests.
 * :class:`DedupMemo` is the server side: a bounded per-door memo of
   recorded reply bytes keyed by idempotency key, modelled on the caching
   subcontract's stale memo.  :func:`wrap_idempotent` splices it in front
@@ -36,10 +36,12 @@ Interplay with the rest of the runtime, by design:
 
 from __future__ import annotations
 
+import struct
 import threading
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterator
 
+from repro.marshal.context import register_key
 from repro.runtime import tsan as _tsan
 
 if TYPE_CHECKING:
@@ -49,6 +51,7 @@ if TYPE_CHECKING:
     from repro.services.stable import StableStore
 
 __all__ = [
+    "IDEM",
     "idempotency_key",
     "next_idempotency_key",
     "current_idempotency_key",
@@ -61,6 +64,15 @@ DEDUP_MEMO_ENTRIES = 128
 
 #: only door-free replies up to this size are recorded (caching's cap)
 DEDUP_REPLY_CAP = 4096
+
+#: call-context key of the idempotency key; names one hop, not inherited
+IDEM = register_key(
+    2,
+    "idem",
+    encode=lambda key, now_us: struct.pack("<Q", key),
+    decode=lambda data, now_us: struct.unpack("<Q", data)[0],
+    inherit=False,
+)
 
 
 def next_idempotency_key(kernel: "Kernel") -> int:
@@ -75,7 +87,8 @@ def next_idempotency_key(kernel: "Kernel") -> int:
 
 def current_idempotency_key(kernel: "Kernel") -> "int | None":
     """The calling thread's active key; ``None`` when unset."""
-    return kernel._idem.value
+    ctx = kernel.context.value
+    return ctx.get(IDEM) if ctx is not None else None
 
 
 @contextmanager
@@ -88,22 +101,13 @@ def idempotency_key(kernel: "Kernel", key: int) -> Iterator[int]:
     """
     if not isinstance(key, int) or key < 0 or key > 0xFFFFFFFFFFFFFFFF:
         raise ValueError(f"idempotency key must be a u64, got {key!r}")
-    local = kernel._idem
+    local = kernel.context
     prior = local.value
-    local.value = key
-    # The active-context count lets door_call gate the (slow) thread-
-    # local read behind a plain attribute read + branch while no key is
-    # live anywhere in the process — the tracer/chaos/admission
-    # uninstalled-cost discipline.  Mutated under the table lock: the
-    # context enter/exit is not a hot path, door_call's read is.
-    with kernel._table_lock:
-        kernel._idem_depth += 1
+    local.value = {**(prior or {}), IDEM: key}
     try:
         yield key
     finally:
         local.value = prior
-        with kernel._table_lock:
-            kernel._idem_depth -= 1
 
 
 @_tsan.shared_state
@@ -202,7 +206,8 @@ def wrap_idempotent(
     kernel = domain.kernel
 
     def handler(request: "MarshalBuffer") -> "MarshalBuffer":
-        key = request.idem_key
+        ctx = request.ctx
+        key = ctx.get(IDEM) if ctx is not None else None
         if key is None:
             return inner(request)
         data = memo.lookup(key)

@@ -40,6 +40,7 @@ from repro.core.subcontract import ServerSubcontract
 from repro.kernel.errors import CommunicationError, DeadlineExceeded
 from repro.marshal.buffer import MarshalBuffer
 from repro.marshal.codec import Decoder, Encoder
+from repro.marshal.context import DEADLINE
 from repro.marshal.errors import MarshalError
 from repro.runtime.retry import RetryPolicy
 from repro.subcontracts.common import RepClient
@@ -249,7 +250,8 @@ class RawNetClient(RepClient):
         policy = self.rto_policy
         # Rawnet never touches a door, so the kernel's deadline legs never
         # see this call; enforce the caller's budget here instead.
-        dl = getattr(kernel._deadline, "value", None)
+        ctx = kernel.context.value
+        dl = ctx.get(DEADLINE) if ctx is not None else None
         for attempt in range(budget):
             if dl is not None and kernel.clock.now_us >= dl:
                 raise DeadlineExceeded(

@@ -17,6 +17,7 @@ refusal fires.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import pytest
 
@@ -27,11 +28,12 @@ from repro.kernel.errors import (
     ServerDiedError,
 )
 from repro.marshal.buffer import MarshalBuffer
+from repro.marshal.context import DEADLINE
 from repro.marshal.envelope import KIND_CALL, Envelope
 from repro.net.procworker import _serve_call
-from repro.obs.tracer import Tracer
-from repro.runtime import AdmissionPolicy, Environment, deadline
-from repro.runtime.idem import current_idempotency_key, idempotency_key
+from repro.obs.tracer import TRACE, Tracer
+from repro.runtime import AdmissionPolicy, Environment, deadline, remaining_us
+from repro.runtime.idem import IDEM, current_idempotency_key, idempotency_key
 
 ENTRIES = ("local", "fabric", "worker")
 CELLS = [
@@ -73,12 +75,26 @@ class World:
         )
         return self.kernel.attach_door_id(to, transit)
 
+    def inner_door(self, handler):
+        """A second door, beside the server, that the server may call."""
+        inner = self.env.create_domain("south", "inner")
+        ident = self.kernel.create_door(inner, lambda request: handler(inner, request))
+        return self.grant(ident, inner, self.server)
+
+    def nested_call(self, ident):
+        """From inside the probe handler: one call on ``ident``."""
+        buffer = self.server.acquire_buffer()
+        try:
+            return self.kernel.door_call(self.server, ident, buffer)
+        finally:
+            buffer.recycle()
+
     def _handler(self, request: MarshalBuffer) -> MarshalBuffer:
         self.runs += 1
         self.seen = {
             "depth": self.kernel.call_depth,
             "slot": current_idempotency_key(self.kernel),
-            "key": request.idem_key,
+            "key": (request.ctx or {}).get(IDEM),
         }
         n = request.get_int32()
         if self.on_call is not None:
@@ -96,15 +112,16 @@ class World:
         if self.entry == "worker":
             request = MarshalBuffer(kernel)
             request.put_int32(n)
+            self.bounded_at = kernel.clock.now_us
+            # The context as the envelope decodes it on this clock: the
+            # remaining budget re-anchored, the other keys as sent.
+            ctx = {TRACE: WIRE_CTX}
+            if budget_us is not None:
+                ctx[DEADLINE] = kernel.clock.now_us + budget_us
+            if key is not None:
+                ctx[IDEM] = key
             envelope = Envelope(
-                KIND_CALL,
-                call_id=1,
-                target=0,
-                flags=0,
-                budget_us=budget_us,
-                trace_ctx=WIRE_CTX,
-                payload=bytes(request.data),
-                idem_key=key,
+                KIND_CALL, call_id=1, target=0, ctx=ctx, payload=bytes(request.data)
             )
             with keyed:
                 reply = _serve_call(kernel, {0: self.door}, envelope)
@@ -117,6 +134,7 @@ class World:
             )
             buffer = self.client.acquire_buffer()
             buffer.put_int32(n)
+            self.bounded_at = kernel.clock.now_us
             try:
                 with keyed, bounded:
                     reply = kernel.door_call(self.client, self.ident, buffer)
@@ -227,6 +245,86 @@ def test_arrival_deadline_refusal_releases_its_permit(entry, traced):
         assert len(world.handler_spans()) == 1
 
 
+def budget_landing_at(start: float, arrival: float) -> float:
+    """The budget whose deadline, set at ``start``, is exactly ``arrival``."""
+    budget = arrival - start
+    while start + budget < arrival:
+        budget = math.nextafter(budget, math.inf)
+    while start + budget > arrival:
+        budget = math.nextafter(budget, -math.inf)
+    assert start + budget == arrival
+    return budget
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_call_landing_exactly_at_its_deadline_is_refused(entry):
+    # A probe world measures when the call reaches the arrival check (the
+    # handler runs at that same sim instant); an identical world then
+    # calls with a deadline at exactly that instant.
+    probe = World(entry, traced=False)
+    arrival = []
+    probe.on_call = lambda: arrival.append(probe.kernel.clock.now_us)
+    probe.call(1)
+    budget = budget_landing_at(probe.bounded_at, arrival[0])
+    world = World(entry, traced=False)
+    handled = world.door.calls_handled
+    with pytest.raises(DeadlineExceeded, match="handler ran"):
+        world.call(1, budget_us=budget)
+    assert world.bounded_at == probe.bounded_at
+    assert world.door.calls_handled == handled + 1
+    assert world.runs == 0
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_handler_runs_in_its_callers_budget(entry):
+    # Nested calls inherit the caller's deadline on every entry — a
+    # worker's included, where the handler thread is not the caller's.
+    world = World(entry, traced=False)
+    kernel = world.kernel
+    inner = world.inner_door(lambda domain, request: domain.acquire_buffer())
+    left = []
+
+    def spend_then_nest():
+        left.append(remaining_us(kernel))
+        kernel.clock.advance(left[0])
+        world.nested_call(inner).recycle()
+
+    world.on_call = spend_then_nest
+    with pytest.raises(DeadlineExceeded, match="before calling door"):
+        world.call(1, budget_us=1_000_000.0)
+    assert 0.0 < left[0] < 1_000_000.0
+    assert remaining_us(kernel) is None
+
+
+@pytest.mark.parametrize("entry", ("local", "fabric"))
+def test_reply_is_read_from_its_start_whoever_peeked_at_it(entry):
+    # The reply leg seals the reply for its receiver: a relay that read
+    # part of the reply it hands back must not move its caller's cursor.
+    world = World(entry, traced=False)
+
+    def answer(domain, request):
+        reply = domain.acquire_buffer()
+        reply.put_int32(40)
+        reply.put_int32(2)
+        return reply
+
+    inner = world.inner_door(answer)
+
+    def relay(request):
+        reply = world.nested_call(inner)
+        assert reply.get_int32() == 40
+        return reply
+
+    world.door.handler = relay
+    buffer = world.client.acquire_buffer()
+    try:
+        reply = world.kernel.door_call(world.client, world.ident, buffer)
+    finally:
+        buffer.recycle()
+    assert (reply.get_int32(), reply.get_int32()) == (40, 2)
+    reply.recycle()
+
+
 @pytest.mark.parametrize("entry,traced", CELLS)
 def test_raising_handler_restores_depth_idem_slot_and_permit(entry, traced):
     world = World(entry, traced)
@@ -250,25 +348,14 @@ def test_raising_handler_restores_depth_idem_slot_and_permit(entry, traced):
 def test_nested_call_does_not_carry_the_callers_idempotency_key(entry, traced):
     world = World(entry, traced)
     kernel = world.kernel
-    inner_domain = world.env.create_domain("south", "inner")
     inner_seen = []
 
-    def inner_handler(request):
-        inner_seen.append((request.idem_key, kernel.call_depth))
-        return inner_domain.acquire_buffer()
+    def inner_handler(domain, request):
+        inner_seen.append(((request.ctx or {}).get(IDEM), kernel.call_depth))
+        return domain.acquire_buffer()
 
-    inner_ident = world.grant(
-        kernel.create_door(inner_domain, inner_handler, label="inner"),
-        inner_domain,
-        world.server,
-    )
-
-    def nest():
-        buffer = world.server.acquire_buffer()
-        kernel.door_call(world.server, inner_ident, buffer).recycle()
-        buffer.recycle()
-
-    world.on_call = nest
+    inner = world.inner_door(inner_handler)
+    world.on_call = lambda: world.nested_call(inner).recycle()
     assert world.call(1, key=42) == 2
     assert world.seen["key"] == 42
     assert inner_seen == [(None, 2)]

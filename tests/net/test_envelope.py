@@ -1,8 +1,9 @@
 """Envelope framing unit tests and frame fuzz (no fork required).
 
-The envelope is the process fabric's only framing: 56 bytes of header
-carrying routing, the out-of-band deadline budget, the wire trace
-context and the idempotency key, then the payload inline.  These tests
+The envelope is the process fabric's only framing: 22 bytes of header
+carrying routing, then the call context as one length-prefixed section
+(each registered key encoded by its own codec), then the payload
+inline.  These tests
 exercise it over an in-process socketpair, so they run on every
 platform.  The fuzz half feeds every frame to a socket whose peer has
 already closed: a reader that trusted a bad header would block there,
@@ -14,16 +15,16 @@ from __future__ import annotations
 import itertools
 import socket
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel.errors import ServerBusyError
+from repro.marshal import envelope
+from repro.marshal.context import DEADLINE, KEYS
 from repro.marshal.envelope import (
-    FLAG_DEADLINE,
-    FLAG_IDEM,
-    FLAG_TRACE,
     HEADER,
     KIND_CALL,
     KIND_CONTROL,
@@ -31,15 +32,20 @@ from repro.marshal.envelope import (
     KIND_ERROR,
     KIND_REPLY,
     MAGIC,
+    MAX_CONTEXT,
     MAX_PAYLOAD,
     VERSION,
     ChannelClosedError,
     pack_error,
     recv_envelope,
+    pack_context,
     send_envelope,
     unpack_error,
 )
 from repro.marshal.errors import MarshalError
+from repro.obs.tracer import TRACE
+from repro.runtime.idem import IDEM
+from tests.tenant import TENANT
 
 
 @pytest.fixture
@@ -51,9 +57,9 @@ def pair():
 
 
 class TestEnvelopeWire:
-    def test_header_is_56_bytes_version_3(self):
-        assert HEADER.size == 56
-        assert VERSION == 3
+    def test_header_is_22_bytes_version_4(self):
+        assert HEADER.size == 22
+        assert VERSION == 4
 
     def test_plain_roundtrip(self, pair):
         a, b = pair
@@ -63,25 +69,19 @@ class TestEnvelopeWire:
         assert env.call_id == 7
         assert env.target == 3
         assert env.payload == b"hello wire"
-        assert env.budget_us is None
-        assert env.trace_ctx is None
-        assert env.idem_key is None
+        assert env.ctx is None
 
     def test_idem_key_crosses_exactly(self, pair):
         a, b = pair
         key = (41 << 32) | 7
-        send_envelope(a, KIND_CALL, 1, 0, b"x", idem_key=key)
-        env = recv_envelope(b)
-        assert env.flags & FLAG_IDEM
-        assert env.idem_key == key
+        send_envelope(a, KIND_CALL, 1, 0, b"x", pack_context({IDEM: key}))
+        assert recv_envelope(b).ctx == {IDEM: key}
 
     def test_idem_key_zero_is_distinct_from_unset(self, pair):
-        # Key 0 is a valid key: the flag bit, not the value, says "set".
+        # Key 0 is a valid key: the entry, not the value, says "set".
         a, b = pair
-        send_envelope(a, KIND_CALL, 1, 0, b"x", idem_key=0)
-        env = recv_envelope(b)
-        assert env.flags & FLAG_IDEM
-        assert env.idem_key == 0
+        send_envelope(a, KIND_CALL, 1, 0, b"x", pack_context({IDEM: 0}))
+        assert recv_envelope(b).ctx == {IDEM: 0}
 
     def test_empty_payload(self, pair):
         a, b = pair
@@ -90,19 +90,19 @@ class TestEnvelopeWire:
         assert env.payload == b""
 
     def test_deadline_budget_crosses_exactly(self, pair):
+        # The deadline crosses as the sender's remaining budget and is
+        # re-anchored on the receiver's clock.
         a, b = pair
-        send_envelope(a, KIND_CALL, 1, 0, b"x", budget_us=123.456789)
-        env = recv_envelope(b)
-        assert env.flags & FLAG_DEADLINE
-        assert env.budget_us == 123.456789
+        context = pack_context({DEADLINE: 1123.456789}, now_us=1000.0)
+        send_envelope(a, KIND_CALL, 1, 0, b"x", context)
+        env = recv_envelope(b, SimpleNamespace(now_us=7.0))
+        assert env.ctx == {DEADLINE: 7.0 + (1123.456789 - 1000.0)}
 
     def test_trace_ctx_crosses_exactly(self, pair):
         a, b = pair
-        ctx = ((3 << 40) + 17, (3 << 40) + 18)
-        send_envelope(a, KIND_CALL, 1, 0, b"x", trace_ctx=ctx)
-        env = recv_envelope(b)
-        assert env.flags & FLAG_TRACE
-        assert env.trace_ctx == ctx
+        wire = ((3 << 40) + 17, (3 << 40) + 18)
+        send_envelope(a, KIND_CALL, 1, 0, b"x", pack_context({TRACE: wire}))
+        assert recv_envelope(b).ctx == {TRACE: wire}
 
     def test_large_payload_inline(self, pair):
         a, b = pair
@@ -166,12 +166,22 @@ class TestErrorPayload:
 # ---------------------------------------------------------------------
 
 KINDS = (KIND_CALL, KIND_REPLY, KIND_ERROR, KIND_CONTROL, KIND_CONTROL_REPLY)
-KNOWN_FLAGS = FLAG_DEADLINE | FLAG_TRACE | FLAG_IDEM
 U32 = st.integers(0, 2**32 - 1)
 U64 = st.integers(0, 2**64 - 1)
 
+#: registered key -> values it must round-trip (a new key adds a row)
+KEY_VALUES = {
+    DEADLINE: st.floats(allow_nan=False),
+    IDEM: U64,
+    TRACE: st.tuples(U64, U64),
+    TENANT: st.text(max_size=40),
+}
+
+#: one value per registered key, for the exhaustive combinations
+KEY_SAMPLES = {DEADLINE: 12.5, IDEM: 9, TRACE: (5, 6), TENANT: "acme"}
+
 #: field name -> position in HEADER's unpacked tuple
-FIELD = {"magic": 0, "version": 1, "kind": 2, "flags": 5, "payload_len": 9}
+FIELD = {"magic": 0, "version": 1, "kind": 2, "context_len": 5, "payload_len": 6}
 
 fuzz = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -195,7 +205,15 @@ def closed_peer(data: bytes) -> socket.socket:
 def wire_bytes(frame: dict) -> bytes:
     """What :func:`send_envelope` really puts on a socket for ``frame``."""
     a, b = roomy_pair()
-    send_envelope(a, **frame)
+    ctx = frame.get("ctx")
+    send_envelope(
+        a,
+        frame["kind"],
+        frame["call_id"],
+        frame["target"],
+        frame["payload"],
+        pack_context(ctx) if ctx else b"",
+    )
     a.close()
     chunks = []
     while chunk := b.recv(1 << 16):
@@ -232,17 +250,30 @@ def payloads(draw):
 
 
 @st.composite
+def contexts(draw):
+    """Any call context of registered keys, the empty one included."""
+    ids = draw(st.sets(st.sampled_from(sorted(KEY_VALUES))))
+    return {key_id: draw(KEY_VALUES[key_id]) for key_id in sorted(ids)} or None
+
+
+@st.composite
 def frames(draw):
-    """Any frame :func:`send_envelope` accepts, every flag combination."""
+    """Any frame :func:`send_envelope` accepts, every key combination."""
     return {
         "kind": draw(st.sampled_from(KINDS)),
         "call_id": draw(U64),
         "target": draw(U32),
         "payload": draw(payloads()),
-        "budget_us": draw(st.none() | st.floats(allow_nan=False)),
-        "trace_ctx": draw(st.none() | st.tuples(U64, U64)),
-        "idem_key": draw(st.none() | U64),
+        "ctx": draw(contexts()),
     }
+
+
+def every_context():
+    """Every combination of the registered keys, the empty one first."""
+    ids = sorted(KEY_SAMPLES)
+    for size in range(len(ids) + 1):
+        for chosen in itertools.combinations(ids, size):
+            yield {key_id: KEY_SAMPLES[key_id] for key_id in chosen} or None
 
 
 @st.composite
@@ -255,8 +286,8 @@ def header_corruptions(draw):
         value = draw(st.integers(0, 255).filter(lambda v: v != VERSION))
     elif field == "kind":
         value = draw(st.integers(0, 255).filter(lambda v: v not in KINDS))
-    elif field == "flags":
-        value = draw(U32.filter(lambda v: v & ~KNOWN_FLAGS))
+    elif field == "context_len":
+        value = draw(st.integers(MAX_CONTEXT + 1, 2**16 - 1))
     else:
         value = draw(st.integers(MAX_PAYLOAD + 1, 2**32 - 1))
     return field, value
@@ -271,14 +302,20 @@ class TestFrameFuzz:
         assert env.call_id == frame["call_id"]
         assert env.target == frame["target"]
         assert env.payload == frame["payload"]
-        assert env.budget_us == frame["budget_us"]
-        assert env.trace_ctx == frame["trace_ctx"]
-        assert env.idem_key == frame["idem_key"]
-        assert env.flags == (
-            (FLAG_DEADLINE if frame["budget_us"] is not None else 0)
-            | (FLAG_TRACE if frame["trace_ctx"] is not None else 0)
-            | (FLAG_IDEM if frame["idem_key"] is not None else 0)
-        )
+        assert env.ctx == frame["ctx"]
+
+    def test_every_registered_key_has_fuzz_values(self):
+        assert set(KEYS) == set(KEY_VALUES) == set(KEY_SAMPLES)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_combination_of_registered_keys_round_trips(self, kind):
+        for ctx in every_context():
+            frame = {"kind": kind, "call_id": 7, "target": 3, "payload": b"abc"}
+            wire = wire_bytes({**frame, "ctx": ctx})
+            assert receive(wire).ctx == ctx
+            for cut in range(len(wire)):
+                with pytest.raises(ChannelClosedError, match="peer closed"):
+                    receive(wire[:cut])
 
     @fuzz
     @given(frame=frames(), data=st.data())
@@ -305,12 +342,20 @@ class TestFrameFuzz:
                 "call_id": 7,
                 "target": 3,
                 "payload": b"abc",
-                "budget_us": 12.5 if with_budget else None,
-                "trace_ctx": (5, 6) if with_trace else None,
-                "idem_key": 9 if with_key else None,
+                "ctx": {
+                    key_id: KEY_SAMPLES[key_id]
+                    for key_id, chosen in (
+                        (DEADLINE, with_budget),
+                        (TRACE, with_trace),
+                        (IDEM, with_key),
+                    )
+                    if chosen
+                }
+                or None,
             }
         )
-        assert len(wire) == HEADER.size + 3
+        section = 10 * with_budget + 18 * with_trace + 10 * with_key
+        assert len(wire) == HEADER.size + section + 3
         for cut in range(len(wire)):
             with pytest.raises(ChannelClosedError, match="peer closed"):
                 receive(wire[:cut])
@@ -324,10 +369,42 @@ class TestFrameFuzz:
         with pytest.raises(ChannelClosedError, match="envelope"):
             receive(corrupt(wire_bytes(frame), field, value))
 
-    def test_retired_ring_flag_is_refused(self):
+    def test_retired_v3_frame_is_refused(self):
+        # Version 3 carried the deadline, trace and key as flag bits and
+        # fixed fields; a v4 reader refuses the whole frame.
         wire = wire_bytes({"kind": KIND_CALL, "call_id": 1, "target": 0, "payload": b"x"})
-        with pytest.raises(ChannelClosedError, match="unknown envelope flag bits"):
-            receive(corrupt(wire, "flags", 0x1))
+        with pytest.raises(ChannelClosedError, match="version=3"):
+            receive(corrupt(wire, "version", 3))
+
+    def test_context_len_over_the_limit_is_refused(self):
+        wire = wire_bytes({"kind": KIND_CALL, "call_id": 1, "target": 0, "payload": b""})
+        with pytest.raises(ChannelClosedError, match="over the limit"):
+            receive(corrupt(wire, "context_len", MAX_CONTEXT + 1))
+
+    @pytest.mark.parametrize(
+        "section,reason",
+        [
+            (bytes([DEADLINE]), "truncated envelope context entry"),
+            (bytes([DEADLINE, 8, 0, 0]), "truncated envelope context entry"),
+            (bytes([0xEE, 0]), "unknown or repeated envelope context key id 238"),
+            (bytes([IDEM, 8]) + bytes(8) + bytes([IDEM, 8]) + bytes(8), "repeated"),
+            (bytes([IDEM, 3, 1, 2, 3]), "'idem' refused its value"),
+        ],
+    )
+    def test_bad_context_section_is_refused_whole(self, section, reason):
+        # The header is intact and every byte it promises arrives: the
+        # refusal comes from reading the section, never from the payload.
+        header = HEADER.pack(MAGIC, VERSION, KIND_CALL, 1, 0, len(section), 4)
+        with pytest.raises(ChannelClosedError, match=reason):
+            receive(header + section + b"body")
+
+    def test_context_over_the_limits_is_refused_before_sending(self, monkeypatch):
+        with pytest.raises(MarshalError, match="encoded 300B, over 255B"):
+            pack_context({TENANT: "t" * 300})
+        monkeypatch.setattr(envelope, "MAX_CONTEXT", 16)
+        with pytest.raises(MarshalError, match="exceeds the envelope limit of 16B"):
+            pack_context({TRACE: (1, 2)})
+        assert len(pack_context({IDEM: 1})) == 10
 
     def test_payload_len_over_the_limit_is_refused(self):
         # A header alone, claiming a payload that will never arrive: the

@@ -7,6 +7,7 @@ import pytest
 from repro.kernel import NetworkPartitionError
 from repro.kernel.errors import DeadlineExceeded
 from repro.marshal.buffer import MarshalBuffer
+from repro.marshal.context import DEADLINE
 from repro.runtime.faults import partitioned
 from repro.runtime.transfer import transfer
 from repro.subcontracts.shm import SharedRegion, ShmServer
@@ -143,7 +144,7 @@ class TestLostReply:
         env, server, client, remote = world
         request = client.acquire_buffer()
         request.put_string("total")
-        request.deadline_us = env.clock.now_us + 1.5 * env.fabric.latency_us
+        request.ctx = {DEADLINE: env.clock.now_us + 1.5 * env.fabric.latency_us}
         request.seal_for_transmission(client)
         try:
             with pytest.raises(DeadlineExceeded, match="landed after the deadline"):

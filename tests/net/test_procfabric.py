@@ -26,9 +26,10 @@ from repro.kernel.errors import (
 )
 from repro.marshal.buffer import MarshalBuffer
 from repro.net.procfabric import ProcFabricError
-from repro.runtime.deadline import deadline
+from repro.runtime.deadline import deadline, remaining_us
 from repro.runtime.env import Environment
 from repro.runtime.retry import RetryPolicy
+from repro.runtime.transfer import transfer
 from repro.subcontracts.singleton import SingletonServer
 
 pytestmark = pytest.mark.skipif(
@@ -50,8 +51,16 @@ interface blob {
 }
 """
 
+BUDGET_IDL = """
+interface budget {
+    float64 left();
+    bool nested_call_refused();
+}
+"""
+
 counter_module = compile_idl(COUNTER_IDL, "procfabric_counter")
 blob_module = compile_idl(BLOB_IDL, "procfabric_blob")
+budget_module = compile_idl(BUDGET_IDL, "procfabric_budget")
 
 
 class CounterImpl:
@@ -99,6 +108,26 @@ def export_counter(env, index):
     return {"counter": obj}
 
 
+class BudgetImpl:
+    """Reports the budget its handler runs in; spends it, then calls on."""
+
+    def __init__(self, kernel, counter):
+        self.kernel = kernel
+        self.counter = counter
+
+    def left(self):
+        left = remaining_us(self.kernel)
+        return -1.0 if left is None else left
+
+    def nested_call_refused(self):
+        self.kernel.clock.advance(remaining_us(self.kernel) or 0.0)
+        try:
+            self.counter.total()
+        except DeadlineExceeded:
+            return True
+        return False
+
+
 def export_blob(env, index):
     server = env.create_domain("w", "server")
     obj = SingletonServer(server).export(BlobImpl(), blob_module.binding("blob"))
@@ -119,6 +148,13 @@ def export_wedged(env, index):
     server = env.create_domain("w", "server")
     obj = SingletonServer(server).export(WedgedImpl(), counter_module.binding("counter"))
     return {"counter": obj}
+
+
+def export_budget(env, index):
+    server = env.create_domain("w", "budget-server")
+    counter = transfer(export_counter(env, index)["counter"], server)
+    impl = BudgetImpl(env.kernel, counter)
+    return {"budget": SingletonServer(server).export(impl, budget_module.binding("budget"))}
 
 
 def export_dedup_counter(env, index):
@@ -388,6 +424,23 @@ class TestDeadlineComposition:
             proxy = fabric.bind(client, "counter", counter_module.binding("counter"))
             with deadline(env.kernel, 1_000_000.0):
                 assert proxy.add(1) == 1
+        finally:
+            env.uninstall_procfabric()
+
+    def test_worker_handler_runs_in_the_callers_budget(self):
+        # The worker's incoming leg makes the request's context the
+        # handler's: it sees the re-anchored budget, and its own calls
+        # inherit it like a local or sim-fabric handler's do.
+        env = proc_env()
+        fabric = env.install_procfabric(export_budget, workers=1)
+        try:
+            client = env.create_domain("m0", "client")
+            proxy = fabric.bind(client, "budget", budget_module.binding("budget"))
+            assert proxy.left() == -1.0
+            with deadline(env.kernel, 1_000_000.0):
+                assert 0.0 < proxy.left() < 1_000_000.0
+                assert proxy.nested_call_refused()
+            assert not proxy.nested_call_refused()
         finally:
             env.uninstall_procfabric()
 

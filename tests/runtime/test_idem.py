@@ -13,6 +13,7 @@ import pytest
 from repro.kernel.nucleus import Kernel
 from repro.runtime.env import Environment
 from repro.runtime.idem import (
+    IDEM,
     DedupMemo,
     current_idempotency_key,
     idempotency_key,
@@ -63,7 +64,7 @@ class TestKeyPlumbing:
         client = env.create_domain("m", "client")
 
         def handler(request):
-            seen["key"] = request.idem_key
+            seen["key"] = request.ctx.get(IDEM)
             seen["buffer"] = request
             return server.acquire_buffer()
 
@@ -78,7 +79,7 @@ class TestKeyPlumbing:
         buffer.release()
         reply.release()
         # The pooled buffer must not leak the key into its next life.
-        assert seen["buffer"].idem_key is None
+        assert seen["buffer"].ctx is None
 
     def test_nested_calls_do_not_inherit_the_key(self, bank):
         # A handler's own outgoing calls are new logical requests: the
