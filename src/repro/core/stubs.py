@@ -98,7 +98,7 @@ def remote_call(
             buffer.put_string(opname)
             marshal_args(buffer)
             if span is not None:
-                span.annotate(request_bytes=buffer.size)
+                span.attrs["request_bytes"] = buffer.size
             clock.charge("indirect_call")  # stubs -> subcontract (invoke)
             reply = subcontract.invoke(obj, buffer)
         finally:
@@ -109,7 +109,7 @@ def remote_call(
             buffer.recycle()
 
         if span is not None:
-            span.annotate(reply_bytes=reply.size)
+            span.attrs["reply_bytes"] = reply.size
         status = reply.get_int8()
         if status == STATUS_EXCEPTION:
             remote_type = reply.get_string()

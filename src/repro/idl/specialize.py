@@ -77,14 +77,14 @@ def _spec_{iface}_{op}(_obj{params}):
 """
 _STUB_TAIL = """\
             if _span is not None:
-                _span.annotate(request_bytes=_buf.size)
+                _span.attrs["request_bytes"] = _buf.size
             # The fused invoke: what SingleDoorClient.invoke does, inlined.
             _kernel.clock.charge("memory_copy_byte", _buf.size)
             _reply = _kernel.door_call(_domain, _obj._rep.door, _buf)
         finally:
             _buf.recycle()
         if _span is not None:
-            _span.annotate(reply_bytes=_reply.size)
+            _span.attrs["reply_bytes"] = _reply.size
         if _reply.region is None:
             _kernel.clock.charge("memory_copy_byte", _reply.size)
         _status = _reply.get_int8()

@@ -465,6 +465,8 @@ class MarshalBuffer:
 
     def live_door_count(self) -> int:
         """Unconsumed door references parked in the door vector."""
+        if not self.doors:
+            return 0
         return sum(1 for t in self.doors if t is not None and t.live)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

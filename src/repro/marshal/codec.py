@@ -57,6 +57,10 @@ class WireTag(enum.IntEnum):
     TRACE = 0x0C  # optional trailing trace context (repro.obs)
 
 
+# Plain-int tags for the decoder's inline fast paths.
+_INT8, _INT32, _STRING = int(WireTag.INT8), int(WireTag.INT32), int(WireTag.STRING)
+
+
 class Encoder:
     """Appends tagged wire items to a bytearray.
 
@@ -244,6 +248,11 @@ class Decoder:
 
     def get_int8(self) -> int:
         """Decode a int8."""
+        data, pos = self._data, self.pos
+        if pos + 2 <= len(data) and data[pos] == _INT8:
+            self.pos = pos + 2
+            return _I8.unpack_from(data, pos + 1)[0]
+        # Slow path (and every error, raised exactly as before).
         self.expect_tag(WireTag.INT8)
         end = self._bounds(1)
         value = _I8.unpack_from(self._data, self.pos)[0]
@@ -252,6 +261,10 @@ class Decoder:
 
     def get_int32(self) -> int:
         """Decode a int32."""
+        data, pos = self._data, self.pos
+        if pos + 5 <= len(data) and data[pos] == _INT32:
+            self.pos = pos + 5
+            return _I32.unpack_from(data, pos + 1)[0]
         self.expect_tag(WireTag.INT32)
         end = self._bounds(4)
         value = _I32.unpack_from(self._data, self.pos)[0]
@@ -276,6 +289,14 @@ class Decoder:
 
     def get_string(self) -> str:
         """Decode a UTF-8 string."""
+        data, pos = self._data, self.pos
+        if pos + 2 <= len(data) and data[pos] == _STRING and data[pos + 1] < 0x80:
+            end = pos + 2 + data[pos + 1]
+            if end <= len(data):
+                self.pos = pos + 2  # where a bad UTF-8 payload leaves it
+                value = str(data[pos + 2 : end], "utf-8")
+                self.pos = end
+                return value
         self.expect_tag(WireTag.STRING)
         length = self.get_varint()
         end = self._bounds(length)

@@ -59,6 +59,8 @@ class Sketch:
         "_gamma",
         "_log_gamma",
         "_buckets",
+        "_last_value",
+        "_last_index",
         "zero_count",
         "count",
         "sum",
@@ -84,6 +86,7 @@ class Sketch:
         self._log_gamma = math.log(self._gamma)
         #: bucket index -> integer count; index i covers (gamma^(i-1), gamma^i]
         self._buckets: dict[int, int] = {}
+        self._last_value = self._last_index = None  # insert's index memo
         self.zero_count = 0
         self.count = 0
         #: sum of inserted values — float accumulation, the one field
@@ -93,9 +96,6 @@ class Sketch:
         self.max = -math.inf
 
     # -- insertion ------------------------------------------------------
-
-    def _index(self, value: float) -> int:
-        return math.ceil(math.log(value) / self._log_gamma)
 
     def insert(self, value: float, count: int = 1) -> None:
         """Insert ``value`` with multiplicity ``count`` (integer)."""
@@ -112,7 +112,12 @@ class Sketch:
         if value < self.min_value:
             self.zero_count += count
             return
-        index = self._index(value)
+        # Durations repeat exactly, so the last value's index is kept.
+        if value == self._last_value:
+            index = self._last_index
+        else:
+            index = math.ceil(math.log(value) / self._log_gamma)
+            self._last_value, self._last_index = value, index
         buckets = self._buckets
         buckets[index] = buckets.get(index, 0) + count
         if len(buckets) > self.max_buckets:

@@ -97,42 +97,54 @@ class Span:
         "attrs",
         "seq",
         "_ring",
+        "_stack",
         "_ended",
     )
 
     def __init__(
         self,
         tracer: "Tracer",
-        trace_id: int,
-        span_id: int,
-        parent_id: int,
+        domain: "Domain",
         name: str,
         category: str,
-        domain: "Domain",
-        ring: TraceRing,
+        attrs: dict,
+        ctx: "tuple[int, int] | None",
     ) -> None:
+        """Open under ``ctx`` = ``(trace_id, parent_id)``, or under the
+        thread's current span if ``None``; ``attrs`` becomes the span's."""
+        stack = getattr(tracer._local, "stack", None)
+        if stack is None:
+            stack = tracer._local.stack = []
+        if ctx is None:
+            ctx = (stack[-1].trace_id, stack[-1].span_id) if stack else (next(tracer._trace_ids), 0)
+        clock = tracer.clock
+        clock.charge(_EV_TRACE_SPAN)
         self.tracer = tracer
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
+        self.trace_id, self.parent_id = ctx
+        self.span_id = next(tracer._span_ids)
         self.name = name
         self.category = category
         self.subcontract: str | None = None
         self.domain_name = domain.name
         machine = domain.machine
         self.machine_name = machine.name if machine is not None else ""
-        self.start_sim_us = 0.0
         self.end_sim_us = 0.0
-        self.start_wall_s = 0.0
         self.end_wall_s = 0.0
         self.status = "ok"
         self.error_type: str | None = None
         self.error_message: str | None = None
         self.events: list[dict] = []
-        self.attrs: dict[str, Any] = {}
+        self.attrs: dict[str, Any] = attrs
         self.seq = -1
+        ring = domain._trace_ring
+        if ring is None or ring.owner is not tracer:
+            ring = tracer._ring_for(domain)
         self._ring = ring
+        self._stack = stack
         self._ended = False
+        self.start_sim_us = clock.now_us
+        self.start_wall_s = time.perf_counter()  # springlint: disable=clock-discipline -- spans record real wall-clock deltas alongside simulated time by design
+        stack.append(self)
 
     # -- annotation ----------------------------------------------------
 
@@ -175,7 +187,8 @@ class Span:
     # -- completion ----------------------------------------------------
 
     def end(self) -> None:
-        """Finish the span: stamp end times, pop the stack, record it.
+        """Finish the span: stamp end times, pop the stack, record it
+        (ring, windows, and an invoke span's aggregates).
 
         Idempotent — a second ``end`` (e.g. an explicit call inside a
         ``with`` block) is a no-op.
@@ -184,9 +197,10 @@ class Span:
             return
         self._ended = True
         tracer = self.tracer
-        self.end_sim_us = tracer.clock.now_us
+        clock = tracer.clock
+        self.end_sim_us = clock.now_us
         self.end_wall_s = time.perf_counter()  # springlint: disable=clock-discipline -- spans record real wall-clock deltas alongside simulated time by design
-        stack = tracer._stack()
+        stack = self._stack
         if stack and stack[-1] is self:
             stack.pop()
         else:  # out-of-order end: remove without disturbing others
@@ -194,7 +208,30 @@ class Span:
                 stack.remove(self)
             except ValueError:
                 pass
-        tracer._finish(self)
+        ring = self._ring  # TraceRing.record, inline
+        self.seq = seq = next(ring._counter)
+        ring._slots[seq % ring.capacity] = self
+        windows = tracer.windows
+        if windows is not None:
+            clock.charge(_EV_WINDOW_PROBE)
+            windows.record_span(self)
+        if self.category != "invoke":
+            return
+        # Registry handles are bound once per (scope, name), on first use.
+        scope = self.subcontract or "unknown"
+        bound = tracer._bound
+        (bound.get((scope, "invocations")) or tracer._bind(scope, "invocations")).value += 1
+        if self.status != "ok":
+            (bound.get((scope, "errors")) or tracer._bind(scope, "errors")).value += 1
+        attrs = self.attrs
+        for name, bounds, value in (
+            ("invoke_sim_us", LATENCY_BUCKETS_US, self.end_sim_us - self.start_sim_us),
+            ("request_bytes", BYTES_BUCKETS, attrs.get("request_bytes")),
+            ("reply_bytes", BYTES_BUCKETS, attrs.get("reply_bytes")),
+            ("retries", RETRY_BUCKETS, attrs.get("retries")),
+        ):
+            if value is not None:
+                (bound.get((scope, name)) or tracer._bind(scope, name, bounds)).observe(value)
 
     def __enter__(self) -> "Span":
         return self
@@ -239,21 +276,18 @@ class Tracer:
         self._local = threading.local()
         self._rings: list[TraceRing] = []
         self._ring_lock = threading.Lock()
+        #: (scope, name) -> an invoke aggregate's registry Counter/Histogram
+        self._bound: dict[tuple[str, str], Any] = {}
 
     # -- plumbing ------------------------------------------------------
 
     def _stack(self) -> list[Span]:
-        try:
-            return self._local.stack
-        except AttributeError:
-            stack: list[Span] = []
-            self._local.stack = stack
-            return stack
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
 
     def _ring_for(self, domain: "Domain") -> TraceRing:
-        ring = domain._trace_ring
-        if ring is not None and ring.owner is self:
-            return ring
         with self._ring_lock:
             ring = domain._trace_ring
             if ring is None or ring.owner is not self:
@@ -262,82 +296,29 @@ class Tracer:
                 self._rings.append(ring)
             return ring
 
-    def _finish(self, span: Span) -> None:
-        span._ring.record(span)
-        windows = self.windows
-        if windows is not None:
-            self.clock.charge(_EV_WINDOW_PROBE)
-            windows.record_span(span)
-        if span.category != "invoke":
-            return
-        scope = span.subcontract or "unknown"
-        metrics = self.metrics
-        metrics.counter(scope, "invocations").inc()
-        if span.status != "ok":
-            metrics.counter(scope, "errors").inc()
-        metrics.histogram(scope, "invoke_sim_us", LATENCY_BUCKETS_US).observe(
-            span.duration_us
-        )
-        attrs = span.attrs
-        request_bytes = attrs.get("request_bytes")
-        if request_bytes is not None:
-            metrics.histogram(scope, "request_bytes", BYTES_BUCKETS).observe(
-                request_bytes
-            )
-        reply_bytes = attrs.get("reply_bytes")
-        if reply_bytes is not None:
-            metrics.histogram(scope, "reply_bytes", BYTES_BUCKETS).observe(reply_bytes)
-        retries = attrs.get("retries")
-        if retries is not None:
-            metrics.histogram(scope, "retries", RETRY_BUCKETS).observe(retries)
+    def _bind(self, scope: str, name: str, bounds: Any = None) -> Any:
+        """Bind one invoke aggregate to its registry handle (first use only;
+        the registry's bounds check runs here, and for every other caller)."""
+        if bounds is None:
+            handle = self.metrics.counter(scope, name)  # springlint: disable=metrics-naming -- generic relay: the literal names are in Span.end
+        else:
+            handle = self.metrics.histogram(scope, name, bounds)  # springlint: disable=metrics-naming -- generic relay: the literal names are in Span.end
+        self._bound[scope, name] = handle
+        return handle
 
-    # -- span creation -------------------------------------------------
-
-    def _begin(
-        self,
-        domain: "Domain",
-        name: str,
-        category: str,
-        trace_id: int,
-        parent_id: int,
-        attrs: dict,
-    ) -> Span:
-        clock = self.clock
-        clock.charge(_EV_TRACE_SPAN)
-        span = Span(
-            self,
-            trace_id,
-            next(self._span_ids),
-            parent_id,
-            name,
-            category,
-            domain,
-            self._ring_for(domain),
-        )
-        span.start_sim_us = clock.now_us
-        span.start_wall_s = time.perf_counter()  # springlint: disable=clock-discipline -- spans record real wall-clock deltas alongside simulated time by design
-        if attrs:
-            span.attrs.update(attrs)
-        self._stack().append(span)
-        return span
+    # -- span creation (each is one Span constructor call) --------------
 
     def begin_span(
         self, domain: "Domain", name: str, category: str = "span", **attrs: Any
     ) -> Span:
         """Open a span; its parent is the calling thread's current span."""
-        stack = self._stack()
-        if stack:
-            top = stack[-1]
-            trace_id, parent_id = top.trace_id, top.span_id
-        else:
-            trace_id, parent_id = next(self._trace_ids), 0
-        return self._begin(domain, name, category, trace_id, parent_id, attrs)
+        return Span(self, domain, name, category, attrs, None)
 
     def begin_invoke(
         self, domain: "Domain", op: str, subcontract_id: str, **attrs: Any
     ) -> Span:
         """Open the client-side invocation span for one operation."""
-        span = self.begin_span(domain, op, "invoke", **attrs)
+        span = Span(self, domain, op, "invoke", attrs, None)
         span.subcontract = subcontract_id
         return span
 
@@ -355,11 +336,9 @@ class Tracer:
         rawnet packet header); the thread stack is deliberately not
         consulted, so the causal link is exactly what crossed the wire.
         """
-        if ctx is not None:
-            trace_id, parent_id = ctx
-        else:
-            trace_id, parent_id = next(self._trace_ids), 0
-        return self._begin(domain, name, "handler", trace_id, parent_id, attrs)
+        if ctx is None:
+            ctx = (next(self._trace_ids), 0)
+        return Span(self, domain, name, "handler", attrs, ctx)
 
     # -- current-span conveniences (safe no-ops with no span open) -----
 

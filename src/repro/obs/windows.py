@@ -147,23 +147,35 @@ class WindowedSeries:
         * ``fabric`` spans: per-hop duration sketch under ``"fabric"``;
         * other categories: a cheap per-category counter under ``"span"``.
         """
-        now = span.end_sim_us
+        window = self._window_at(span.end_sim_us)
+        if window is None:
+            return
         category = span.category
+        failed = span.status != "ok"
         if category == "invoke":
             scope = span.subcontract or "unknown"
-            self.count(scope, "invocations", now)
-            if span.status != "ok":
-                self.count(scope, "errors", now)
-            self.observe(scope, "invoke_sim_us", span.duration_us, now)
+            counted = ("invocations", "errors") if failed else ("invocations",)
+            sketched = "invoke_sim_us"
         elif category in ("door", "handler"):
-            self.count(category, span.name, now)
-            self.observe(category, span.name + ".sim_us", span.duration_us, now)
-            if span.status != "ok":
-                self.count(category, span.name + ".errors", now)
+            scope, name = category, span.name
+            counted = (name, name + ".errors") if failed else (name,)
+            sketched = name + ".sim_us"
         elif category == "fabric":
-            self.observe("fabric", span.name + ".sim_us", span.duration_us, now)
+            scope, counted, sketched = "fabric", (), span.name + ".sim_us"
         else:
-            self.count("span", category, now)
+            scope, counted, sketched = "span", (category,), None
+        counters = window.counters
+        for name in counted:
+            key = (scope, name)
+            counters[key] = counters.get(key, 0) + 1
+        self.recorded += len(counted)
+        if sketched is not None:
+            key = (scope, sketched)
+            sketch = window.sketches.get(key)
+            if sketch is None:
+                sketch = window.sketches[key] = Sketch(self.alpha)
+            sketch.insert(span.end_sim_us - span.start_sim_us)
+            self.recorded += 1
 
     def record_event(
         self, name: str, subcontract: str | None, detail: dict, now_us: float
@@ -386,7 +398,7 @@ def install_windows(
 ) -> WindowedSeries:
     """Attach a :class:`WindowedSeries` to a live tracer.
 
-    The tracer feeds it from ``_finish`` (every recorded span) and
+    The tracer feeds it from ``Span.end`` (every recorded span) and
     ``event`` (every subcontract event), charging ``window_probe`` sim
     time per update.  Requires an enabled tracer — windowing without a
     span feed would silently record nothing.

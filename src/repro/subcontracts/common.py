@@ -26,6 +26,7 @@ from repro.core.object import SpringObject
 from repro.core.subcontract import ClientSubcontract
 from repro.kernel.errors import KernelError
 from repro.marshal.buffer import MarshalBuffer
+from repro.marshal.codec import Decoder
 from repro.runtime import tsan as _tsan
 from repro.runtime.retry import MemberEvictedError
 
@@ -96,14 +97,12 @@ def make_door_handler(
 
 def peek_opname(request: MarshalBuffer) -> str:
     """Read the operation name at the request's current position without
-    consuming it (the skeleton re-reads it during dispatch)."""
-    saved = request.read_pos
+    consuming it (the skeleton re-reads it during dispatch): a scratch
+    decoder reads it, so the request's own cursor never moves."""
     try:
-        return request.get_string()
+        return Decoder(request.data, request.read_pos).get_string()
     except Exception:
         return "?"
-    finally:
-        request.read_pos = saved
 
 
 def gossip_evicted(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,3 +183,64 @@ class TestErrorPaths:
                 getattr(fresh, getter)()
             except (WireTypeError, BufferUnderflowError, UnicodeDecodeError, ValueError):
                 pass
+
+
+def _checking_path(decoder: Decoder, method: str):
+    """What ``get_int8``/``get_int32``/``get_string`` do through the
+    checking helpers alone (``expect_tag``, ``get_varint``, ``_bounds``)."""
+    tag, width, fmt = {
+        "get_int8": (WireTag.INT8, 1, "<b"),
+        "get_int32": (WireTag.INT32, 4, "<i"),
+        "get_string": (WireTag.STRING, None, None),
+    }[method]
+    decoder.expect_tag(tag)
+    if width is None:
+        width = decoder.get_varint()
+    end = decoder._bounds(width)
+    raw = bytes(decoder._data[decoder.pos : end])
+    value = str(raw, "utf-8") if fmt is None else struct.unpack(fmt, raw)[0]
+    decoder.pos = end
+    return value
+
+
+def _outcome(read, data: bytearray):
+    decoder = Decoder(data)
+    try:
+        return ("ok", read(decoder), decoder.pos)
+    except Exception as exc:  # compared by type, message and cursor
+        return (type(exc), str(exc), decoder.pos)
+
+
+def _wire(put, value, cut: int = 0) -> bytearray:
+    encoder, data = enc()
+    getattr(encoder, put)(value)
+    del data[len(data) - cut :]
+    return data
+
+
+FAST_PATH_INPUTS = {
+    "int8": _wire("put_int8", -7),
+    "int8 truncated": _wire("put_int8", -7, cut=1),
+    "int32": _wire("put_int32", -70_000),
+    "int32 truncated": _wire("put_int32", -70_000, cut=1),
+    "short string": _wire("put_string", "total"),
+    "short string truncated": _wire("put_string", "total", cut=1),
+    "long string": _wire("put_string", "x" * 200),
+    "long string truncated": _wire("put_string", "é" * 100, cut=3),
+    "bad utf-8": bytearray([WireTag.STRING, 2, 0xFF, 0xFE]),
+    "tag only": bytearray([WireTag.STRING]),
+    "wrong tag": _wire("put_bool", True),
+    "unknown tag": bytearray([0x7F, 0, 0, 0, 0]),
+    "empty": bytearray(),
+}
+
+
+@pytest.mark.parametrize("method", ["get_int8", "get_int32", "get_string"])
+@pytest.mark.parametrize("label", sorted(FAST_PATH_INPUTS))
+def test_fast_path_matches_the_checking_path(method, label):
+    """Same value, or same exception type and message, and the same
+    cursor afterwards: a wrong tag, a truncated value and a string whose
+    length needs a multi-byte varint all leave the fast path unchanged."""
+    data = FAST_PATH_INPUTS[label]
+    got = _outcome(lambda d: getattr(d, method)(), data)
+    assert got == _outcome(lambda d: _checking_path(d, method), data)

@@ -64,6 +64,19 @@ class TestInvokeAccounting:
         assert scoped["counters"]["invocations"] == 1
         assert scoped["counters"]["errors"] == 1
 
+    def test_bound_handle_keeps_the_registry_bounds_check(self, traced_world):
+        """The tracer binds its invoke aggregates once; the registry still
+        refuses anyone else who asks for them with other bounds."""
+        from repro.obs.metrics import LATENCY_BUCKETS_US, MetricsMergeError
+
+        env, tracer, _, _, remote = traced_world
+        remote.add(1)
+        with pytest.raises(MetricsMergeError):
+            tracer.metrics.histogram("singleton", "invoke_sim_us", (1.0, 2.0))
+        remote.add(2)
+        bound = tracer.metrics.histogram("singleton", "invoke_sim_us", LATENCY_BUCKETS_US)
+        assert bound.total == 2
+
 
 class TestSubcontractEventCounters:
     def test_demo_counts_routing_events_per_subcontract(self):

@@ -4,6 +4,7 @@ snapshot round-trips — the guarantees the windowed plane builds on."""
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
@@ -171,3 +172,55 @@ def test_property_quantile_relative_error(values, q):
     estimate = sketch.quantile(q)
     # alpha plus float-arithmetic headroom
     assert abs(estimate - true) <= 0.0101 * true + 1e-9
+
+
+class _ReferenceSketch(Sketch):
+    """``insert`` as it reads without the last-index memo: every value's
+    bucket index computed from scratch."""
+
+    def insert(self, value: float, count: int = 1) -> None:
+        self.count += count
+        self.sum += value * count
+        self.min = min(self.min, value)
+        self.max = max(self.max, value)
+        if value < self.min_value:
+            self.zero_count += count
+            return
+        index = math.ceil(math.log(value) / self._log_gamma)
+        self._buckets[index] = self._buckets.get(index, 0) + count
+        if len(self._buckets) > self.max_buckets:
+            self._collapse()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pool=st.lists(
+        st.one_of(
+            st.floats(min_value=1e-3, max_value=1e7, allow_nan=False),
+            st.floats(min_value=0.0, max_value=9e-7),  # below min_value
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    picks=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=120),
+    max_buckets=st.integers(min_value=1, max_value=4),
+)
+def test_memoised_index_matches_computing_every_index(pool, picks, max_buckets):
+    """Runs of repeated values (the memo's hits), values below
+    ``min_value`` and inserts after ``_collapse`` land exactly where a
+    sketch that computes every index puts them."""
+    fast = Sketch(max_buckets=max_buckets)
+    slow = _ReferenceSketch(max_buckets=max_buckets)
+    for pick in picks:
+        value = pool[pick % len(pool)]
+        fast.insert(value)
+        slow.insert(value)
+        fast.insert(value, 2)
+        slow.insert(value, 2)
+    assert fast._buckets == slow._buckets
+    assert (fast.zero_count, fast.count, fast.min, fast.max) == (
+        slow.zero_count,
+        slow.count,
+        slow.min,
+        slow.max,
+    )
