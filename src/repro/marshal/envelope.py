@@ -126,12 +126,23 @@ def unpack_error(payload: bytes) -> tuple[str, str, float]:
     return (dec.get_string(), dec.get_string(), dec.get_float64())
 
 
-def read_exact(sock: "socket.socket", count: int) -> bytes:
-    """Read exactly ``count`` bytes or raise :class:`ChannelClosedError`."""
+def read_exact(sock: "socket.socket", count: int, starts_frame: bool = False) -> bytes:
+    """Read exactly ``count`` bytes or raise :class:`ChannelClosedError`.
+
+    A receive timeout (``BlockingIOError``) propagates only before the
+    first byte of a read that ``starts_frame``; elsewhere it tears the
+    stream, as a close does."""
     chunks: list[bytes] = []
     remaining = count
     while remaining:
-        chunk = sock.recv(remaining)
+        try:
+            chunk = sock.recv(remaining)
+        except BlockingIOError as exc:
+            if starts_frame and remaining == count:
+                raise
+            raise ChannelClosedError(
+                f"receive timed out mid-frame with {remaining}/{count} bytes outstanding"
+            ) from exc
         if not chunk:
             raise ChannelClosedError(
                 f"peer closed with {remaining}/{count} bytes outstanding"
@@ -233,10 +244,11 @@ def recv_envelope(sock: "socket.socket", clock: "SimClock | None" = None) -> Env
     that steers the reader is checked before it is acted on; a refusal
     raises :class:`ChannelClosedError` because the stream cannot be
     resynchronized.  The context, read together with the payload, is
-    decoded on ``clock``'s reading (0 without one).
+    decoded on ``clock``'s reading (0 without one).  A receive timeout
+    before the frame's first byte propagates as ``BlockingIOError``.
     """
     magic, version, kind, call_id, target, context_len, payload_len = HEADER.unpack(
-        read_exact(sock, HEADER.size)
+        read_exact(sock, HEADER.size, True)
     )
     if magic != MAGIC or version != VERSION:
         raise ChannelClosedError(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import socket
+import struct
 import threading
 from types import SimpleNamespace
 
@@ -142,6 +143,24 @@ class TestEnvelopeWire:
         a, b = pair
         a.sendall(b"\x00" * HEADER.size)
         with pytest.raises(ChannelClosedError):
+            recv_envelope(b)
+
+    def test_receive_timeout_between_frames_leaves_the_stream_whole(self, pair):
+        a, b = pair
+        b.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, struct.pack("ll", 0, 20_000))
+        with pytest.raises(BlockingIOError):
+            recv_envelope(b)
+        send_envelope(a, KIND_REPLY, 5, 0, b"late")
+        assert recv_envelope(b).payload == b"late"
+
+    @pytest.mark.parametrize("cut", [1, HEADER.size - 1, HEADER.size, HEADER.size + 2])
+    def test_receive_timeout_mid_frame_tears_the_stream(self, pair, cut):
+        # The bytes already read are lost, so the frame cannot be resumed.
+        a, b = pair
+        b.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, struct.pack("ll", 0, 20_000))
+        frame = HEADER.pack(MAGIC, VERSION, KIND_REPLY, 5, 0, 0, 5) + b"hello"
+        a.sendall(frame[:cut])
+        with pytest.raises(ChannelClosedError, match="timed out mid-frame"):
             recv_envelope(b)
 
 
