@@ -79,7 +79,8 @@ def remote_call(
     when called from inside a handler); untraced, ``span`` is ``None``
     and every branch on it falls through.
     """
-    obj._check_live()
+    if obj._consumed:
+        obj._check_live()
     domain = obj._domain
     kernel = domain.kernel
     clock = kernel.clock

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.kernel.errors import DomainCrashedError
 from repro.marshal.buffer import MarshalBuffer
+from repro.marshal.errors import MarshalError
 
 if TYPE_CHECKING:
     from repro.kernel.doors import DoorIdentifier
@@ -84,12 +85,16 @@ class Domain:
             if ts is not None:
                 ts.on_buffer_acquire(buffer)
             buffer._pooled = False
-            # Re-arm the real streams (release() left use-after-release
-            # sentinels in their place) before the pristine check reads them.
-            buffer._enc = buffer._real_enc
-            buffer._dec = buffer._real_dec
             buffer._released_at = None
-            buffer._check_pristine()
+            # Re-arm the byte store (release() left the use-after-release
+            # sentinel in its place), then check it came back pristine.
+            data = buffer.data = buffer._backing
+            if data or buffer.doors or buffer.region is not None or buffer.pos:
+                raise MarshalError(
+                    f"pooled buffer reacquired dirty: {len(data)}B "
+                    f"doors={len(buffer.doors)} region={buffer.region!r} "
+                    f"pos={buffer.pos}"
+                )
             return buffer
         buffer = MarshalBuffer(self.kernel)
         buffer._home = self

@@ -55,6 +55,8 @@ __all__ = ["Kernel"]
 #: per-call cost stays one attribute read + one branch either way).
 _TSAN_FROM_ENV = os.environ.get("REPRO_TSAN", "") not in ("", "0")
 
+_ACTIVE = DoorState.ACTIVE
+
 
 class _ThreadContext(threading.local):
     """Per-thread call-context slot with a class-level default.
@@ -297,8 +299,13 @@ class Kernel:
         another machine, otherwise straight to :meth:`incoming`, which
         the fabric also ends in.  The gate order is the "launch" rows
         of the table in ``docs/architecture.md``.
+
+        The liveness and capability gates test inline and call
+        ``check_alive`` / ``_check_usable`` only to raise, so each
+        refusal is worded in one place.
         """
-        caller.check_alive()
+        if not caller.alive:
+            caller.check_alive()
 
         # Before the capability check: retry loops must see a spent
         # budget as DeadlineExceeded (which they refuse to retry), not as
@@ -313,8 +320,14 @@ class Kernel:
                 )
 
         with self._table_lock:
-            self._check_usable(caller, ident, for_call=True)
             door = ident.door
+            if (
+                ident.owner is not caller
+                or not ident.valid
+                or door.state is not _ACTIVE
+                or ident.uid not in caller.door_ids
+            ):
+                self._check_usable(caller, ident, for_call=True)
             server = door.server
         if not server.alive:
             raise ServerDiedError(
@@ -330,7 +343,9 @@ class Kernel:
         if chaos is not None:
             chaos.on_door_call(caller, door)
 
-        buffer.seal_for_transmission(caller)
+        # Seal: the receiving side reads from the start.
+        buffer.pos = 0
+        buffer.sealed = True
 
         # Race-detector edge: the request carries the caller's clock to
         # the handler, the reply carries the handler's clock back.
@@ -371,7 +386,8 @@ class Kernel:
                 if remote
                 else self.incoming(door, buffer)
             )
-        reply.seal_for_transmission(server)
+        reply.pos = 0
+        reply.sealed = True
         if ts is not None:
             ts.on_reply_receive(reply)
         return reply

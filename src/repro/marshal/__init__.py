@@ -1,7 +1,7 @@
 """Marshal layer: communication buffers and wire encodings."""
 
 from repro.marshal.buffer import MarshalBuffer
-from repro.marshal.codec import Decoder, Encoder, WireTag
+from repro.marshal.codec import TaggedStream, WireTag
 from repro.marshal.errors import (
     BufferUnderflowError,
     DoorVectorError,
@@ -11,8 +11,7 @@ from repro.marshal.errors import (
 
 __all__ = [
     "MarshalBuffer",
-    "Decoder",
-    "Encoder",
+    "TaggedStream",
     "WireTag",
     "MarshalError",
     "WireTypeError",

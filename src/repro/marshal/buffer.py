@@ -3,9 +3,10 @@
 A :class:`MarshalBuffer` is what the paper calls a "communications
 buffer": stubs marshal arguments into it, subcontracts write their control
 information and subcontract IDs into it, the kernel carries it through a
-door, and the receiving side unmarshals from it.
-
-Two properties matter for fidelity:
+door, and the receiving side unmarshals from it.  It *is* a
+:class:`~repro.marshal.codec.TaggedStream` — every ``put_*``/``get_*`` is
+the stream's own method, charged to the kernel's clock per item — plus
+what only a communications buffer has:
 
 * **Door identifiers travel out-of-band.**  Marshalling a door identifier
   consumes the sender's identifier (kernel ``detach``), parks a transit
@@ -27,18 +28,20 @@ pool-acquired buffers participate — ``MarshalBuffer(kernel)`` constructs
 an unpooled buffer whose ``release`` is a no-op.  Misuse of a pooled
 buffer (double release, release while still parking live in-transit door
 references, any put/get after release) raises
-:class:`~repro.marshal.errors.BufferLifecycleError` at the misuse site;
-failure paths that may hold in-transit references clean up with
-:meth:`recycle`, which discards and then releases.
+:class:`~repro.marshal.errors.BufferLifecycleError` at the misuse site:
+``release`` swaps the stream's byte store for a sentinel that refuses
+every use, and ``acquire_buffer`` swaps the store back.  Failure paths
+that may hold in-transit references clean up with :meth:`recycle`, which
+discards and then releases.
 """
 
 from __future__ import annotations
 
 import os
 import traceback
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NoReturn
 
-from repro.marshal.codec import Decoder, Encoder, WireTag
+from repro.marshal.codec import TaggedStream
 from repro.marshal.errors import BufferLifecycleError, DoorVectorError, MarshalError
 
 if TYPE_CHECKING:
@@ -56,60 +59,54 @@ POOL_LIMIT = 32
 _DEBUG = os.environ.get("REPRO_DEBUG", "") not in ("", "0")
 
 
-class _ReleasedStream:
-    """Sentinel installed as a released buffer's encoder/decoder.
+def _use_after_release(*_: Any) -> NoReturn:
+    raise BufferLifecycleError(
+        "a released marshal buffer was used: this handle was returned to "
+        "its domain's pool (use-after-release)"
+    )
 
-    Swapping the stream pointers costs nothing on the live hot path, but
-    any put/get through a stale handle fails immediately and by name
-    instead of corrupting a buffer that the pool may already have handed
-    to another caller.
+
+class _ReleasedStream:
+    """Stands in for a released buffer's byte store.
+
+    Every put/get reads or appends to ``data`` before it charges or moves
+    anything, so a stale handle fails immediately and by name — on a
+    method, ``len()``, indexing, slicing or ``+=`` — instead of corrupting
+    a buffer the pool may already have handed to another caller.  The
+    swap costs nothing on the live hot path.
     """
 
     __slots__ = ()
 
-    def __getattr__(self, name: str) -> Any:
-        raise BufferLifecycleError(
-            f"{name!r} on a released marshal buffer: this handle was "
-            "returned to its domain's pool (use-after-release)"
-        )
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise BufferLifecycleError(
-            f"cannot set {name!r} on a released marshal buffer "
-            "(use-after-release)"
-        )
+    __len__ = __getitem__ = __setitem__ = __delitem__ = _use_after_release
+    __iadd__ = __bytes__ = __getattr__ = _use_after_release
 
 
-_RELEASED_STREAM = _ReleasedStream()
+_RELEASED = _ReleasedStream()
 
 
-class MarshalBuffer:
-    """An append-only byte stream plus a kernel-managed door vector."""
+class MarshalBuffer(TaggedStream):
+    """A tagged byte stream plus a kernel-managed door vector."""
 
     __slots__ = (
         "kernel",
-        "data",
-        "_enc",
-        "_dec",
-        "_clock",
         "doors",
         "region",
         "sealed",
+        "ctx",
+        "_backing",
         "_home",
         "_pooled",
         "_retired",
-        "_real_enc",
-        "_real_dec",
         "_released_at",
-        "ctx",
     )
 
     def __init__(self, kernel: "Kernel | None" = None) -> None:
+        super().__init__()
         self.kernel = kernel
-        self.data = bytearray()
-        self._enc = self._real_enc = Encoder(self.data)
-        self._dec = self._real_dec = Decoder(self.data)
         self._clock = kernel.clock if kernel is not None else None
+        #: the byte store ``data`` is while the buffer is live
+        self._backing = self.data
         #: out-of-band door references; entries become None once consumed
         self.doors: list["TransitDoorRef | None"] = []
         #: set by the shm subcontract's invoke_preamble: marshalling is
@@ -117,84 +114,25 @@ class MarshalBuffer:
         #: copy the bytes again (Section 5.1.4).
         self.region: Any | None = None
         self.sealed = False
+        #: the call context (repro.marshal.context) stamped at door_call;
+        #: like ``doors``, it crosses without entering the marshalled bytes
+        self.ctx: dict | None = None
         #: home pool (a Domain) when acquired via Domain.acquire_buffer
         self._home: "Domain | None" = None
         self._pooled = False
         self._retired = False
         self._released_at: str | None = None
-        #: the call context (repro.marshal.context) stamped at door_call;
-        #: like ``doors``, it crosses without entering the marshalled bytes
-        self.ctx: dict | None = None
 
     # ------------------------------------------------------------------
-    # write side
+    # door identifiers (out-of-band)
     # ------------------------------------------------------------------
-
-    def put_bool(self, value: bool) -> None:
-        """Append a tagged boolean to the stream."""
-        written = self._enc.put_bool(value)
-        if self._clock is not None:
-            self._clock.charge_bytes(written)
-
-    def put_int8(self, value: int) -> None:
-        """Append a tagged int8 to the stream."""
-        written = self._enc.put_int8(value)
-        if self._clock is not None:
-            self._clock.charge_bytes(written)
-
-    def put_int32(self, value: int) -> None:
-        """Append a tagged int32 to the stream."""
-        written = self._enc.put_int32(value)
-        if self._clock is not None:
-            self._clock.charge_bytes(written)
-
-    def put_int64(self, value: int) -> None:
-        """Append a tagged int64 to the stream."""
-        written = self._enc.put_int64(value)
-        if self._clock is not None:
-            self._clock.charge_bytes(written)
-
-    def put_float64(self, value: float) -> None:
-        """Append a tagged float64 to the stream."""
-        written = self._enc.put_float64(value)
-        if self._clock is not None:
-            self._clock.charge_bytes(written)
-
-    def put_string(self, value: str) -> None:
-        """Append a tagged UTF-8 string to the stream."""
-        written = self._enc.put_string(value)
-        if self._clock is not None:
-            self._clock.charge_bytes(written)
-
-    def put_bytes(self, value: bytes | bytearray) -> None:
-        """Append a tagged byte string to the stream."""
-        written = self._enc.put_bytes(value)
-        if self._clock is not None:
-            self._clock.charge_bytes(written)
-
-    def put_nil(self) -> None:
-        """Append a nil marker."""
-        written = self._enc.put_nil()
-        if self._clock is not None:
-            self._clock.charge_bytes(written)
-
-    def put_sequence_header(self, count: int) -> None:
-        """Append a sequence header carrying the element count."""
-        written = self._enc.put_sequence_header(count)
-        if self._clock is not None:
-            self._clock.charge_bytes(written)
-
-    def put_object_header(self, subcontract_id: str) -> None:
-        """Append a marshalled-object header with its subcontract ID (§6.1)."""
-        written = self._enc.put_object_header(subcontract_id)
-        if self._clock is not None:
-            self._clock.charge_bytes(written)
 
     def put_door_id(self, domain: "Domain", ident: "DoorIdentifier") -> None:
         """Marshal a door identifier: consume it from ``domain``, park it
         in the door vector, and write its slot index into the stream."""
-        transit = domain.kernel.detach_door_id(domain, ident)
-        self._park_transit(transit)
+        if self.data is _RELEASED:  # refuse before the identifier leaves
+            _use_after_release()
+        self._park_transit(domain.kernel.detach_door_id(domain, ident))
 
     def put_door_transit(self, transit: "TransitDoorRef") -> None:
         """Park an already-detached door reference (forwarding paths)."""
@@ -204,94 +142,18 @@ class MarshalBuffer:
         slot = len(self.doors)
         if slot > 0xFFFF:
             raise MarshalError("door vector overflow (65536 entries)")
+        self.put_door_slot(slot)
         self.doors.append(transit)
-        written = self._enc.put_door_slot(slot)
         if self._clock is not None:
-            self._clock.charge_bytes(written)
             self._clock.charge("marshal_door_id")
-
-    # ------------------------------------------------------------------
-    # read side
-    # ------------------------------------------------------------------
-
-    @property
-    def read_pos(self) -> int:
-        return self._dec.pos
-
-    @read_pos.setter
-    def read_pos(self, pos: int) -> None:
-        self._dec.pos = pos
-
-    def rewind(self) -> None:
-        """Reset the read cursor to the start of the stream."""
-        self._dec.pos = 0
-
-    def exhausted(self) -> bool:
-        """True when every marshalled byte has been consumed."""
-        return self._dec.pos >= len(self.data)
-
-    def peek_tag(self) -> WireTag:
-        """The next item's wire tag, without consuming it."""
-        return self._dec.peek_tag()
-
-    def get_bool(self) -> bool:
-        """Read the next item as a boolean."""
-        return self._dec.get_bool()
-
-    def get_int8(self) -> int:
-        """Read the next item as a int8."""
-        return self._dec.get_int8()
-
-    def get_int32(self) -> int:
-        """Read the next item as a int32."""
-        return self._dec.get_int32()
-
-    def get_int64(self) -> int:
-        """Read the next item as a int64."""
-        return self._dec.get_int64()
-
-    def get_float64(self) -> float:
-        """Read the next item as a float64."""
-        return self._dec.get_float64()
-
-    def get_string(self) -> str:
-        """Read the next item as a UTF-8 string."""
-        return self._dec.get_string()
-
-    def get_bytes(self) -> bytes:
-        """Read the next item as a byte string."""
-        return self._dec.get_bytes()
-
-    def get_nil(self) -> None:
-        """Consume a nil marker."""
-        self._dec.get_nil()
-
-    def get_sequence_header(self) -> int:
-        """Read a sequence header; returns the element count."""
-        return self._dec.get_sequence_header()
-
-    def get_object_header(self) -> str:
-        """Consume an object header; returns its subcontract ID."""
-        return self._dec.get_object_header()
-
-    def peek_object_header(self) -> str:
-        """Peek at the next object's subcontract ID (Section 6.1)."""
-        return self._dec.peek_object_header()
 
     def get_door_id(self, domain: "Domain") -> "DoorIdentifier":
         """Unmarshal a door identifier into ``domain``'s capability table."""
-        slot = self._dec.get_door_slot()
-        if slot >= len(self.doors):
-            raise DoorVectorError(f"door slot {slot} out of range")
-        transit = self.doors[slot]
-        if transit is None:
-            raise DoorVectorError(f"door slot {slot} already consumed")
-        self.doors[slot] = None
-        return domain.kernel.attach_door_id(domain, transit)
+        return domain.kernel.attach_door_id(domain, self.get_door_transit())
 
     def get_door_transit(self) -> "TransitDoorRef":
         """Take the next door reference without attaching it (forwarding)."""
-        slot = self._dec.get_door_slot()
+        slot = self.get_door_slot()
         if slot >= len(self.doors):
             raise DoorVectorError(f"door slot {slot} out of range")
         transit = self.doors[slot]
@@ -314,7 +176,7 @@ class MarshalBuffer:
         """
         if self.doors:
             raise MarshalError("graft_tail requires an empty door vector")
-        self.data.extend(other.data[other.read_pos :])
+        self.data.extend(other.data[other.pos :])
         self.doors = other.doors
         other.doors = []
 
@@ -340,8 +202,8 @@ class MarshalBuffer:
             if transit is not None and transit.live and self.kernel is not None:
                 self.kernel.discard_transit(transit)
         del self.doors[door_len:]
-        if self._dec.pos > len(self.data):
-            self._dec.pos = len(self.data)
+        if self.pos > len(self.data):
+            self.pos = len(self.data)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -352,9 +214,10 @@ class MarshalBuffer:
 
         All door references are already in transit form (``put_door_id``
         detaches eagerly), so sealing only rewinds the read cursor for the
-        receiving side.  Sealing is idempotent per hop.
+        receiving side.  Sealing is idempotent per hop.  (``door_call``
+        seals inline: these same two stores.)
         """
-        self.rewind()
+        self.pos = 0
         self.sealed = True
 
     def discard(self) -> None:
@@ -401,22 +264,23 @@ class MarshalBuffer:
         home = self._home
         if home is None:
             return
-        live = self.live_door_count()
-        if live:
-            raise BufferLifecycleError(
-                f"released while parking {live} live in-transit door "
-                "reference(s); discard() them first, or use recycle()"
-            )
+        if self.doors:
+            live = self.live_door_count()
+            if live:
+                raise BufferLifecycleError(
+                    f"released while parking {live} live in-transit door "
+                    "reference(s); discard() them first, or use recycle()"
+                )
+            self.doors = []
         if _DEBUG:
             self._released_at = "".join(traceback.format_stack(limit=8)[:-1])
-        self.data.clear()
-        self.doors = []
+        self._backing.clear()
         self.region = None
         self.sealed = False
         self.ctx = None
-        self._real_dec.pos = 0
+        self.pos = 0
         # Stale handles now fail loudly on any put/get (use-after-release).
-        self._enc = self._dec = _RELEASED_STREAM
+        self.data = _RELEASED
         home.buffer_releases += 1
         pool = home._buffer_pool
         if len(pool) < POOL_LIMIT:
@@ -441,18 +305,9 @@ class MarshalBuffer:
         notifications exactly as an undelivered message must — and then
         returns the buffer to its pool.
         """
-        if self.live_door_count():
+        if self.doors and self.live_door_count():
             self.discard()
         self.release()
-
-    def _check_pristine(self) -> None:
-        """Invariant check run when a pooled buffer is reacquired."""
-        if self.data or self.doors or self.region is not None or self._dec.pos:
-            raise MarshalError(
-                "pooled buffer reacquired dirty: "
-                f"{len(self.data)}B doors={len(self.doors)} "
-                f"region={self.region!r} pos={self._dec.pos}"
-            )
 
     # ------------------------------------------------------------------
     # introspection
@@ -471,6 +326,6 @@ class MarshalBuffer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<MarshalBuffer {len(self.data)}B doors={self.live_door_count()}"
-            f" pos={self._real_dec.pos}>"
+            f"<MarshalBuffer {len(self._backing)}B doors={self.live_door_count()}"
+            f" pos={self.pos}>"
         )

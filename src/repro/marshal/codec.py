@@ -1,4 +1,4 @@
-"""Low-level wire encodings for the marshal layer.
+"""The tagged wire stream every marshalled byte goes through.
 
 The Spring stubs marshal IDL-typed values into communication buffers.  Our
 wire format is little-endian, length-prefixed, and *tagged*: every item
@@ -8,31 +8,51 @@ bytes.  (Spring's real format was untagged; the tag costs one byte per
 item and does not change any comparison the benches make, since every
 configuration pays it equally.)
 
-Hot-path notes: the decoder reads fixed-width items with
-``struct.unpack_from`` straight off the backing buffer and slices
-variable-width payloads exactly once, at the moment they are needed — no
-intermediate ``bytes()`` copy per item.  (A persistent ``memoryview``
-would pin a ``bytearray`` against resizing, and the same backing store is
-still being appended to in interleaved write/read uses, so reads index
-the buffer directly instead.)  Encoder methods return the number of bytes
-they appended so callers can account for marshalling without re-measuring
-the stream.
+:class:`TaggedStream` is the one class that writes and reads that format:
+one byte store ``data`` and one cursor ``pos``.  ``put_*`` appends an
+item; ``get_*`` reads the item at ``pos`` and moves past it.  When the
+stream has a simulated clock (a :class:`~repro.marshal.buffer.MarshalBuffer`
+made by a kernel) each ``put_*`` charges the bytes it appended, once per
+item; the envelope, rawnet fragments and ``peek_opname`` use clock-less
+streams.  :class:`~repro.marshal.buffer.MarshalBuffer` *is* a stream, so a
+stub's ``put_int32`` or ``get_string`` is one Python call.
+
+Hot-path notes: fixed-width items are packed tag and value in one
+``struct`` call, and read with ``struct.unpack_from`` straight off the
+store; variable-width payloads are sliced exactly once, when needed.  (A
+persistent ``memoryview`` would pin a ``bytearray`` against resizing,
+and the same store may be appended to between reads, so reads index it
+directly.)  The items the call path uses most — ``get_int8``,
+``get_int32`` and strings shorter than 128 bytes, both ways — are
+handled inline.  Anything else goes through the general path, and so
+does every error: each one (type, message, and where it leaves ``pos``)
+is raised in one place.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
+from typing import Any
 
 from repro.marshal.errors import BufferUnderflowError, MarshalError, WireTypeError
 
-__all__ = ["WireTag", "Encoder", "Decoder"]
+__all__ = ["WireTag", "TaggedStream"]
 
 _I8 = struct.Struct("<b")
 _I32 = struct.Struct("<i")
 _I64 = struct.Struct("<q")
+_U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _F64 = struct.Struct("<d")
+
+#: tag byte + value, packed in one call
+_TAG_U8 = struct.Struct("<BB")
+_TAG_I8 = struct.Struct("<Bb")
+_TAG_I32 = struct.Struct("<Bi")
+_TAG_I64 = struct.Struct("<Bq")
+_TAG_U16 = struct.Struct("<BH")
+_TAG_F64 = struct.Struct("<Bd")
 
 #: An unsigned LEB128 encoding of a 64-bit value needs at most 10 bytes;
 #: anything longer is a malformed (or hostile) buffer trying to make us
@@ -57,28 +77,37 @@ class WireTag(enum.IntEnum):
     TRACE = 0x0C  # optional trailing trace context (repro.obs)
 
 
-# Plain-int tags for the decoder's inline fast paths.
+# Plain-int tags for the inline fast paths.
 _INT8, _INT32, _STRING = int(WireTag.INT8), int(WireTag.INT32), int(WireTag.STRING)
 
 
-class Encoder:
-    """Appends tagged wire items to a bytearray.
+class TaggedStream:
+    """Tagged wire items over one byte store and one read cursor.
 
-    Every ``put_*`` method returns the number of bytes appended.
+    ``data`` is a ``bytearray`` to write into (a fresh one by default);
+    a read-only stream may wrap ``bytes``.  ``pos`` is where the next
+    ``get_*`` reads.  ``put_varint`` and ``get_varint`` are the untagged
+    primitive lengths and counts are written in; ``put_varint`` charges
+    nothing by itself.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("data", "pos", "_clock")
 
-    def __init__(self, data: bytearray) -> None:
-        self._data = data
+    def __init__(self, data: bytes | bytearray | None = None, pos: int = 0) -> None:
+        self.data = bytearray() if data is None else data
+        self.pos = pos
+        #: the simulated clock each item's bytes are charged to, or None
+        self._clock: Any = None
 
-    # -- primitives ----------------------------------------------------
+    # ------------------------------------------------------------------
+    # write side
+    # ------------------------------------------------------------------
 
     def put_varint(self, value: int) -> int:
-        """Unsigned LEB128, used for lengths and counts."""
+        """Unsigned LEB128, used for lengths and counts; returns its size."""
         if value < 0:
             raise ValueError(f"varint must be non-negative, got {value}")
-        data = self._data
+        data = self.data
         written = 1
         while True:
             byte = value & 0x7F
@@ -90,120 +119,132 @@ class Encoder:
                 data.append(byte)
                 return written
 
-    def put_bool(self, value: bool) -> int:
-        """Encode a tagged boolean."""
-        self._data.append(WireTag.BOOL)
-        self._data.append(1 if value else 0)
-        return 2
-
-    def put_int8(self, value: int) -> int:
-        """Encode a tagged int8."""
-        self._data.append(WireTag.INT8)
-        self._data += _I8.pack(value)
-        return 2
-
-    def put_int32(self, value: int) -> int:
-        """Encode a tagged int32."""
-        self._data.append(WireTag.INT32)
-        self._data += _I32.pack(value)
-        return 5
-
-    def put_int64(self, value: int) -> int:
-        """Encode a tagged int64."""
-        self._data.append(WireTag.INT64)
-        self._data += _I64.pack(value)
-        return 9
-
-    def put_float64(self, value: float) -> int:
-        """Encode a tagged float64."""
-        self._data.append(WireTag.FLOAT64)
-        self._data += _F64.pack(value)
-        return 9
-
-    def put_string(self, value: str) -> int:
-        """Encode a tagged UTF-8 string."""
-        raw = value.encode("utf-8")
-        self._data.append(WireTag.STRING)
+    def _put_blob(self, tag: int, raw: bytes | bytearray) -> None:
+        """Append ``tag``, a varint length, then ``raw``."""
+        data = self.data
+        data.append(tag)
         written = 1 + self.put_varint(len(raw)) + len(raw)
-        self._data += raw
-        return written
+        data += raw
+        if self._clock is not None:
+            self._clock.charge_bytes(written)
 
-    def put_bytes(self, value: bytes | bytearray) -> int:
-        """Encode a tagged byte string."""
-        self._data.append(WireTag.BYTES)
-        written = 1 + self.put_varint(len(value)) + len(value)
-        self._data += value
-        return written
+    def put_bool(self, value: bool) -> None:
+        """Append a tagged boolean."""
+        self.data += _TAG_U8.pack(WireTag.BOOL, 1 if value else 0)
+        if self._clock is not None:
+            self._clock.charge_bytes(2)
 
-    def put_sequence_header(self, count: int) -> int:
-        """Encode a sequence header with its element count."""
-        self._data.append(WireTag.SEQUENCE)
-        return 1 + self.put_varint(count)
+    def put_int8(self, value: int) -> None:
+        """Append a tagged int8."""
+        self.data += _TAG_I8.pack(_INT8, value)
+        if self._clock is not None:
+            self._clock.charge_bytes(2)
 
-    def put_trace_ctx(self, trace_id: int, span_id: int) -> int:
-        """Encode a trace context item (tag + two varints).
+    def put_int32(self, value: int) -> None:
+        """Append a tagged int32."""
+        self.data += _TAG_I32.pack(_INT32, value)
+        if self._clock is not None:
+            self._clock.charge_bytes(5)
 
-        In-band transports (rawnet fragment headers) append this only
-        while tracing is enabled, so the untraced wire format is
-        byte-for-byte unchanged.
-        """
-        self._data.append(WireTag.TRACE)
-        return 1 + self.put_varint(trace_id) + self.put_varint(span_id)
+    def put_int64(self, value: int) -> None:
+        """Append a tagged int64."""
+        self.data += _TAG_I64.pack(WireTag.INT64, value)
+        if self._clock is not None:
+            self._clock.charge_bytes(9)
 
-    def put_door_slot(self, slot: int) -> int:
-        """Encode a door-vector slot index."""
-        self._data.append(WireTag.DOOR_SLOT)
-        self._data += _U16.pack(slot)
-        return 3
+    def put_float64(self, value: float) -> None:
+        """Append a tagged float64."""
+        self.data += _TAG_F64.pack(WireTag.FLOAT64, value)
+        if self._clock is not None:
+            self._clock.charge_bytes(9)
 
-    def put_nil(self) -> int:
-        """Encode a nil marker."""
-        self._data.append(WireTag.NIL)
-        return 1
+    def put_string(self, value: str) -> None:
+        """Append a tagged UTF-8 string."""
+        raw = value.encode("utf-8")
+        size = len(raw)
+        if size >= 0x80:  # the length needs a multi-byte varint
+            self._put_blob(_STRING, raw)
+            return
+        data = self.data
+        data += _TAG_U8.pack(_STRING, size)
+        data += raw
+        if self._clock is not None:
+            self._clock.charge_bytes(size + 2)
 
-    def put_object_header(self, subcontract_id: str) -> int:
-        """Write the header of a marshalled object: tag + subcontract ID.
+    def put_bytes(self, value: bytes | bytearray) -> None:
+        """Append a tagged byte string."""
+        self._put_blob(WireTag.BYTES, value)
+
+    def put_object_header(self, subcontract_id: str) -> None:
+        """Append the header of a marshalled object: tag + subcontract ID.
 
         Section 6.1: "the normal mechanism we use to implement compatible
         subcontracts is to include a subcontract identifier as part of the
         marshalled form of each object."
         """
-        raw = subcontract_id.encode("utf-8")
-        self._data.append(WireTag.OBJECT)
-        written = 1 + self.put_varint(len(raw)) + len(raw)
-        self._data += raw
-        return written
+        self._put_blob(WireTag.OBJECT, subcontract_id.encode("utf-8"))
 
+    def put_sequence_header(self, count: int) -> None:
+        """Append a sequence header with its element count."""
+        self.data.append(WireTag.SEQUENCE)
+        written = 1 + self.put_varint(count)
+        if self._clock is not None:
+            self._clock.charge_bytes(written)
 
-class Decoder:
-    """Reads tagged wire items from a bytes-like object."""
+    def put_trace_ctx(self, trace_id: int, span_id: int) -> None:
+        """Append a trace context item (tag + two varints).
 
-    __slots__ = ("_data", "pos")
+        In-band transports (rawnet fragment headers) append this only
+        while tracing is enabled, so the untraced wire format is
+        byte-for-byte unchanged.
+        """
+        self.data.append(WireTag.TRACE)
+        written = 1 + self.put_varint(trace_id) + self.put_varint(span_id)
+        if self._clock is not None:
+            self._clock.charge_bytes(written)
 
-    def __init__(self, data: bytes | bytearray, pos: int = 0) -> None:
-        self._data = data
-        self.pos = pos
+    def put_door_slot(self, slot: int) -> None:
+        """Append a door-vector slot index."""
+        self.data += _TAG_U16.pack(WireTag.DOOR_SLOT, slot)
+        if self._clock is not None:
+            self._clock.charge_bytes(3)
 
-    # -- low level -----------------------------------------------------
+    def put_nil(self) -> None:
+        """Append a nil marker."""
+        self.data.append(WireTag.NIL)
+        if self._clock is not None:
+            self._clock.charge_bytes(1)
+
+    # ------------------------------------------------------------------
+    # read side: the checking primitives
+    # ------------------------------------------------------------------
+
+    def rewind(self) -> None:
+        """Reset the read cursor to the start of the stream."""
+        self.pos = 0
+
+    def exhausted(self) -> bool:
+        """True when every byte has been read."""
+        return self.pos >= len(self.data)
 
     def _bounds(self, n: int) -> int:
         """Check ``n`` readable bytes remain; return the end offset."""
         end = self.pos + n
-        if end > len(self._data):
+        if end > len(self.data):
             raise BufferUnderflowError(
-                f"need {n} bytes at offset {self.pos}, buffer has {len(self._data)}"
+                f"need {n} bytes at offset {self.pos}, buffer has {len(self.data)}"
             )
         return end
 
     def _byte(self) -> int:
         """Consume one raw byte without allocating."""
         pos = self.pos
-        if pos >= len(self._data):
+        if pos >= len(self.data):
             raise BufferUnderflowError(
-                f"need 1 bytes at offset {pos}, buffer has {len(self._data)}"
+                f"need 1 bytes at offset {pos}, buffer has {len(self.data)}"
             )
         self.pos = pos + 1
-        return self._data[pos]
+        return self.data[pos]
 
     def expect_tag(self, tag: WireTag) -> None:
         """Consume one tag byte, raising WireTypeError on mismatch."""
@@ -217,9 +258,9 @@ class Decoder:
 
     def peek_tag(self) -> WireTag:
         """The next tag byte, without consuming it."""
-        if self.pos >= len(self._data):
+        if self.pos >= len(self.data):
             raise BufferUnderflowError("peeked past end of buffer")
-        raw = self._data[self.pos]
+        raw = self.data[self.pos]
         try:
             return WireTag(raw)
         except ValueError:
@@ -239,57 +280,69 @@ class Decoder:
             f"varint exceeds {_VARINT_MAX_BYTES} bytes at offset {self.pos}"
         )
 
-    # -- primitives ----------------------------------------------------
+    def _get_fixed(self, tag: WireTag, item: struct.Struct) -> Any:
+        """Read one fixed-width item: ``tag``, then ``item``'s value."""
+        data, pos = self.data, self.pos
+        end = pos + 1 + item.size
+        if end > len(data) or data[pos] != tag:
+            # Both raise: a wrong or missing tag first, then a short body
+            # (with the cursor left past the tag).
+            self.expect_tag(tag)
+            self._bounds(item.size)
+        self.pos = end
+        return item.unpack_from(data, pos + 1)[0]
+
+    def _blob_end(self, tag: WireTag) -> int:
+        """Consume ``tag`` and a varint length; return where the payload
+        ends (``pos`` is left at its start)."""
+        self.expect_tag(tag)
+        return self._bounds(self.get_varint())
+
+    def _get_text(self, tag: WireTag) -> str:
+        end = self._blob_end(tag)
+        value = str(self.data[self.pos : end], "utf-8")
+        self.pos = end
+        return value
+
+    # ------------------------------------------------------------------
+    # read side: items
+    # ------------------------------------------------------------------
 
     def get_bool(self) -> bool:
-        """Decode a boolean."""
-        self.expect_tag(WireTag.BOOL)
-        return self._byte() != 0
+        """Read a tagged boolean."""
+        return self._get_fixed(WireTag.BOOL, _U8) != 0
 
     def get_int8(self) -> int:
-        """Decode a int8."""
-        data, pos = self._data, self.pos
+        """Read a tagged int8."""
+        data, pos = self.data, self.pos
         if pos + 2 <= len(data) and data[pos] == _INT8:
             self.pos = pos + 2
             return _I8.unpack_from(data, pos + 1)[0]
-        # Slow path (and every error, raised exactly as before).
-        self.expect_tag(WireTag.INT8)
-        end = self._bounds(1)
-        value = _I8.unpack_from(self._data, self.pos)[0]
-        self.pos = end
-        return value
+        return self._get_fixed(WireTag.INT8, _I8)
 
     def get_int32(self) -> int:
-        """Decode a int32."""
-        data, pos = self._data, self.pos
+        """Read a tagged int32."""
+        data, pos = self.data, self.pos
         if pos + 5 <= len(data) and data[pos] == _INT32:
             self.pos = pos + 5
             return _I32.unpack_from(data, pos + 1)[0]
-        self.expect_tag(WireTag.INT32)
-        end = self._bounds(4)
-        value = _I32.unpack_from(self._data, self.pos)[0]
-        self.pos = end
-        return value
+        return self._get_fixed(WireTag.INT32, _I32)
 
     def get_int64(self) -> int:
-        """Decode a int64."""
-        self.expect_tag(WireTag.INT64)
-        end = self._bounds(8)
-        value = _I64.unpack_from(self._data, self.pos)[0]
-        self.pos = end
-        return value
+        """Read a tagged int64."""
+        return self._get_fixed(WireTag.INT64, _I64)
 
     def get_float64(self) -> float:
-        """Decode a float64."""
-        self.expect_tag(WireTag.FLOAT64)
-        end = self._bounds(8)
-        value = _F64.unpack_from(self._data, self.pos)[0]
-        self.pos = end
-        return value
+        """Read a tagged float64."""
+        return self._get_fixed(WireTag.FLOAT64, _F64)
+
+    def get_door_slot(self) -> int:
+        """Read a door-vector slot index."""
+        return self._get_fixed(WireTag.DOOR_SLOT, _U16)
 
     def get_string(self) -> str:
-        """Decode a UTF-8 string."""
-        data, pos = self._data, self.pos
+        """Read a tagged UTF-8 string."""
+        data, pos = self.data, self.pos
         if pos + 2 <= len(data) and data[pos] == _STRING and data[pos + 1] < 0x80:
             end = pos + 2 + data[pos + 1]
             if end <= len(data):
@@ -297,52 +350,18 @@ class Decoder:
                 value = str(data[pos + 2 : end], "utf-8")
                 self.pos = end
                 return value
-        self.expect_tag(WireTag.STRING)
-        length = self.get_varint()
-        end = self._bounds(length)
-        value = str(self._data[self.pos : end], "utf-8")
-        self.pos = end
-        return value
+        return self._get_text(WireTag.STRING)
 
     def get_bytes(self) -> bytes:
-        """Decode a byte string."""
-        self.expect_tag(WireTag.BYTES)
-        length = self.get_varint()
-        end = self._bounds(length)
-        chunk = self._data[self.pos : end]
+        """Read a tagged byte string."""
+        end = self._blob_end(WireTag.BYTES)
+        chunk = self.data[self.pos : end]
         self.pos = end
         return chunk if type(chunk) is bytes else bytes(chunk)
 
-    def get_trace_ctx(self) -> tuple[int, int]:
-        """Decode a trace context item; returns ``(trace_id, span_id)``."""
-        self.expect_tag(WireTag.TRACE)
-        return (self.get_varint(), self.get_varint())
-
-    def get_sequence_header(self) -> int:
-        """Decode a sequence header; returns the element count."""
-        self.expect_tag(WireTag.SEQUENCE)
-        return self.get_varint()
-
-    def get_door_slot(self) -> int:
-        """Decode a door-vector slot index."""
-        self.expect_tag(WireTag.DOOR_SLOT)
-        end = self._bounds(2)
-        value = _U16.unpack_from(self._data, self.pos)[0]
-        self.pos = end
-        return value
-
-    def get_nil(self) -> None:
-        """Decode a nil marker."""
-        self.expect_tag(WireTag.NIL)
-
     def get_object_header(self) -> str:
         """Read a marshalled object's header; returns its subcontract ID."""
-        self.expect_tag(WireTag.OBJECT)
-        length = self.get_varint()
-        end = self._bounds(length)
-        value = str(self._data[self.pos : end], "utf-8")
-        self.pos = end
-        return value
+        return self._get_text(WireTag.OBJECT)
 
     def peek_object_header(self) -> str:
         """Peek at the subcontract ID without consuming it (Section 6.1).
@@ -356,3 +375,17 @@ class Decoder:
             return self.get_object_header()
         finally:
             self.pos = saved
+
+    def get_sequence_header(self) -> int:
+        """Read a sequence header; returns the element count."""
+        self.expect_tag(WireTag.SEQUENCE)
+        return self.get_varint()
+
+    def get_trace_ctx(self) -> tuple[int, int]:
+        """Read a trace context item; returns ``(trace_id, span_id)``."""
+        self.expect_tag(WireTag.TRACE)
+        return (self.get_varint(), self.get_varint())
+
+    def get_nil(self) -> None:
+        """Read a nil marker."""
+        self.expect_tag(WireTag.NIL)

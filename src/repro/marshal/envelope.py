@@ -33,7 +33,7 @@ own simulated clock.  The section is read together with the payload,
 and refused as a whole — truncated, an unknown key id, a value
 its codec cannot read — before the payload is handed to anyone.
 
-Error payloads reuse the ordinary :class:`~repro.marshal.codec.Encoder`
+Error payloads reuse the ordinary :class:`~repro.marshal.codec.TaggedStream`
 items: a string (exception type name), a string (message), and a float64
 (the ``retry_after_us`` hint, so :class:`ServerBusyError`'s admission
 signal round-trips exactly).
@@ -44,7 +44,7 @@ from __future__ import annotations
 import struct
 from typing import TYPE_CHECKING, NamedTuple
 
-from repro.marshal.codec import Decoder, Encoder
+from repro.marshal.codec import TaggedStream
 from repro.marshal.context import KEYS
 from repro.marshal.errors import MarshalError
 
@@ -112,18 +112,17 @@ class Envelope(NamedTuple):
 
 def pack_error(exc: BaseException) -> bytes:
     """Encode an exception for an ERROR envelope (type, message, hint)."""
-    data = bytearray()
-    enc = Encoder(data)
-    enc.put_string(type(exc).__name__)
-    enc.put_string(str(exc))
-    enc.put_float64(float(getattr(exc, "retry_after_us", 0.0)))
-    return bytes(data)
+    stream = TaggedStream()
+    stream.put_string(type(exc).__name__)
+    stream.put_string(str(exc))
+    stream.put_float64(float(getattr(exc, "retry_after_us", 0.0)))
+    return bytes(stream.data)
 
 
 def unpack_error(payload: bytes) -> tuple[str, str, float]:
     """Decode an ERROR payload into ``(type_name, message, retry_after_us)``."""
-    dec = Decoder(bytearray(payload))
-    return (dec.get_string(), dec.get_string(), dec.get_float64())
+    stream = TaggedStream(payload)
+    return (stream.get_string(), stream.get_string(), stream.get_float64())
 
 
 def read_exact(sock: "socket.socket", count: int, starts_frame: bool = False) -> bytes:

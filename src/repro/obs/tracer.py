@@ -29,7 +29,7 @@ Causality is carried two ways:
   no Python object crosses, only the two integers, and the rawnet
   subcontract proves the point by carrying the same pair in-band in its
   packet headers
-  (:meth:`~repro.marshal.codec.Encoder.put_trace_ctx`).
+  (:meth:`~repro.marshal.codec.TaggedStream.put_trace_ctx`).
 
 Timestamps are simulated microseconds from the kernel's ``SimClock``;
 wall-clock deltas (``time.perf_counter``) ride along so real-hardware

@@ -97,7 +97,7 @@ class _CacheFront:
         domain = self.manager.domain
         kernel = domain.kernel
         opname = request.get_string()
-        key = (opname, bytes(request.data[request.read_pos :]))
+        key = (opname, bytes(request.data[request.pos :]))
         cacheable = (
             opname in self.manager.cacheable and request.live_door_count() == 0
         )

@@ -26,7 +26,7 @@ from repro.core.object import SpringObject
 from repro.core.subcontract import ClientSubcontract
 from repro.kernel.errors import KernelError
 from repro.marshal.buffer import MarshalBuffer
-from repro.marshal.codec import Decoder
+from repro.marshal.codec import TaggedStream
 from repro.runtime import tsan as _tsan
 from repro.runtime.retry import MemberEvictedError
 
@@ -98,9 +98,9 @@ def make_door_handler(
 def peek_opname(request: MarshalBuffer) -> str:
     """Read the operation name at the request's current position without
     consuming it (the skeleton re-reads it during dispatch): a scratch
-    decoder reads it, so the request's own cursor never moves."""
+    stream reads it, so the request's own cursor never moves."""
     try:
-        return Decoder(request.data, request.read_pos).get_string()
+        return TaggedStream(request.data, request.pos).get_string()
     except Exception:
         return "?"
 

@@ -229,7 +229,7 @@ class MigratoryServer(SingleDoorServer):
         state = {"moved": False}
 
         def handler(request: MarshalBuffer) -> MarshalBuffer:
-            saved = request.read_pos
+            saved = request.pos
             op = request.get_string()
             if state["moved"]:
                 reply = MarshalBuffer(kernel)
@@ -244,7 +244,7 @@ class MigratoryServer(SingleDoorServer):
                 reply.put_bytes(impl.migrate_out())
                 state["moved"] = True
                 return reply
-            request.read_pos = saved
+            request.pos = saved
             return inner(request)
 
         return handler

@@ -39,7 +39,7 @@ from repro.core.registry import ensure_registry
 from repro.core.subcontract import ServerSubcontract
 from repro.kernel.errors import CommunicationError, DeadlineExceeded
 from repro.marshal.buffer import MarshalBuffer
-from repro.marshal.codec import Decoder, Encoder
+from repro.marshal.codec import TaggedStream
 from repro.marshal.context import DEADLINE
 from repro.marshal.errors import MarshalError
 from repro.runtime.retry import RetryPolicy
@@ -127,36 +127,35 @@ def _pack_fragment(
     chunk: bytes,
     trace_ctx: tuple[int, int] | None = None,
 ) -> bytes:
-    data = bytearray()
-    enc = Encoder(data)
-    enc.put_int8(kind)
-    enc.put_int64(msg_id)
-    enc.put_int32(index)
-    enc.put_int32(count)
-    enc.put_string(reply_machine)
-    enc.put_string(reply_port)
-    enc.put_bytes(chunk)
+    stream = TaggedStream()
+    stream.put_int8(kind)
+    stream.put_int64(msg_id)
+    stream.put_int32(index)
+    stream.put_int32(count)
+    stream.put_string(reply_machine)
+    stream.put_string(reply_port)
+    stream.put_bytes(chunk)
     if trace_ctx is not None:
         # Optional trailing item: appended only while tracing is enabled,
         # so the untraced packet format is byte-for-byte unchanged.
-        enc.put_trace_ctx(*trace_ctx)
-    return bytes(data)
+        stream.put_trace_ctx(*trace_ctx)
+    return bytes(stream.data)
 
 
 def _unpack_fragment(
     payload: bytes,
 ) -> tuple[int, int, int, int, str, str, bytes, tuple[int, int] | None]:
-    dec = Decoder(payload)
+    stream = TaggedStream(payload)
     fields = (
-        dec.get_int8(),
-        dec.get_int64(),
-        dec.get_int32(),
-        dec.get_int32(),
-        dec.get_string(),
-        dec.get_string(),
-        dec.get_bytes(),
+        stream.get_int8(),
+        stream.get_int64(),
+        stream.get_int32(),
+        stream.get_int32(),
+        stream.get_string(),
+        stream.get_string(),
+        stream.get_bytes(),
     )
-    trace_ctx = dec.get_trace_ctx() if dec.pos < len(payload) else None
+    trace_ctx = None if stream.exhausted() else stream.get_trace_ctx()
     return fields + (trace_ctx,)
 
 

@@ -106,9 +106,9 @@ class RowaClient(RepClient):
         rep: RowaRep = obj._rep
         # The request starts with the operation name (rowa writes no
         # preamble control), so the subcontract can classify the call.
-        saved = buffer.read_pos
+        saved = buffer.pos
         opname = buffer.get_string()
-        buffer.read_pos = saved
+        buffer.pos = saved
 
         if opname in rep.read_ops or opname == "_spring_type_query":
             return self._read_one(rep, buffer)

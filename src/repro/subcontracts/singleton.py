@@ -50,10 +50,10 @@ class SingleDoorClient(RepClient):
         # the way out, and the reply copied back (the cost the shm
         # subcontract's invoke_preamble eliminates, Section 5.1.4).
         if buffer.region is None:
-            kernel.clock.charge("memory_copy_byte", buffer.size)
+            kernel.clock.charge("memory_copy_byte", len(buffer.data))
         reply = kernel.door_call(self.domain, rep.door, buffer)
         if reply.region is None:
-            kernel.clock.charge("memory_copy_byte", reply.size)
+            kernel.clock.charge("memory_copy_byte", len(reply.data))
         return reply
 
 

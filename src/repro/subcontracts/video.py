@@ -110,7 +110,7 @@ class VideoServer(SingleDoorServer):
         self, inner: "DoorHandler", impl: Any, binding: "InterfaceBinding"
     ) -> "DoorHandler":
         def handler(request: MarshalBuffer) -> MarshalBuffer:
-            saved = request.read_pos
+            saved = request.pos
             op = request.get_string()
             if op == _SUBSCRIBE_OP or op == _UNSUBSCRIBE_OP:
                 machine_name = request.get_string()
@@ -122,7 +122,7 @@ class VideoServer(SingleDoorServer):
                 reply = MarshalBuffer(self.domain.kernel)
                 write_ok_status(reply)
                 return reply
-            request.read_pos = saved
+            request.pos = saved
             return inner(request)
 
         return handler

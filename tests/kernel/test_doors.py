@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.kernel import (
@@ -111,6 +113,56 @@ class TestCapabilityEnforcement:
         buffer.put_string("x")
         with pytest.raises(DoorAccessError):
             kernel.door_call(server, ident, buffer)
+
+
+class TestLaunchGuard:
+    """``door_call`` checks each capability clause on its own.  Each
+    identifier here fails exactly one clause, in a state the kernel's own
+    operations never produce (they keep ``valid``, the owner field and
+    the owner's table in step), so only that clause can refuse it — and
+    it must, before the request is sealed."""
+
+    def moved(self, world):
+        kernel, server, client = world
+        ident = kernel.create_door(server, echo_handler(kernel))
+        return transfer(kernel, server, client, ident)
+
+    def test_identifier_naming_another_owner_is_refused(self, world):
+        kernel, server, client = world
+        forged = copy.copy(self.moved(world))  # same uid, in client's table
+        forged.owner = server
+        with pytest.raises(DoorAccessError):
+            kernel.door_call(client, forged, MarshalBuffer(kernel))
+
+    def test_invalidated_identifier_still_in_the_table_is_refused(self, world):
+        kernel, _, client = world
+        moved = self.moved(world)
+        moved.valid = False
+        with pytest.raises(InvalidDoorError):
+            kernel.door_call(client, moved, MarshalBuffer(kernel))
+
+    def test_identifier_missing_from_the_callers_table_is_refused(self, world):
+        kernel, _, client = world
+        moved = self.moved(world)
+        del client.door_ids[moved.uid]
+        with pytest.raises(DoorAccessError):
+            kernel.door_call(client, moved, MarshalBuffer(kernel))
+
+    @pytest.mark.parametrize(
+        "state, error",
+        [(DoorState.REVOKED, DoorRevokedError), (DoorState.DEAD, ServerDiedError)],
+    )
+    def test_inactive_door_is_refused_before_the_seal(self, world, state, error):
+        kernel, _, client = world
+        moved = self.moved(world)
+        moved.door.state = state  # its server domain still runs
+        buffer = MarshalBuffer(kernel)
+        buffer.put_string("x")
+        buffer.get_string()
+        with pytest.raises(error):
+            kernel.door_call(client, moved, buffer)
+        assert not buffer.sealed and buffer.pos == buffer.size
+        assert moved.door.calls_handled == 0
 
 
 class TestInvocation:

@@ -81,7 +81,7 @@ class TestDoorVector:
     def test_forged_slot_index_rejected(self, kernel):
         client = kernel.create_domain("client")
         buffer = MarshalBuffer(kernel)
-        buffer._enc.put_door_slot(7)  # no door was actually parked
+        buffer.put_door_slot(7)  # no door was actually parked
         buffer.rewind()
         with pytest.raises(DoorVectorError):
             buffer.get_door_id(client)
@@ -175,5 +175,5 @@ class TestChargingAndMisc:
         buffer.rewind()
         buffer.get_int32()
         buffer.seal_for_transmission(domain)
-        assert buffer.read_pos == 0
+        assert buffer.pos == 0
         assert buffer.sealed

@@ -18,6 +18,48 @@ def noop_handler(kernel):
     return handler
 
 
+#: every put_*/get_*/peek_* a buffer has, inherited or its own
+STREAM_METHODS = sorted(
+    name for name in dir(MarshalBuffer) if name.startswith(("put_", "get_", "peek_"))
+)
+
+#: method -> (domain, identifier, transit ref) -> call arguments
+STREAM_ARGS = {
+    "put_bool": lambda d, i, t: (True,),
+    "put_int8": lambda d, i, t: (1,),
+    "put_int32": lambda d, i, t: (1,),
+    "put_int64": lambda d, i, t: (1,),
+    "put_float64": lambda d, i, t: (1.0,),
+    "put_string": lambda d, i, t: ("x",),
+    "put_bytes": lambda d, i, t: (b"x",),
+    "put_nil": lambda d, i, t: (),
+    "put_varint": lambda d, i, t: (1,),
+    "put_sequence_header": lambda d, i, t: (1,),
+    "put_object_header": lambda d, i, t: ("singleton",),
+    "put_trace_ctx": lambda d, i, t: (1, 2),
+    "put_door_slot": lambda d, i, t: (0,),
+    "put_door_id": lambda d, i, t: (d, i),
+    "put_door_transit": lambda d, i, t: (t,),
+    "get_bool": lambda d, i, t: (),
+    "get_int8": lambda d, i, t: (),
+    "get_int32": lambda d, i, t: (),
+    "get_int64": lambda d, i, t: (),
+    "get_float64": lambda d, i, t: (),
+    "get_string": lambda d, i, t: (),
+    "get_bytes": lambda d, i, t: (),
+    "get_nil": lambda d, i, t: (),
+    "get_varint": lambda d, i, t: (),
+    "get_sequence_header": lambda d, i, t: (),
+    "get_object_header": lambda d, i, t: (),
+    "get_trace_ctx": lambda d, i, t: (),
+    "get_door_slot": lambda d, i, t: (),
+    "get_door_id": lambda d, i, t: (d,),
+    "get_door_transit": lambda d, i, t: (),
+    "peek_tag": lambda d, i, t: (),
+    "peek_object_header": lambda d, i, t: (),
+}
+
+
 class TestDoubleRelease:
     def test_double_release_raises(self, kernel):
         domain = kernel.create_domain("d")
@@ -150,3 +192,33 @@ class TestUseAfterRelease:
         again.rewind()
         assert again.get_int32() == 42
         again.release()
+
+    def test_every_stream_method_is_covered(self):
+        assert set(STREAM_METHODS) == set(STREAM_ARGS)
+
+    @pytest.mark.parametrize("method", STREAM_METHODS)
+    def test_stream_method_refused_after_release(self, kernel, method):
+        domain = kernel.create_domain("d")
+        ident = kernel.create_door(domain, noop_handler(kernel))
+        transit = kernel.detach_door_id(
+            domain, kernel.create_door(domain, noop_handler(kernel))
+        )
+        buffer = domain.acquire_buffer()
+        buffer.put_int32(1)
+        buffer.rewind()
+        buffer.release()
+        before = kernel.clock.now_us
+
+        with pytest.raises(BufferLifecycleError, match="use-after-release"):
+            getattr(buffer, method)(*STREAM_ARGS[method](domain, ident, transit))
+
+        assert kernel.clock.now_us == before  # a refused put charges nothing
+        assert domain.owns(ident) and ident.valid  # the identifier never left
+        again = domain.acquire_buffer()  # raises if the refusal left a trace
+        assert again is buffer
+        assert (again.size, again.doors, again.pos) == (0, [], 0)
+        again.put_int32(2)
+        again.rewind()
+        assert again.get_int32() == 2
+        again.release()
+        kernel.discard_transit(transit)

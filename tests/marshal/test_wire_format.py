@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.marshal.codec import Decoder, Encoder, WireTag
+from repro.marshal.codec import TaggedStream, WireTag
 
 
 def encoded(put):
     data = bytearray()
-    put(Encoder(data))
+    put(TaggedStream(data))
     return bytes(data)
 
 
@@ -111,7 +111,7 @@ class TestCallWireFormat:
         obj._rep.door.door.handler = spy
         obj.add(7)
         data = captured["bytes"]
-        decoder = Decoder(data)
+        decoder = TaggedStream(data)
         assert decoder.get_int32() == obj._rep.tag  # cluster's preamble
         assert decoder.get_string() == "add"  # the op name
         assert decoder.get_int32() == 7  # the argument
