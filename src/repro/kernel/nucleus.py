@@ -24,16 +24,11 @@ from __future__ import annotations
 
 import os
 import threading
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.kernel.clock import CostModel, SimClock
-from repro.kernel.doors import (
-    Door,
-    DoorHandler,
-    DoorIdentifier,
-    DoorState,
-    TransitDoorRef,
-)
+from repro.kernel.doors import Door, DoorHandler, DoorIdentifier, DoorState, TransitDoorRef
 from repro.kernel.domain import Domain
 from repro.kernel.errors import (
     DeadlineExceeded,
@@ -43,7 +38,7 @@ from repro.kernel.errors import (
     ServerDiedError,
 )
 from repro.marshal.context import DEADLINE, HOP_KEYS
-from repro.obs.tracer import NULL_TRACER, TRACE
+from repro.obs.tracer import NULL_TRACER
 
 if TYPE_CHECKING:
     from repro.marshal.buffer import MarshalBuffer
@@ -51,8 +46,7 @@ if TYPE_CHECKING:
 __all__ = ["Kernel"]
 
 #: ``REPRO_TSAN=1`` in the environment => every new kernel installs the
-#: happens-before race detector on itself (read once at import; the
-#: per-call cost stays one attribute read + one branch either way).
+#: happens-before race detector on itself (read once at import).
 _TSAN_FROM_ENV = os.environ.get("REPRO_TSAN", "") not in ("", "0")
 
 _ACTIVE = DoorState.ACTIVE
@@ -63,9 +57,8 @@ class _ThreadContext(threading.local):
 
     The default makes the unset read (``kernel.context.value``) an
     ordinary attribute lookup; ``getattr(local, "value", None)`` on a
-    fresh thread is AttributeError-driven and ~6x slower — too hot for
-    the gate that runs on every door call.
-    """
+    fresh thread is AttributeError-driven and ~6x slower: too hot for
+    the gate that runs on every door call."""
 
     value: dict | None = None
 
@@ -83,40 +76,30 @@ class Kernel:
         self.clock = SimClock(cost_model)
         self.domains: dict[int, Domain] = {}
         self.doors: dict[int, Door] = {}
-        # Guards the kernel's capability tables.  Held only across table
-        # mutations — never across a door handler, so nested and
-        # concurrent calls proceed (domains have threads, Section 3.3).
+        # Guards the capability tables, held across table mutations only:
+        # never across a door handler, so nested and concurrent calls
+        # proceed (domains have threads, Section 3.3).
         self._table_lock = threading.RLock()
         #: optional hook installed by the network layer: called for door
         #: calls whose server lives on a different machine than the caller.
         self.fabric: Callable[[Domain, Door, "MarshalBuffer"], "MarshalBuffer"] | None = None
         # Nested door-call depth is tracked per thread (a chain of nested
-        # calls lives on one thread), so the delivery path updates it
-        # without touching the table lock.
+        # calls lives on one thread), so no lock guards it.
         self._depth = threading.local()
-        #: the observability tracer; preinstalled no-op so hot paths pay
-        #: exactly one attribute read + one branch when tracing is off.
-        #: Replaced by repro.obs.install_tracer.
-        self.tracer = NULL_TRACER
-        #: the fault plane (repro.runtime.chaos.FaultPlane) or None; like
-        #: the tracer, uninstalled costs one attribute read + one branch
-        #: per interception point and zero simulated time.
-        self.chaos = None
         #: the calling thread's call context (repro.marshal.context): stamped
         #: onto buffers at door_call, swapped for the request's in incoming
         self.context = _ThreadContext()
         # Kernel-scoped sequence counters (txn ids, saga ids, idempotency
-        # keys).  Process-global counters leak state between worlds and
-        # break seed-swept replays; these reset with the kernel.
+        # keys): they reset with the kernel, so seeded worlds replay.
         self._seqs: dict[str, int] = {}
-        #: the admission controller (repro.runtime.admission) or None;
-        #: like chaos, uninstalled costs one attribute read + one branch
-        #: at its one gate (the incoming leg) and zero simulated time.
-        self.admission = None
-        #: the happens-before race detector (repro.runtime.tsan) or
-        #: None; uninstalled costs one attribute read + one branch at
-        #: each sync-edge hook and zero simulated time either way.
-        self.tsan = None
+        #: the call-path seams (see interpose): a composed stage, or None,
+        #: which costs the legs one attribute read and one branch
+        self.launch_seam = self.gate_seam = self.handler_seam = None
+        self._interposers: dict[int, object] = {}
+        #: installed features, for code that asks for one by name (never
+        #: the legs); the tracer boots as a no-op whose ``enabled`` is False
+        self.tracer = NULL_TRACER
+        self.chaos = self.admission = self.tsan = None
         if _TSAN_FROM_ENV:
             from repro.runtime.tsan import install_tsan
 
@@ -126,6 +109,10 @@ class Kernel:
     def call_depth(self) -> int:
         """Depth of the calling thread's nested door-call chain."""
         return getattr(self._depth, "value", 0)
+
+    def live_door_count(self) -> int:
+        """Number of doors currently registered with the kernel (E4)."""
+        return len(self.doors)
 
     def next_seq(self, kind: str) -> int:
         """Allocate the next kernel-scoped sequence number for ``kind``.
@@ -295,7 +282,8 @@ class Kernel:
 
         This is the launch leg: the kernel validates the caller's budget
         and capability, stamps the caller's call context, seals the buffer
-        and routes it — to the network fabric when the server lives on
+        and routes it, through the launch seam when a feature is
+        installed there — to the network fabric when the server lives on
         another machine, otherwise straight to :meth:`incoming`, which
         the fabric also ends in.  The gate order is the "launch" rows
         of the table in ``docs/architecture.md``.
@@ -339,61 +327,30 @@ class Kernel:
         if ctx is not None:
             buffer.ctx = ctx
 
-        chaos = self.chaos
-        if chaos is not None:
-            chaos.on_door_call(caller, door)
-
         # Seal: the receiving side reads from the start.
         buffer.pos = 0
         buffer.sealed = True
-
-        # Race-detector edge: the request carries the caller's clock to
-        # the handler, the reply carries the handler's clock back.
-        ts = self.tsan
-        if ts is not None:
-            ts.on_door_send(door, buffer)
-
         remote = (
             self.fabric is not None
             and caller.machine is not None
             and server.machine is not None
             and caller.machine is not server.machine
         )
-        tracer = self.tracer
-        if tracer.enabled:
-            # The door span is the trace context of this hop: it rides in
-            # the buffer's call context, never in the marshalled bytes.
-            with tracer.begin_span(
-                caller,
-                door.label or f"door#{door.uid}",
-                "door",
-                door=door.uid,
-                server=server.name,
-                remote=remote,
-            ) as span:
-                buffer.ctx = span.stamp(ctx)
-                try:
-                    reply = (
-                        self.fabric(caller, door, buffer)
-                        if remote
-                        else self.incoming(door, buffer)
-                    )
-                finally:
-                    buffer.ctx = ctx
+        launch = self.launch_seam
+        if launch is not None:
+            reply = launch(caller, door, buffer, remote)
+        elif remote:
+            reply = self.fabric(caller, door, buffer)
         else:
-            reply = (
-                self.fabric(caller, door, buffer)
-                if remote
-                else self.incoming(door, buffer)
-            )
+            reply = self.incoming(door, buffer)
         reply.pos = 0
         reply.sealed = True
-        if ts is not None:
-            ts.on_reply_receive(reply)
         return reply
 
-    def incoming(self, door: Door, buffer: "MarshalBuffer") -> "MarshalBuffer":
-        """The incoming leg: admit, charge and run one call at its door.
+    def incoming(
+        self, door: Door, buffer: "MarshalBuffer", *, admitted: bool = False
+    ) -> "MarshalBuffer":
+        """The incoming leg: gate, charge and run one call at its door.
 
         Every call reaches its handler through here, on the server's
         machine: from the local tail of :meth:`door_call`, from the sim
@@ -401,78 +358,92 @@ class Kernel:
         process that rebuilt the request from an envelope.  The gate
         order (and what each refusal has charged by then) is the
         "incoming" rows of the table in ``docs/architecture.md``.
+        ``admitted=True`` is the gate seam's innermost stage: the call
+        has passed the liveness checks and every gate.
         """
-        # Before the admission gate: busy is not dead.  A door that died
-        # or was revoked after launch must not occupy a slot, count a
-        # shed, or hand retry loops a ``retry_after_us`` to back off on.
-        server = door.server
-        if not server.alive or door.state is DoorState.DEAD:
-            raise ServerDiedError(
-                f"server domain {server.name!r} of door #{door.uid} has crashed"
-            )
-        if door.state is DoorState.REVOKED:
-            raise DoorRevokedError(f"door #{door.uid} has been revoked")
-        admission = self.admission
-        permit = admission.admit(door, buffer) if admission is not None else None
+        if not admitted:
+            # Before the gate seam: busy is not dead.  A door that died or
+            # was revoked after launch must not occupy a slot or hand retry
+            # loops a ``retry_after_us`` to back off on.
+            server = door.server
+            if not server.alive or door.state is DoorState.DEAD:
+                raise ServerDiedError(
+                    f"server domain {server.name!r} of door #{door.uid} has crashed"
+                )
+            if door.state is DoorState.REVOKED:
+                raise DoorRevokedError(f"door #{door.uid} has been revoked")
+            gate = self.gate_seam
+            if gate is not None:
+                return gate(door, buffer)
+        self.clock.charge("door_call")
+        with self._table_lock:
+            door.calls_handled += 1
+        # The request has been consumed: from here a refusal (late
+        # arrival, crash-mid-call) counts as a handled call.
+        ctx = buffer.ctx
+        if ctx is not None:
+            dl = ctx.get(DEADLINE)
+            if dl is not None and self.clock.now_us >= dl:
+                raise DeadlineExceeded(
+                    f"deadline passed before door #{door.uid} handler ran "
+                    f"({self.clock.now_us - dl:.1f} us over budget)"
+                )
+        depth_local = self._depth
+        depth = getattr(depth_local, "value", 0)
+        depth_local.value = depth + 1
+        # The handler runs in the context that came with the call, less
+        # the keys that name this hop only (an idempotency key names one
+        # request, not the calls it makes); door_call stamps every
+        # non-empty context, so a call carrying none is already in its own.
+        if ctx is not None:
+            ctx_local = self.context
+            held = ctx_local.value
+            inherited = ctx.copy()
+            for key_id in HOP_KEYS:
+                inherited.pop(key_id, None)
+            ctx_local.value = inherited or None
+        handle = self.handler_seam
         try:
-            self.clock.charge("door_call")
-            with self._table_lock:
-                door.calls_handled += 1
-            # The request has been consumed: from here a refusal (late
-            # arrival, crash-mid-call) counts as a handled call.
-            ctx = buffer.ctx
-            if ctx is not None:
-                dl = ctx.get(DEADLINE)
-                if dl is not None and self.clock.now_us >= dl:
-                    raise DeadlineExceeded(
-                        f"deadline passed before door #{door.uid} handler ran "
-                        f"({self.clock.now_us - dl:.1f} us over budget)"
-                    )
-            chaos = self.chaos
-            if chaos is not None:
-                chaos.on_deliver(door)
-            depth_local = self._depth
-            depth = getattr(depth_local, "value", 0)
-            depth_local.value = depth + 1
-            # The handler runs in the context that came with the call, less
-            # the keys that name this hop only (an idempotency key names one
-            # request, not the calls it makes); door_call stamps every
-            # non-empty context, so a call carrying none is already in its own.
-            if ctx is not None:
-                ctx_local = self.context
-                held = ctx_local.value
-                inherited = ctx.copy()
-                for key_id in HOP_KEYS:
-                    inherited.pop(key_id, None)
-                ctx_local.value = inherited or None
-            ts = self.tsan
-            if ts is not None:
-                ts.on_door_receive(door, buffer)
-            tracer = self.tracer
-            try:
-                if tracer.enabled:
-                    # The handler span's parent is ONLY the trace context
-                    # that crossed with the call, never the delivering
-                    # thread's stack.
-                    with tracer.begin_handler(
-                        server,
-                        door.label or f"door#{door.uid}",
-                        ctx.get(TRACE) if ctx is not None else None,
-                        door=door.uid,
-                    ):
-                        reply = door.handler(buffer)
-                else:
-                    reply = door.handler(buffer)
-            finally:
-                depth_local.value = depth
-                if ctx is not None:
-                    ctx_local.value = held
-            if ts is not None:
-                ts.on_reply_send(reply)
-            return reply
+            if handle is not None:
+                return handle(door, buffer)
+            return door.handler(buffer)
         finally:
-            if permit is not None:
-                admission.complete(permit)
+            depth_local.value = depth
+            if ctx is not None:
+                ctx_local.value = held
+
+    def interpose(self, feature) -> None:
+        """Compose ``feature`` into the seams: ``around_launch``,
+        ``around_gate`` and ``around_handler``, where it has them, each
+        take the next stage inward and return the stage that calls it.
+        The class-constant ``rank`` orders them (lower wraps outside) and
+        names the slot: a second feature at a rank replaces the first."""
+        self._interposers[feature.rank] = feature
+        self._compose()
+
+    def withdraw(self, feature) -> None:
+        """Take ``feature`` out of the seams if it is installed (else no-op)."""
+        if feature is not None and self._interposers.get(feature.rank) is feature:
+            del self._interposers[feature.rank]
+            self._compose()
+
+    def _compose(self) -> None:
+        inward = [f for _, f in sorted(self._interposers.items(), reverse=True)]
+        for seam, stage in (
+            ("launch", self._route),
+            ("gate", partial(self.incoming, admitted=True)),
+            ("handler", lambda door, buffer: door.handler(buffer)),
+        ):
+            composed = None
+            for feature in inward:
+                around = getattr(feature, "around_" + seam, None)
+                if around is not None:
+                    stage = composed = around(stage)
+            setattr(self, seam + "_seam", composed)
+
+    def _route(self, caller, door, buffer, remote):
+        """The launch seam's innermost stage: the wire or incoming leg."""
+        return self.fabric(caller, door, buffer) if remote else self.incoming(door, buffer)
 
     # ------------------------------------------------------------------
     # internals
@@ -532,11 +503,3 @@ class Kernel:
             # Calls on a dead door are a communication failure — the
             # signal replicon and reconnectable recover from.
             raise ServerDiedError(f"server of door #{door.uid} has crashed")
-
-    # ------------------------------------------------------------------
-    # introspection (tests, benches)
-    # ------------------------------------------------------------------
-
-    def live_door_count(self) -> int:
-        """Number of doors currently registered with the kernel (E4)."""
-        return len(self.doors)

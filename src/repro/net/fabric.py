@@ -208,39 +208,12 @@ class NetworkFabric:
         self, caller: "Domain", door: "Door", buffer: "MarshalBuffer"
     ) -> "MarshalBuffer":
         """Kernel fabric hook: forward one door call between machines."""
-        tracer = self.kernel.tracer
-        if tracer.enabled:
-            src = caller.machine
-            dst = door.server.machine
-            with tracer.begin_span(
-                caller,
-                "fabric.carry",
-                "fabric",
-                src=src.name if src is not None else "?",
-                dst=dst.name if dst is not None else "?",
-                bytes=buffer.size,
-            ) as span:
-                reply = self._carry(caller, door, buffer)
-                span.annotate(reply_bytes=reply.size)
-                return reply
-        return self._carry(caller, door, buffer)
-
-    def _carry(
-        self, caller: "Domain", door: "Door", buffer: "MarshalBuffer"
-    ) -> "MarshalBuffer":
         src = caller.machine
         dst = door.server.machine
         assert src is not None and dst is not None
-        if self.partitioned(src, dst):
-            raise NetworkPartitionError(
-                f"machines {src.name!r} and {dst.name!r} are partitioned"
-            )
-        chaos = self.kernel.chaos
-        if chaos is not None:
-            # A dropped request leg raises before delivery; the caller's
-            # failure path cleans the request buffer up, exactly as it
-            # does for a pre-existing partition.
-            chaos.on_carry(src, dst, "request")
+        # A lost request leg raises before delivery; the caller's failure
+        # path cleans the request buffer up.
+        self._leg(src, dst, "request")
         self.calls_carried += 1
 
         # Request leg: translate outbound doors, pay wire time, translate
@@ -263,16 +236,7 @@ class NetworkFabric:
         # else's to clean up: whatever loses it, drop its in-transit doors
         # and return it to its server-side pool here.
         try:
-            # Partitions that formed mid-call lose the reply.  It travels
-            # dst -> src, so it is that *direction* that must be open — a
-            # one-way cut of the return path loses replies while requests
-            # keep landing.
-            if self.partitioned(dst, src):
-                raise NetworkPartitionError(
-                    f"reply lost: machines {src.name!r} and {dst.name!r} partitioned"
-                )
-            if chaos is not None:
-                chaos.on_carry(src, dst, "reply")
+            self._leg(src, dst, "reply")
             dst.net_server.outbound_reply(reply.live_door_count(), domain=door.server)
             self._wire_time(reply.size, src, dst)
             src.net_server.inbound_reply(reply.live_door_count(), domain=caller)
@@ -286,6 +250,22 @@ class NetworkFabric:
         # Shared regions do not span machines; never let one leak across.
         reply.region = None
         return reply
+
+    def _leg(self, src: Machine, dst: Machine, leg: str) -> None:
+        """Raise unless one leg of a carried call gets through its link
+        (the reply travels dst -> src) and the fault plane's link model."""
+        if leg == "request":
+            if (src.name, dst.name) in self._partitions:
+                raise NetworkPartitionError(
+                    f"machines {src.name!r} and {dst.name!r} are partitioned"
+                )
+        elif (dst.name, src.name) in self._partitions:
+            raise NetworkPartitionError(
+                f"reply lost: machines {src.name!r} and {dst.name!r} partitioned"
+            )
+        plane = self.kernel.chaos
+        if plane is not None:
+            plane.on_carry(src, dst, leg)
 
     def _wire_time(
         self, size: int, src: Machine | str | None = None, dst: Machine | str | None = None

@@ -12,13 +12,13 @@ rawnet retransmits).
 Design constraints (see ``docs/observability.md``):
 
 * **Near-zero disabled cost.**  Every kernel has a ``tracer`` attribute,
-  preinstalled as the no-op :data:`NULL_TRACER`; hot paths pay exactly one
-  attribute read plus one branch (``if kernel.tracer.enabled:``) at
-  each span site.  Every site — ``core.stubs.remote_call``, fused
-  stubs, ``Kernel.door_call``, ``Kernel.incoming``, the skeleton
-  handler, the fabrics — opens its span behind that branch in the one
-  body it runs untraced too: there are no traced twins.  A span costs
-  one ``begin_*`` and one ``Span.end``.
+  preinstalled as the no-op :data:`NULL_TRACER`.  ``install_tracer``
+  composes the door, fabric and handler spans into the kernel's seams;
+  every other site (stubs, the skeleton handler, the net servers) pays
+  one attribute read plus one branch (``if kernel.tracer.enabled:``)
+  and opens its span behind it in the one body it runs untraced too:
+  there are no traced twins.  A span costs one ``begin_*`` and one
+  ``Span.end``.
 * **Simulated and wall time.**  Span timestamps come from the kernel's
   deterministic :class:`~repro.kernel.clock.SimClock`; wall-clock deltas
   ride along for profiling real hardware.  The tracer's own probe cost is

@@ -11,10 +11,10 @@ A span is one timed unit of work, in one domain, with a name and a
 category describing which layer did the work::
 
     invoke     client stub -> subcontract (remote_call / fused stub)
-    door       kernel door traversal (door_call)
-    fabric     cross-machine forwarding (NetworkFabric.carry)
+    door       kernel door traversal (door_call's launch seam)
+    fabric     cross-machine forwarding (launch seam, around the carry)
     netserver  door-identifier translation at a machine boundary
-    handler    server-side door delivery (Kernel.incoming / rawnet receive)
+    handler    server-side door delivery (handler seam / rawnet receive)
     skeleton   server subcontract -> server stubs dispatch
 
 Causality is carried two ways:
@@ -22,9 +22,10 @@ Causality is carried two ways:
 * **within a call chain on one thread** — a per-thread span stack; a new
   span's parent is the stack top, which is how a nested ``remote_call``
   made from inside a server-side handler joins its caller's trace;
-* **across the transmission boundary** — ``Kernel.door_call`` stamps the
-  door span's ``(trace_id, span_id)`` as the per-hop :data:`TRACE` key of
-  the buffer's call context (:meth:`Span.stamp`), and ``Kernel.incoming``
+* **across the transmission boundary** — the launch-seam stage
+  (:meth:`Tracer.around_launch`) stamps the door span's
+  ``(trace_id, span_id)`` as the per-hop :data:`TRACE` key of the
+  buffer's call context (:meth:`Span.stamp`), and the handler-seam stage
   starts the handler span from that key alone.  Domain isolation holds:
   no Python object crosses, only the two integers, and the rawnet
   subcontract proves the point by carrying the same pair in-band in its
@@ -260,6 +261,7 @@ class Tracer:
 
     #: hot paths read only this; NullTracer's False makes them no-ops
     enabled = True
+    rank = 30  # innermost: spans time what the base does
 
     def __init__(
         self, kernel: "Kernel", ring_capacity: int = DEFAULT_RING_CAPACITY
@@ -339,6 +341,63 @@ class Tracer:
         if ctx is None:
             ctx = (next(self._trace_ids), 0)
         return Span(self, domain, name, "handler", attrs, ctx)
+
+    # -- the kernel's seams --------------------------------------------
+
+    def around_launch(self, inner: Any) -> Any:
+        """Launch seam: the door span (the hop's trace context, riding in
+        the call context) and, across machines, the fabric span."""
+
+        def launch(caller, door, buffer, remote):
+            ctx, server, name = buffer.ctx, door.server, door.label
+            span = self.begin_span(
+                caller, name or f"door#{door.uid}", "door", door=door.uid,
+                server=server.name, remote=remote,
+            )
+            carry = None
+            try:
+                buffer.ctx = span.stamp(ctx)
+                if remote:
+                    carry = self.begin_span(
+                        caller, "fabric.carry", "fabric", src=caller.machine.name,
+                        dst=server.machine.name, bytes=buffer.size,
+                    )
+                reply = inner(caller, door, buffer, remote)
+                if carry is not None:
+                    carry.annotate(reply_bytes=reply.size)
+                return reply
+            except BaseException as exc:
+                if carry is not None:
+                    carry.record_error(exc)
+                span.record_error(exc)
+                raise
+            finally:
+                buffer.ctx = ctx
+                if carry is not None:
+                    carry.end()
+                span.end()
+
+        return launch
+
+    def around_handler(self, inner: Any) -> Any:
+        """Handler seam: the handler span's parent is ONLY the trace
+        context that crossed with the call, never this thread's stack."""
+
+        def handle(door, buffer):
+            ctx = buffer.ctx
+            span = self.begin_handler(
+                door.server, door.label or f"door#{door.uid}",
+                ctx.get(TRACE) if ctx is not None else None, door=door.uid,
+            )
+            try:
+                return inner(door, buffer)
+            except BaseException as exc:
+                span.record_error(exc)
+                raise
+            finally:
+                span.end()
+
+        return handle
 
     # -- current-span conveniences (safe no-ops with no span open) -----
 
@@ -473,4 +532,5 @@ def install_tracer(
     """Create a :class:`Tracer` and install it on ``kernel``."""
     tracer = Tracer(kernel, ring_capacity=ring_capacity)
     kernel.tracer = tracer
+    kernel.interpose(tracer)
     return tracer

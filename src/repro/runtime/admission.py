@@ -35,15 +35,14 @@ occupancy the real calls are admitted against, so a single-threaded
 simulated workload experiences genuine queueing and shedding, and every
 run replays bit-for-bit from its seed.
 
-Enforcement sits in one place, ``Kernel.incoming`` — the leg every
-call arrives on, whether from the local door-call tail, the fabric's
-carry, or a worker process — so local and cross-machine calls are
-governed identically, and a cross-machine call is admitted once, on the
-serving machine.  When no controller is
-installed (``kernel.admission is None``) the gate costs one attribute
-read and one branch and not one simulated nanosecond; installed, an
-*ungoverned* door resolves to ``None`` once and is cached, so only doors
-with a policy pay anything.
+Enforcement sits in one place, the gate seam of ``Kernel.incoming`` —
+the leg every call arrives on, whether from the local door-call tail,
+the fabric's carry, or a worker process — so local and cross-machine
+calls are governed identically, and a cross-machine call is admitted
+once, on the serving machine.  Uninstalled, the controller is not in
+the seam and costs not one simulated nanosecond; installed, an
+*ungoverned* door resolves to ``None`` once and is cached, so only
+doors with a policy pay anything.
 
 Everything is observable: ``admission.queued`` / ``admission.shed`` /
 ``admission.rejected`` span events and queue-depth / wait histograms
@@ -56,7 +55,7 @@ from __future__ import annotations
 import heapq
 import random
 import threading
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.kernel.errors import ServerBusyError
 from repro.marshal.context import DEADLINE
@@ -237,6 +236,8 @@ class AdmissionController:
     neither stay ungoverned and cost one cached dictionary miss, ever.
     """
 
+    rank = 40  # a gate of lower rank refuses before a slot is taken here
+
     def __init__(self, kernel: "Kernel", seed: int = 0) -> None:
         self.kernel = kernel
         self.seed = seed
@@ -306,11 +307,25 @@ class AdmissionController:
         return state
 
     # ------------------------------------------------------------------
-    # the gate (called from the kernel and the fabric)
+    # the gate (the incoming leg's gate seam)
     # ------------------------------------------------------------------
 
+    def around_gate(self, inner: Callable) -> Callable:
+        """Gate seam: admit before the traversal is charged; a permitted
+        call completes however it ends."""
+
+        def gate(door, buffer):
+            permit = self.admit(door, buffer)
+            try:
+                return inner(door, buffer)
+            finally:
+                if permit is not None:
+                    self.complete(permit)
+
+        return gate
+
     def admit(self, door: "Door", buffer) -> "tuple[_DoorState, float] | None":
-        """Admit one real call to ``door``; the kernel calls this.
+        """Admit one real call to ``door``; the gate seam calls this.
 
         Returns an opaque permit to hand back to :meth:`complete` (or
         ``None`` when the door is ungoverned), charges any queueing wait
@@ -647,9 +662,11 @@ def install_admission(kernel: "Kernel", seed: int = 0) -> AdmissionController:
     """Create an :class:`AdmissionController` and install it on ``kernel``."""
     controller = AdmissionController(kernel, seed=seed)
     kernel.admission = controller
+    kernel.interpose(controller)
     return controller
 
 
 def uninstall_admission(kernel: "Kernel") -> None:
     """Remove the controller; every door reverts to unbounded admission."""
+    kernel.withdraw(kernel.admission)
     kernel.admission = None

@@ -39,10 +39,11 @@ never perturbs the draw sequence of another.  Scheduled actions fire in
 ``(at_us, insertion order)`` order.  Single-threaded workloads therefore
 replay exactly; the chaos soak asserts identical span sequences per seed.
 
-When no plane is installed (``kernel.chaos is None``) the hot path pays
-one attribute read and one branch per interception point, and not one
-simulated nanosecond: uninstalled sim totals are bit-for-bit identical
-to the pre-chaos tree (gated by ``benchmarks/bench_p4_chaos_overhead``).
+Installed, the plane sits in the kernel's launch and handler seams
+(``Kernel.interpose``); uninstalled, in neither, and only the fabric's
+link model reads ``kernel.chaos`` (per carry leg, wire time, datagram).
+Uninstalled sim totals are bit-for-bit the pre-chaos tree's (gated by
+``benchmarks/bench_p4_chaos_overhead``).
 
 Every injected fault ticks :attr:`FaultPlane.injected` and, when a
 tracer is live, annotates the current span with a ``chaos.*`` event
@@ -72,6 +73,7 @@ __all__ = [
     "InjectedFault",
     "OpenLoopBurst",
     "install_chaos",
+    "uninstall_chaos",
 ]
 
 
@@ -211,6 +213,8 @@ class LinkChaos:
 
 class FaultPlane:
     """Seeded, deterministic fault injection for one world."""
+
+    rank = 10  # outermost: a fault fires before tsan or the tracer sees it
 
     def __init__(
         self,
@@ -390,31 +394,37 @@ class FaultPlane:
         return fired
 
     # ------------------------------------------------------------------
-    # interception points (called by the kernel and the fabric)
+    # interception points (the kernel's seams and the fabric)
     # ------------------------------------------------------------------
 
-    def on_door_call(self, caller: "Domain", door: "Door") -> None:
-        """Kernel hook: runs before a door call launches; may raise."""
-        if self._schedule:
-            self.pump()
-        if self._fail_next_door_calls > 0:
-            self._fail_next_door_calls -= 1
-            self._count("door_fault")
-            self._event("chaos.door_fault", door=door.uid, armed=True)
-            raise InjectedFault(
-                f"chaos: transient failure calling door #{door.uid} (armed)"
-            )
-        rate = self.door_fault_rate
-        if rate and self.rng.random() < rate:
-            self._count("door_fault")
-            self._event("chaos.door_fault", door=door.uid, armed=False)
-            raise InjectedFault(
-                f"chaos: transient failure calling door #{door.uid}"
-            )
+    def around_launch(self, inner: Callable) -> Callable:
+        """Launch seam: before the call is routed, fire due scheduled
+        actions, then an armed or drawn transient door fault."""
 
-    def on_deliver(self, door: "Door") -> None:
-        """Kernel hook: runs after the server consumed the request, before
-        the handler replies; may crash the server (crash-mid-call).
+        def launch(caller, door, buffer, remote):
+            if self._schedule:
+                self.pump()
+            if self._fail_next_door_calls > 0:
+                self._fail_next_door_calls -= 1
+                self._count("door_fault")
+                self._event("chaos.door_fault", door=door.uid, armed=True)
+                raise InjectedFault(
+                    f"chaos: transient failure calling door #{door.uid} (armed)"
+                )
+            rate = self.door_fault_rate
+            if rate and self.rng.random() < rate:
+                self._count("door_fault")
+                self._event("chaos.door_fault", door=door.uid, armed=False)
+                raise InjectedFault(
+                    f"chaos: transient failure calling door #{door.uid}"
+                )
+            return inner(caller, door, buffer, remote)
+
+        return launch
+
+    def around_handler(self, inner: Callable) -> Callable:
+        """Handler seam: after the server consumed the request, before the
+        handler runs, crash the server (crash-mid-call) if armed or drawn.
 
         A domain with ``domain.locals["chaos_immune"]`` set is never
         crashed by the *random* knobs (rate or untargeted arming) —
@@ -424,20 +434,25 @@ class FaultPlane:
         happens before the immunity check, so shielding a domain never
         perturbs the draw sequence.
         """
-        armed = self._crash_mid_call_armed
-        if armed is not False:
-            if armed is door.server or (
-                armed is True and not door.server.locals.get("chaos_immune")
+
+        def handle(door, buffer):
+            armed = self._crash_mid_call_armed
+            if armed is not False:
+                if armed is door.server or (
+                    armed is True and not door.server.locals.get("chaos_immune")
+                ):
+                    self._crash_mid_call_armed = False
+                    self._crash_server(door)
+            rate = self.crash_mid_call_rate
+            if (
+                rate
+                and self.rng.random() < rate
+                and not door.server.locals.get("chaos_immune")
             ):
-                self._crash_mid_call_armed = False
                 self._crash_server(door)
-        rate = self.crash_mid_call_rate
-        if (
-            rate
-            and self.rng.random() < rate
-            and not door.server.locals.get("chaos_immune")
-        ):
-            self._crash_server(door)
+            return inner(door, buffer)
+
+        return handle
 
     def _crash_server(self, door: "Door") -> None:
         server = door.server
@@ -592,12 +607,11 @@ def install_chaos(
     """Create a :class:`FaultPlane` and install it on ``kernel``."""
     plane = FaultPlane(kernel, fabric, seed=seed)
     kernel.chaos = plane
+    kernel.interpose(plane)
     return plane
 
 
 def uninstall_chaos(kernel: "Kernel") -> None:
     """Remove the fault plane; the hot path reverts to fault-free."""
+    kernel.withdraw(kernel.chaos)
     kernel.chaos = None
-
-
-__all__.append("uninstall_chaos")

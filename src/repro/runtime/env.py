@@ -198,7 +198,9 @@ class Environment:
 
     def uninstall_chaos(self) -> None:
         """Remove the fault plane; the hot path reverts to fault-free."""
-        self.kernel.chaos = None
+        from repro.runtime.chaos import uninstall_chaos
+
+        uninstall_chaos(self.kernel)
 
     def install_admission(self, seed: int | None = None):
         """Install overload protection (admission control) on this world.
@@ -219,7 +221,9 @@ class Environment:
 
     def uninstall_admission(self) -> None:
         """Remove admission control; doors revert to unbounded admission."""
-        self.kernel.admission = None
+        from repro.runtime.admission import uninstall_admission
+
+        uninstall_admission(self.kernel)
 
     def install_tsan(self, **options):
         """Install the springtsan happens-before race detector.
@@ -280,18 +284,6 @@ class Environment:
         tracer = self.kernel.tracer
         if tracer.enabled:
             tracer.windows = None
-
-    def install_obsd(self, domain: "Domain", engine=None):
-        """Serve this world's telemetry through an ``obsd`` door.
-
-        Exports the introspection service from ``domain`` (an ordinary
-        singleton-subcontract export); hand objects to clients with
-        ``service.object_for(client_domain)``.  Returns the live
-        :class:`repro.services.obsd.ObsdService`.
-        """
-        from repro.services.obsd import ObsdService
-
-        return ObsdService(domain, engine)
 
     # ------------------------------------------------------------------
     # self-organization (gossip membership + leader election)

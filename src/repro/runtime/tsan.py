@@ -30,7 +30,7 @@ Synchronization edges — the ones this runtime already owns:
 * **door-call handoff** — a door call is a happens-before edge from the
   caller to the handler (the request buffer carries the caller's clock)
   and from the handler back to the caller (the reply carries the
-  handler's clock), wired in :class:`repro.kernel.nucleus.Kernel`;
+  handler's clock), wired into the kernel's launch and handler seams;
 * **marshal-pool buffer transfer** — releasing a pooled buffer
   happens-before the next ``acquire_buffer`` that hands the same buffer
   to another thread (list append/pop under the GIL is the real
@@ -41,7 +41,8 @@ the kernel's capability tables and every domain's ``locals`` dict in
 tracked containers, classes tagged ``@shared_state`` get their
 attribute writes instrumented, and :func:`track` wraps any dict or list
 the caller nominates.  Uninstalled (``kernel.tsan is None``, the
-default) every hook is one attribute read and one branch, not one
+default) the door edges are in none of the kernel's seams, the pool and
+``create_domain`` hooks are one attribute read and one branch, not one
 simulated nanosecond is charged, and ``@shared_state`` classes are
 untouched; enabled, the detector never advances the simulated clock
 either, so sim totals stay bit-for-bit identical.
@@ -83,9 +84,6 @@ _ACTIVE: "TsanRuntime | None" = None
 #: classes tagged ``@shared_state``; patched on install, restored on
 #: uninstall.  Tagging is free until a detector is installed.
 _SHARED_CLASSES: list[type] = []
-
-#: ``REPRO_TSAN=1`` at import => every new Kernel installs a detector
-ENABLED_FROM_ENV = os.environ.get("REPRO_TSAN", "") not in ("", "0")
 
 
 def active() -> "TsanRuntime | None":
@@ -230,6 +228,8 @@ class TsanRuntime:
     exist so the race fixtures can prove each edge is load-bearing:
     turning one off must turn a clean program into a reported race.
     """
+
+    rank = 20  # inside chaos (a fault is no handoff), outside the tracer
 
     def __init__(
         self,
@@ -445,66 +445,75 @@ class TsanRuntime:
                 state.tick()
                 self.stats["edges"] += 1
 
-    # -- door-call handoff edges (kernel) ------------------------------
+    # -- door-call handoff edges (the kernel's seams) ------------------
+
+    def around_launch(self, inner: Callable) -> Callable:
+        """Launch seam: the request carries the caller's clock to the
+        handler, the reply carries the handler's clock back."""
+
+        def launch(caller, door, buffer, remote):
+            self.on_door_send(door, buffer)
+            reply = inner(caller, door, buffer, remote)
+            self.on_reply_receive(reply)
+            return reply
+
+        return launch
+
+    def around_handler(self, inner: Callable) -> Callable:
+        """Handler seam: the handler's side of the same two edges."""
+
+        def handle(door, buffer):
+            self.on_door_receive(door, buffer)
+            reply = inner(door, buffer)
+            self.on_reply_send(reply)
+            return reply
+
+        return handle
 
     def on_door_send(self, door: Any, buffer: Any) -> None:
         """Caller -> handler: the request carries the caller's clock."""
-        if not self.door_edges:
-            return
-        with self._mu:
-            state = self._state()
-            self._sync[("door", id(buffer))] = dict(state.clock)
-            state.tick()
-            self.stats["edges"] += 1
+        if self.door_edges:
+            self._send(("door", id(buffer)))
 
     def on_door_receive(self, door: Any, buffer: Any) -> None:
         """Handler side: join the clock the request carried."""
-        if not self.door_edges:
-            return
-        with self._mu:
-            clock = self._sync.pop(("door", id(buffer)), None)
-            if clock is not None:
-                self._state().join_clock(clock)
-            self.stats["edges"] += 1
+        if self.door_edges:
+            self._receive(("door", id(buffer)))
 
     def on_reply_send(self, buffer: Any) -> None:
         """Handler -> caller: the reply carries the handler's clock."""
-        if not self.door_edges:
-            return
-        with self._mu:
-            state = self._state()
-            self._sync[("reply", id(buffer))] = dict(state.clock)
-            state.tick()
-            self.stats["edges"] += 1
+        if self.door_edges:
+            self._send(("reply", id(buffer)))
 
     def on_reply_receive(self, buffer: Any) -> None:
         """Caller side: join the clock the reply carried."""
-        if not self.door_edges:
-            return
-        with self._mu:
-            clock = self._sync.pop(("reply", id(buffer)), None)
-            if clock is not None:
-                self._state().join_clock(clock)
-            self.stats["edges"] += 1
+        if self.door_edges:
+            self._receive(("reply", id(buffer)))
 
     # -- marshal-pool transfer edges -----------------------------------
 
     def on_buffer_release(self, buffer: Any) -> None:
         """A pooled buffer returns to its domain's free-list."""
-        if not self.pool_edges:
-            return
-        with self._mu:
-            state = self._state()
-            self._sync[("pool", id(buffer))] = dict(state.clock)
-            state.tick()
-            self.stats["edges"] += 1
+        if self.pool_edges:
+            self._send(("pool", id(buffer)))
 
     def on_buffer_acquire(self, buffer: Any) -> None:
         """A pooled buffer was handed out again (possibly cross-thread)."""
-        if not self.pool_edges:
-            return
+        if self.pool_edges:
+            self._receive(("pool", id(buffer)))
+
+    def _send(self, channel: tuple) -> None:
+        """Publish this thread's clock on ``channel`` (one edge's start)."""
         with self._mu:
-            clock = self._sync.pop(("pool", id(buffer)), None)
+            state = self._state()
+            self._sync[channel] = dict(state.clock)
+            state.tick()
+            self.stats["edges"] += 1
+
+    def _receive(self, channel: tuple) -> None:
+        """Join the clock published on ``channel``, if any (the edge's end)."""
+        with self._mu:
+            clock = self._sync.pop(channel, None)
             if clock is not None:
                 self._state().join_clock(clock)
             self.stats["edges"] += 1
@@ -528,6 +537,7 @@ class TsanRuntime:
             saved["domain_locals"][domain.uid] = domain.locals
             self.on_domain_created(domain)
         kernel.tsan = self
+        kernel.interpose(self)
         self._kernels.append((kernel, saved))
 
     def on_domain_created(self, domain: Any) -> None:
@@ -551,6 +561,7 @@ class TsanRuntime:
                     domain.locals = restored
                 elif isinstance(domain.locals, TrackedDict):
                     domain.locals = dict(domain.locals)
+            kernel.withdraw(self)
             kernel.tsan = None
         self._kernels = []
 

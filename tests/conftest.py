@@ -7,6 +7,7 @@ import pytest
 from repro.core.registry import SubcontractRegistry
 from repro.idl.compiler import compile_idl
 from repro.kernel.nucleus import Kernel
+from repro.marshal import context
 from repro.runtime.env import Environment
 from repro.subcontracts import standard_subcontracts
 
@@ -124,6 +125,18 @@ def counter_module():
 @pytest.fixture(scope="session")
 def echo_module():
     return compile_idl(ECHO_IDL, module_name="tests.echo")
+
+
+@pytest.fixture
+def scratch_keys():
+    """Call-context key registrations made inside the test are undone
+    after it."""
+    keys, hop = dict(context.KEYS), set(context.HOP_KEYS)
+    yield
+    context.KEYS.clear()
+    context.KEYS.update(keys)
+    context.HOP_KEYS.clear()
+    context.HOP_KEYS.update(hop)
 
 
 @pytest.fixture

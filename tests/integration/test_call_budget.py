@@ -62,6 +62,62 @@ BUDGETS = {
 }
 
 
+#: The same calls with ``env.install_windows()`` (a tracer feeding a
+#: windowed series): four spans (invoke, door, handler, skeleton), each
+#: charging ``trace_span`` as it opens and ``window_probe`` as it ends.
+TRACED_BUDGETS = {
+    "add": (
+        90,
+        (1,),
+        [
+            ("charge", ("local_call",)),
+            ("charge", ("trace_span",)),  # invoke
+            ("charge", ("indirect_call",)),
+            ("charge_bytes", (5,)),
+            ("charge_bytes", (5,)),
+            ("charge", ("indirect_call",)),
+            ("charge", ("memory_copy_byte", 10)),
+            ("charge", ("trace_span",)),  # door
+            ("charge", ("door_call",)),
+            ("charge", ("trace_span",)),  # handler
+            ("charge", ("trace_span",)),  # skeleton
+            ("charge", ("indirect_call",)),
+            ("charge_bytes", (2,)),
+            ("charge_bytes", (5,)),
+            ("charge", ("window_probe",)),  # skeleton ends
+            ("charge", ("window_probe",)),  # handler ends
+            ("charge", ("window_probe",)),  # door ends
+            ("charge", ("memory_copy_byte", 7)),
+            ("charge", ("window_probe",)),  # invoke ends
+        ],
+    ),
+    "total": (
+        87,
+        (),
+        [
+            ("charge", ("local_call",)),
+            ("charge", ("trace_span",)),
+            ("charge", ("indirect_call",)),
+            ("charge_bytes", (7,)),
+            ("charge", ("indirect_call",)),
+            ("charge", ("memory_copy_byte", 7)),
+            ("charge", ("trace_span",)),
+            ("charge", ("door_call",)),
+            ("charge", ("trace_span",)),
+            ("charge", ("trace_span",)),
+            ("charge", ("indirect_call",)),
+            ("charge_bytes", (2,)),
+            ("charge_bytes", (5,)),
+            ("charge", ("window_probe",)),
+            ("charge", ("window_probe",)),
+            ("charge", ("window_probe",)),
+            ("charge", ("memory_copy_byte", 7)),
+            ("charge", ("window_probe",)),
+        ],
+    ),
+}
+
+
 @pytest.fixture
 def charges(monkeypatch):
     """Every clock charge made while the test runs, in order."""
@@ -77,16 +133,28 @@ def charges(monkeypatch):
     return made
 
 
-@pytest.fixture
-def counter(counter_module, charges):
-    """A singleton counter exported by one domain and resolved by another
-    on the same machine, as a Spring program would reach it."""
+def export_counter(counter_module):
+    """``(env, counter)``: a singleton counter exported by one domain and
+    resolved by another on the same machine, as a Spring program would
+    reach it."""
     env = Environment()
     binding = counter_module.binding("counter")
     server = env.create_domain("m0", "server")
     client = env.create_domain("m0", "client")
     env.bind(server, "/counter", SingletonServer(server).export(CounterImpl(), binding))
-    return narrow(env.resolve(client, "/counter"), binding)
+    return env, narrow(env.resolve(client, "/counter"), binding)
+
+
+@pytest.fixture
+def counter(counter_module, charges):
+    return export_counter(counter_module)[1]
+
+
+@pytest.fixture
+def traced_counter(counter_module, charges):
+    env, counter = export_counter(counter_module)
+    env.install_windows()
+    return counter
 
 
 def program_calls(fn, *args) -> int:
@@ -108,12 +176,40 @@ def program_calls(fn, *args) -> int:
     return calls
 
 
-@pytest.mark.parametrize("op", sorted(BUDGETS))
-def test_one_local_call_stays_within_its_budget(counter, charges, op):
-    budget, args, expected = BUDGETS[op]
+def check_budget(counter, charges, op, budgets):
+    budget, args, expected = budgets[op]
     method = getattr(counter, op)
     method(*args)  # warm: the pools hold a buffer each, the clock its shard
     del charges[:]
     calls = program_calls(method, *args)
     assert calls <= budget, f"{op}: {calls} Python calls, budget {budget}"
     assert charges == expected
+
+
+@pytest.mark.parametrize("op", sorted(BUDGETS))
+def test_one_local_call_stays_within_its_budget(counter, charges, op):
+    check_budget(counter, charges, op, BUDGETS)
+
+
+@pytest.mark.parametrize("op", sorted(TRACED_BUDGETS))
+def test_one_traced_call_stays_within_its_budget(traced_counter, charges, op):
+    check_budget(traced_counter, charges, op, TRACED_BUDGETS)
+
+
+@pytest.mark.parametrize("feature", ["chaos", "admission", "tsan"])
+def test_an_uninstalled_feature_leaves_the_call_as_it_found_it(counter_module, feature):
+    """A feature enters the call path at install and leaves it at
+    uninstall: every seam is empty again, and one call makes the calls
+    and charges of a world that never installed it."""
+    (never_env, never), (env, counter) = (export_counter(counter_module) for _ in range(2))
+    getattr(env, "install_" + feature)()
+    getattr(env, "uninstall_" + feature)()
+    kernel = env.kernel
+    assert (kernel.launch_seam, kernel.gate_seam, kernel.handler_seam) == (None,) * 3
+    made = []
+    for world, obj in ((never_env, never), (env, counter)):
+        obj.add(1)
+        world.clock.reset_tally()
+        made.append((program_calls(obj.add, 1), world.clock.tally()))
+    assert made[1] == made[0]
+    assert made[1][0] <= BUDGETS["add"][0]

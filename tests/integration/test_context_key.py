@@ -94,17 +94,6 @@ def world(request):
     yield env.kernel, transfer(exported, client)
 
 
-@pytest.fixture
-def scratch_keys():
-    """Registrations made inside the test are undone after it."""
-    keys, hop = dict(context.KEYS), set(context.HOP_KEYS)
-    yield
-    context.KEYS.clear()
-    context.KEYS.update(keys)
-    context.HOP_KEYS.clear()
-    context.HOP_KEYS.update(hop)
-
-
 def test_tenant_crosses_to_the_handler(world):
     kernel, proxy = world
     with tenant(kernel, "acme"):

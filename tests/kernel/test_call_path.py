@@ -33,6 +33,7 @@ from repro.marshal.envelope import KIND_CALL, Envelope
 from repro.net.procworker import _serve_call
 from repro.obs.tracer import TRACE, Tracer
 from repro.runtime import AdmissionPolicy, Environment, deadline, remaining_us
+from repro.runtime.chaos import InjectedFault
 from repro.runtime.idem import IDEM, current_idempotency_key, idempotency_key
 
 ENTRIES = ("local", "fabric", "worker")
@@ -401,10 +402,12 @@ def test_tracing_charges_exactly_its_own_spans(entry):
 
 
 def test_legs_read_their_hooks_on_every_call():
-    """``door.handler``, ``kernel.fabric``, ``kernel.admission`` and
-    ``kernel.tracer`` are replaced on live instances between calls — by
-    ``benchmarks/suite/layers.py``'s ``Recorder.wrap`` and by every
-    ``install_*`` / ``uninstall_*`` — so neither leg may cache them."""
+    """``door.handler`` and ``kernel.fabric`` are replaced on live
+    instances between calls (``benchmarks/suite/layers.py``'s
+    ``Recorder.wrap`` does it), so neither the legs nor the innermost
+    stages of the seams may cache them.  Features reach the legs only
+    through install / uninstall: one set on the kernel by hand is never
+    consulted."""
     world = World("fabric", traced=False)
     kernel, door = world.kernel, world.door
     assert world.call(1) == 2
@@ -423,18 +426,43 @@ def test_legs_read_their_hooks_on_every_call():
             went_through.append("admission")
             return None
 
-    originals = (door.handler, kernel.fabric, kernel.admission, kernel.tracer)
+    def leg_spans(tracer):
+        # netserver spans are opened by the net servers, not the legs
+        return [s.category for s in tracer.spans() if s.category != "netserver"]
+
+    originals = (door.handler, kernel.fabric)
     door.handler = noting("handler", door.handler)
     kernel.fabric = noting("fabric", kernel.fabric)
     kernel.admission = NotingAdmission()
-    kernel.tracer = replacement_tracer = Tracer(kernel)
-
+    kernel.tracer = bystander = Tracer(kernel)
     assert world.call(1) == 2
-    assert went_through == ["fabric", "admission", "handler"]
-    assert {s.category for s in replacement_tracer.spans()} >= {"door", "handler"}
+    assert went_through == ["fabric", "handler"]
+    assert leg_spans(bystander) == []
 
-    door.handler, kernel.fabric, kernel.admission, kernel.tracer = originals
-    spans_before = len(replacement_tracer.spans())
+    tracer = world.env.install_tracer()
+    world.govern(limit=4)
     assert world.call(1) == 2
-    assert went_through == ["fabric", "admission", "handler"]
-    assert len(replacement_tracer.spans()) == spans_before
+    assert went_through == ["fabric", "handler"] * 2
+    assert world.permits == {"issued": 1, "completed": 1}
+    assert sorted(leg_spans(tracer)) == ["door", "fabric", "handler"]
+
+    door.handler, kernel.fabric = originals
+    world.env.uninstall_admission()
+    assert world.call(1) == 2
+    assert went_through == ["fabric", "handler"] * 2
+    assert world.permits == {"issued": 1, "completed": 1}
+    assert len(leg_spans(tracer)) == 6
+
+
+def test_a_second_install_replaces_the_first():
+    world = World("local", traced=False)
+    first, second = world.env.install_chaos(), world.env.install_chaos()
+    first.fail_next_door_calls(1)
+    assert world.call(1) == 2
+    second.fail_next_door_calls(1)
+    with pytest.raises(InjectedFault):
+        world.call(1)
+    second.fail_next_door_calls(1)
+    world.env.uninstall_chaos()
+    assert world.call(1) == 2
+    assert world.kernel.chaos is None

@@ -46,6 +46,7 @@ from repro.marshal.envelope import (
 from repro.marshal.errors import MarshalError
 from repro.obs.tracer import TRACE
 from repro.runtime.idem import IDEM
+from tests.quota import CALLER
 from tests.tenant import TENANT
 
 
@@ -194,10 +195,11 @@ KEY_VALUES = {
     IDEM: U64,
     TRACE: st.tuples(U64, U64),
     TENANT: st.text(max_size=40),
+    CALLER: st.text(max_size=40),
 }
 
 #: one value per registered key, for the exhaustive combinations
-KEY_SAMPLES = {DEADLINE: 12.5, IDEM: 9, TRACE: (5, 6), TENANT: "acme"}
+KEY_SAMPLES = {DEADLINE: 12.5, IDEM: 9, TRACE: (5, 6), TENANT: "acme", CALLER: "west"}
 
 #: field name -> position in HEADER's unpacked tuple
 FIELD = {"magic": 0, "version": 1, "kind": 2, "context_len": 5, "payload_len": 6}

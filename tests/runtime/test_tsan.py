@@ -221,6 +221,51 @@ class TestDetectorCore:
         assert kernel.clock.now_us == before
 
 
+class TestDoorHandoff:
+    """The door edges live in the kernel's launch and handler seams.  A
+    handler runs on its caller's thread unless a transport hands the
+    request to another one; then the reply edge is all that orders the
+    handler's writes before the caller's reads."""
+
+    def test_reply_edge_orders_a_handler_on_another_thread(self, installer):
+        from repro.runtime.env import Environment
+
+        env = Environment(with_naming=False)
+        kernel = env.kernel
+        runtime = installer(kernel, report_mode="collect")
+        shared = tsan.track({}, "handoff.shared")
+        server = env.create_domain("south", "server")
+        client = env.create_domain("north", "client")
+
+        def handler(request):
+            shared["answer"] = 42
+            return server.acquire_buffer()
+
+        served = kernel.create_door(server, handler)
+        ident = kernel.attach_door_id(
+            client, kernel.detach_door_id(server, kernel.copy_door_id(server, served))
+        )
+        carry = kernel.fabric
+
+        def carry_on_a_delivery_thread(caller, door, buffer):
+            done = {}
+            delivery = threading.Thread(
+                target=lambda: done.update(reply=carry(caller, door, buffer))
+            )
+            delivery.start()
+            delivery.join(timeout=10.0)
+            assert not delivery.is_alive()
+            return done["reply"]
+
+        kernel.fabric = carry_on_a_delivery_thread
+        request = client.acquire_buffer()
+        reply = kernel.door_call(client, ident, request)
+        request.recycle()
+        reply.recycle()
+        assert shared["answer"] == 42
+        assert runtime.races == []
+
+
 class TestSimTotalParity:
     def test_sim_totals_identical_with_and_without_detector(
         self, counter_module
