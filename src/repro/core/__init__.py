@@ -26,7 +26,6 @@ from repro.core.stubs import (
     STATUS_OK,
     TYPE_QUERY_OP,
     narrow,
-    remote_call,
     remote_type_query,
 )
 from repro.core.subcontract import ClientSubcontract, ServerSubcontract
@@ -42,7 +41,6 @@ __all__ = [
     "LibraryLoader",
     "validate_subcontract_id",
     "narrow",
-    "remote_call",
     "remote_type_query",
     "STATUS_OK",
     "STATUS_EXCEPTION",

@@ -6,14 +6,19 @@ interface:
 
 * a stub class (subclassing :class:`SpringObject`) whose public methods
   forward through the object's method table — the structure of Section 4;
-* one *remote stub* function per operation, driving the subcontract
-  operations vector through :func:`repro.core.stubs.remote_call`
-  (Figure 3's client-side path);
+* one *remote stub* function per operation: Figure 3's client-side path,
+  driving the subcontract operations vector;
 * one *skeleton* handler per operation plus a dispatch class — the
   server-side stubs that unmarshal arguments and call into the server
   application (Figure 3's server-side path).
 
-The generated code is deliberately subcontract-agnostic: any stub works
+Every client stub, general or fused, comes from one template,
+:data:`_CLIENT_STUB`; its two variants differ only in how the stub
+reaches the subcontract (:func:`generate_fused_source` serves
+:mod:`repro.idl.specialize`, :func:`generate_type_query_source` the
+reserved type query of Section 6.3).
+
+The general code is deliberately subcontract-agnostic: any stub works
 with any subcontract and vice versa (Section 9.1).  The compiler execs
 this source with the module's interface/struct bindings pre-injected as
 ``_B`` and ``_S``.
@@ -22,8 +27,10 @@ this source with the module's interface/struct bindings pre-injected as
 from __future__ import annotations
 
 from repro.idl.checker import CheckedInterface, CheckedSpec, CheckedStruct
+from repro.core.stubs import TYPE_QUERY_OP
 from repro.idl.rtypes import (
     IdlType,
+    InterfaceBinding,
     InterfaceType,
     OperationSpec,
     ParamMode,
@@ -33,15 +40,17 @@ from repro.idl.rtypes import (
     StructType,
 )
 
-__all__ = ["generate_source"]
+__all__ = ["generate_source", "generate_fused_source", "generate_type_query_source"]
 
 _HEADER = '''\
 # Generated by repro.idl.codegen -- do not edit.
+from repro.core.errors import RemoteApplicationError, RevokedObjectError
 from repro.core.object import SpringObject
 from repro.core.stubs import (
+    STATUS_EXCEPTION,
     STATUS_OK,
+    STATUS_REVOKED,
     TYPE_QUERY_OP,
-    remote_call,
     write_exception_status,
 )
 from repro.idl.genruntime import (
@@ -73,9 +82,9 @@ _GET_PRIMITIVE = {
 
 
 class _Emitter:
-    def __init__(self) -> None:
+    def __init__(self, indent: int = 0) -> None:
         self._lines: list[str] = []
-        self._indent = 0
+        self._indent = indent
 
     def line(self, text: str = "") -> None:
         if text:
@@ -266,25 +275,114 @@ def _emit_stub_class(out: _Emitter, iface: CheckedInterface) -> None:
     out.line()
 
 
-def _emit_remote_stub(out: _Emitter, iface: CheckedInterface, op: OperationSpec) -> None:
-    params = _op_signature(op)
-    name = f"_stub_{iface.name}_{op.name}"
-    out.line(f"def {name}(_obj{', ' + params if params else ''}):")
-    out.push()
-    out.line("def _margs(_buf):")
-    out.push()
-    if not op.params:
-        out.line("pass")
+#: Figure 3's client half, the one template every client stub comes from:
+#: check liveness, marshal the op name and arguments into a pooled buffer,
+#: invoke, unmarshal the reply status and result.  When tracing is on the
+#: call runs inside the client invoke span (a trace root, or a child of
+#: the thread's current span inside a handler); untraced, ``_span`` is
+#: None and every branch on it falls through.  ``{preamble}`` and
+#: ``{invoke}`` are the variant slots, filled from :data:`_GENERAL` or
+#: :data:`_FUSED`.
+_CLIENT_STUB = """\
+def {name}(_obj{params}):
+    if _obj._consumed:
+        _obj._check_live()
+    _domain = _obj._domain
+    _kernel = _domain.kernel
+    _sc = _obj._subcontract
+    _tracer = _kernel.tracer
+    _span = _tracer.begin_invoke(_domain, "{op}", _sc.id{span_attrs}) if _tracer.enabled else None
+    try:
+        _buf = _domain.acquire_buffer()
+        try:
+{preamble}
+            _buf.put_string("{op}")
+{puts}
+            if _span is not None:
+                _span.attrs["request_bytes"] = _buf.size
+{invoke}
+        finally:
+            # The request is spent once invoke returns or fails; recycle
+            # discards door arguments still in transit (so unreferenced
+            # notifications fire) before pooling the buffer.
+            _buf.recycle()
+        if _span is not None:
+            _span.attrs["reply_bytes"] = _reply.size
+        _status = _reply.get_int8()
+        if _status == STATUS_EXCEPTION:
+            _exc = RemoteApplicationError(_reply.get_string(), _reply.get_string())
+            _reply.recycle()
+            raise _exc
+        if _status == STATUS_REVOKED:
+            _exc = RevokedObjectError(_reply.get_string())
+            _reply.recycle()
+            raise _exc
+        _result = {result}
+        _reply.release()
+        return _result
+    except BaseException as _err:
+        if _span is not None:
+            _span.record_error(_err)
+        raise
+    finally:
+        if _span is not None:
+            _span.end()
+"""
+
+#: General stubs: through the subcontract operations vector, paying the
+#: two client-side indirect calls Section 9.3 charges.
+_GENERAL = {
+    "prefix": "_stub",
+    "span_attrs": "",
+    "preamble": """\
+            _kernel.clock.charge("indirect_call")  # stubs -> subcontract (preamble)
+            _sc.invoke_preamble(_obj, _buf)""",
+    "invoke": """\
+            _kernel.clock.charge("indirect_call")  # stubs -> subcontract (invoke)
+            _reply = _sc.invoke(_obj, _buf)""",
+}
+
+#: Fused stubs (Section 9.1): ``SingleDoorClient.invoke`` inlined, so
+#: neither indirect call is made.
+_FUSED = {
+    "prefix": "_spec",
+    "span_attrs": ", fused=True",
+    "preamble": "",
+    "invoke": """\
+            if _buf.region is None:
+                _kernel.clock.charge("memory_copy_byte", len(_buf.data))
+            _reply = _kernel.door_call(_domain, _obj._rep.door, _buf)
+            if _reply.region is None:
+                _kernel.clock.charge("memory_copy_byte", len(_reply.data))""",
+}
+
+
+def _emit_client_stub(
+    out: _Emitter, name: str, op: OperationSpec, variant: dict[str, str], result: str
+) -> None:
+    puts = _Emitter(indent=3)
     for param in op.params:
-        _emit_put(out, param.type, param.name, "_buf", "_obj._domain", param.mode)
-    out.pop()
-    out.line("def _mres(_buf, _domain):")
-    out.push()
-    out.line(f"return {_get_expr(op.result, '_buf', '_domain')}")
-    out.pop()
-    out.line(f'return remote_call(_obj, "{op.name}", _margs, _mres)')
-    out.pop()
+        _emit_put(puts, param.type, param.name, "_buf", "_domain", param.mode)
+    text = _CLIENT_STUB.format(
+        name=name,
+        params="".join(f", {p.name}" for p in op.params),
+        op=op.name,
+        puts=puts.source(),
+        result=result,
+        **variant,
+    )
+    for line in text.splitlines():
+        if line.strip():  # an empty slot leaves no blank line
+            out.line(line)
     out.line()
+
+
+def _emit_client_stubs(
+    out: _Emitter, iface: CheckedInterface | InterfaceBinding, variant: dict[str, str]
+) -> None:
+    for op in iface.operations.values():
+        name = f"{variant['prefix']}_{iface.name}_{op.name}"
+        _emit_client_stub(out, name, op, variant, _get_expr(op.result, "_reply", "_domain"))
 
 
 def _emit_skeleton_handler(
@@ -384,8 +482,28 @@ def generate_source(spec: CheckedSpec) -> str:
         _emit_struct(out, struct)
     for iface in spec.interfaces.values():
         _emit_stub_class(out, iface)
+        _emit_client_stubs(out, iface, _GENERAL)
         for op in iface.operations.values():
-            _emit_remote_stub(out, iface, op)
             _emit_skeleton_handler(out, iface, op)
         _emit_skeleton_class(out, iface)
+    return out.source()
+
+
+def generate_fused_source(binding: InterfaceBinding) -> str:
+    """The fused stub ``_spec_<iface>_<op>`` for every operation of
+    ``binding``; it runs in its compiled module's namespace."""
+    out = _Emitter()
+    _emit_client_stubs(out, binding, _FUSED)
+    return out.source()
+
+
+def generate_type_query_source() -> str:
+    """A module whose general stub ``remote_type_query`` asks the server
+    for an object's most-derived type and its ancestors, as a tuple."""
+    out = _Emitter()
+    for line in _HEADER.splitlines():
+        out.line(line)
+    op = OperationSpec(TYPE_QUERY_OP, (), SequenceType(PrimitiveType(Primitive.STRING)))
+    result = f"tuple({_get_expr(op.result, '_reply', '_domain')})"
+    _emit_client_stub(out, "remote_type_query", op, _GENERAL, result)
     return out.source()

@@ -15,12 +15,12 @@ from typing import Any
 
 from repro.core.identity import validate_subcontract_id
 from repro.idl.checker import CheckedSpec, check
-from repro.idl.codegen import generate_source
+from repro.idl.codegen import generate_source, generate_type_query_source
 from repro.idl.errors import IdlCheckError
 from repro.idl.parser import parse
 from repro.idl.rtypes import InterfaceBinding, StructBinding
 
-__all__ = ["IdlModule", "compile_idl"]
+__all__ = ["IdlModule", "compile_idl", "load_generated", "remote_type_query"]
 
 _module_counter = itertools.count(1)
 
@@ -119,16 +119,9 @@ def compile_idl(
     }
 
     source = generate_source(spec)
-    filename = f"<idl:{module_name}>"
-    linecache.cache[filename] = (
-        len(source),
-        None,
-        source.splitlines(keepends=True),
-        filename,
+    namespace = load_generated(
+        source, f"<idl:{module_name}>", {"_B": bindings, "_S": structs}
     )
-    namespace: dict[str, Any] = {"_B": bindings, "_S": structs}
-    code = compile(source, filename, "exec")
-    exec(code, namespace)  # noqa: S102 - executing our own generated stubs
 
     for name, binding in bindings.items():
         binding.stub_class = namespace[name]
@@ -144,6 +137,24 @@ def compile_idl(
     return IdlModule(module_name, namespace, bindings, structs, source)
 
 
+def load_generated(
+    source: str, filename: str, namespace: dict[str, Any]
+) -> dict[str, Any]:
+    """Exec generated stub source into ``namespace`` and return it.
+
+    ``filename`` is registered with :mod:`linecache`, so tracebacks
+    through generated code show its lines.
+    """
+    linecache.cache[filename] = (
+        len(source),
+        None,
+        source.splitlines(keepends=True),
+        filename,
+    )
+    exec(compile(source, filename, "exec"), namespace)  # noqa: S102 - our own generated stubs
+    return namespace
+
+
 def _apply_overrides(spec: CheckedSpec, overrides: dict[str, str]) -> None:
     for interface_name, subcontract_id in overrides.items():
         iface = spec.interfaces.get(interface_name)
@@ -152,3 +163,10 @@ def _apply_overrides(spec: CheckedSpec, overrides: dict[str, str]) -> None:
                 f"subcontract override names unknown interface {interface_name!r}"
             )
         iface.default_subcontract_id = subcontract_id
+
+
+#: The general stub for the reserved type query (Section 6.3), which
+#: :func:`repro.core.stubs.remote_type_query` calls.
+remote_type_query = load_generated(
+    generate_type_query_source(), "<idl:type_query>", {}
+)["remote_type_query"]

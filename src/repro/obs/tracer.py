@@ -10,7 +10,7 @@ Span model
 A span is one timed unit of work, in one domain, with a name and a
 category describing which layer did the work::
 
-    invoke     client stub -> subcontract (remote_call / fused stub)
+    invoke     client stub -> subcontract (a generated general or fused stub)
     door       kernel door traversal (door_call's launch seam)
     fabric     cross-machine forwarding (launch seam, around the carry)
     netserver  door-identifier translation at a machine boundary
@@ -20,7 +20,7 @@ category describing which layer did the work::
 Causality is carried two ways:
 
 * **within a call chain on one thread** — a per-thread span stack; a new
-  span's parent is the stack top, which is how a nested ``remote_call``
+  span's parent is the stack top, which is how a nested stub call
   made from inside a server-side handler joins its caller's trace;
 * **across the transmission boundary** — the launch-seam stage
   (:meth:`Tracer.around_launch`) stamps the door span's

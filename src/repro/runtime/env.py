@@ -251,8 +251,8 @@ class Environment:
     def install_tracer(self, ring_capacity: int | None = None):
         """Turn on end-to-end tracing for this world.
 
-        Every ``remote_call`` (and fused stub) from now on opens an
-        invoke span; context propagates through doors, the fabric, and
+        Every generated client stub, general or fused, from now on opens
+        an invoke span; context propagates through doors, the fabric, and
         network servers into server-side dispatch.  Returns the live
         :class:`repro.obs.tracer.Tracer` (also at ``env.kernel.tracer``).
         """

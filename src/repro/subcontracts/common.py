@@ -73,7 +73,7 @@ def make_door_handler(
 
     def handler(request: MarshalBuffer) -> MarshalBuffer:
         # Pool-acquired: the consumer of the reply (normally the client's
-        # remote_call) releases it back to this domain's free-list.
+        # generated client stub) releases it back to this domain's free-list.
         reply = domain.acquire_buffer()
         if control_hook is not None:
             control_hook(request, reply)

@@ -107,13 +107,7 @@ class SimplexInlineVector(ClientSubcontract):
         obj._check_live()
         rep: InlineRep = obj._rep
         new_rep = InlineRep(rep.impl, rep.binding, rep.unreferenced)
-        return type(obj)(
-            domain=self.domain,
-            method_table=obj._method_table,
-            subcontract=self,
-            rep=new_rep,
-            binding=obj._binding,
-        )
+        return self.make_object(new_rep, obj._binding)
 
     def consume(self, obj: SpringObject) -> None:
         obj._check_live()
@@ -125,6 +119,17 @@ class SimplexInlineVector(ClientSubcontract):
     def type_info(self, obj: SpringObject) -> tuple[str, ...]:
         # The implementation is local: answer type queries without a call.
         return obj._rep.binding.ancestors
+
+    def make_object(self, rep: InlineRep, binding: "InterfaceBinding") -> SpringObject:
+        # Inline at any type (export and narrow alike): the method table
+        # calls the implementation, never a stub, specialized or not.
+        return binding.stub_class(
+            domain=self.domain,
+            method_table=_inline_method_table(binding, rep.impl),
+            subcontract=self,
+            rep=rep,
+            binding=binding,
+        )
 
 
 def _inline_method_table(binding: "InterfaceBinding", impl: Any) -> MethodTable:
@@ -165,11 +170,4 @@ class SimplexServer(SingleDoorServer):
         if options:
             raise TypeError(f"unknown export options: {sorted(options)}")
         vector = SimplexInlineVector(self)
-        rep = InlineRep(impl, binding, unreferenced)
-        return binding.stub_class(
-            domain=self.domain,
-            method_table=_inline_method_table(binding, impl),
-            subcontract=vector,
-            rep=rep,
-            binding=binding,
-        )
+        return vector.make_object(InlineRep(impl, binding, unreferenced), binding)

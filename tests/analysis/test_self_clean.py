@@ -50,53 +50,52 @@ def test_cli_exits_nonzero_on_seeded_fixture():
     assert "[buffer-lifecycle]" in result.stdout
 
 
-def test_generated_stub_source_is_lifecycle_clean():
-    # The IDL specializer emits fused stub methods that manage pooled
-    # buffers; the generated source must satisfy the same lifecycle rule
-    # as hand-written code.
-    from repro.idl.compiler import compile_idl
-    from repro.idl.specialize import generate_specialized_source
+PROBE_IDL = """
+interface probe {
+    int32 poke(int32 n);
+    string name();
+    void reset();
+}
+"""
 
-    module_idl = compile_idl(
-        """
-        interface probe {
-            int32 poke(int32 n);
-            string name();
-            void reset();
-        }
-        """
-    )
-    source = generate_specialized_source(module_idl.binding("probe"))
-    module = SourceModule("<generated probe stub>", text=source)
-    analyzer = default_analyzer(selected=frozenset({"buffer-lifecycle"}))
-    findings = analyzer.run_modules([module])
+
+def generated_stub_modules():
+    """The general module source and the fused stubs for ``probe``: every
+    client stub owns pooled buffers and a conditional invoke span."""
+    from repro.idl.codegen import generate_fused_source
+    from repro.idl.compiler import compile_idl
+
+    module_idl = compile_idl(PROBE_IDL)
+    return [
+        SourceModule("<generated probe module>", text=module_idl.source),
+        SourceModule(
+            "<generated probe fused stubs>",
+            text=generate_fused_source(module_idl.binding("probe")),
+        ),
+    ]
+
+
+def check_generated(rule, modules):
+    analyzer = default_analyzer(selected=frozenset({rule}))
+    findings = analyzer.run_modules(modules)
     assert findings == [], "\n" + "\n".join(f.format_human() for f in findings)
+
+
+def test_generated_stub_source_is_lifecycle_clean():
+    # Generated stubs manage pooled buffers; the generated source must
+    # satisfy the same lifecycle rule as hand-written code.
+    check_generated("buffer-lifecycle", generated_stub_modules())
 
 
 def test_generated_stub_source_has_no_unbounded_queues():
     # Generated stubs must not buffer calls in hidden unbounded queues
     # or block while holding an admission permit.
-    from repro.idl.compiler import compile_idl
-    from repro.idl.specialize import generate_specialized_source
-
-    module_idl = compile_idl("interface probe { int32 poke(int32 n); }")
-    source = generate_specialized_source(module_idl.binding("probe"))
-    module = SourceModule("<generated probe stub>", text=source)
-    analyzer = default_analyzer(selected=frozenset({"unbounded-queue"}))
-    findings = analyzer.run_modules([module])
-    assert findings == [], "\n" + "\n".join(f.format_human() for f in findings)
+    check_generated("unbounded-queue", generated_stub_modules())
 
 
 def test_generated_stub_source_is_span_balanced():
-    # Each fused stub opens a client invoke span when tracing is on; the
+    # Each client stub opens an invoke span when tracing is on; the
     # generated conditional begin / finally end must satisfy span-balance.
-    from repro.idl.compiler import compile_idl
-    from repro.idl.specialize import generate_specialized_source
-
-    module_idl = compile_idl("interface probe { int32 poke(int32 n); }")
-    source = generate_specialized_source(module_idl.binding("probe"))
-    assert "begin_invoke" in source  # the span is actually there
-    module = SourceModule("<generated probe stub>", text=source)
-    analyzer = default_analyzer(selected=frozenset({"span-balance"}))
-    findings = analyzer.run_modules([module])
-    assert findings == [], "\n" + "\n".join(f.format_human() for f in findings)
+    modules = generated_stub_modules()
+    assert all("begin_invoke" in m.text for m in modules)  # the spans are there
+    check_generated("span-balance", modules)

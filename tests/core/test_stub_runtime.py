@@ -1,4 +1,5 @@
-"""Unit tests of the stub runtime (repro.core.stubs) in isolation."""
+"""Unit tests of the generated client stub protocol, driven over a
+scripted subcontract in isolation."""
 
 from __future__ import annotations
 
@@ -9,19 +10,19 @@ from repro.core.errors import (
     RemoteApplicationError,
     RevokedObjectError,
 )
-from repro.core.object import SpringObject
 from repro.core.stubs import (
     STATUS_EXCEPTION,
     STATUS_OK,
     STATUS_REVOKED,
-    remote_call,
     write_exception_status,
     write_ok_status,
     write_revoked_status,
 )
 from repro.core.subcontract import ClientSubcontract
-from repro.idl.rtypes import InterfaceBinding
+from repro.idl.compiler import compile_idl
 from repro.marshal.buffer import MarshalBuffer
+
+THING_IDL = "interface thing { int32 op(int32 n); }"
 
 
 class ScriptedSubcontract(ClientSubcontract):
@@ -40,12 +41,12 @@ class ScriptedSubcontract(ClientSubcontract):
         buffer.put_string("control")
 
     def invoke(self, obj, buffer):
-        # remote_call recycles the request buffer once invoke returns, so
+        # The stub recycles the request buffer once invoke returns, so
         # keep a snapshot of the wire bytes rather than the live buffer.
         snapshot = MarshalBuffer(self.domain.kernel)
         snapshot.data.extend(buffer.data)
         self.sent_buffers.append(snapshot)
-        return self._reply_factory()
+        return self._reply_factory(self.domain)
 
     def marshal_rep(self, obj, buffer):
         raise NotImplementedError
@@ -61,14 +62,14 @@ class ScriptedSubcontract(ClientSubcontract):
 
 
 def make_object(kernel, reply_factory):
+    """A ``thing`` on the scripted subcontract, with the generated
+    general stubs as its method table."""
     domain = kernel.create_domain("d")
-    binding = InterfaceBinding(name="thing", ancestors=("thing",))
-    binding.stub_class = SpringObject
-    binding._remote_table = {}
+    binding = compile_idl(THING_IDL).binding("thing")
     subcontract = ScriptedSubcontract(domain, reply_factory)
-    obj = SpringObject(
+    obj = binding.stub_class(
         domain=domain,
-        method_table={},
+        method_table=binding.remote_method_table(),
         subcontract=subcontract,
         rep=object(),
         binding=binding,
@@ -76,21 +77,34 @@ def make_object(kernel, reply_factory):
     return obj, subcontract
 
 
+def scripted_reply(write):
+    """A reply factory: a pooled buffer holding what ``write`` puts."""
+
+    def reply(domain):
+        buffer = domain.acquire_buffer()
+        write(buffer)
+        buffer.rewind()
+        return buffer
+
+    return reply
+
+
+def assert_pool_balanced(obj):
+    """Request and reply both went back to the domain's pool."""
+    domain = obj._domain
+    assert domain.buffer_acquires == domain.buffer_releases == 2
+
+
 class TestRemoteCall:
     def test_ok_path_returns_unmarshalled_result(self, kernel):
-        def reply():
-            buffer = MarshalBuffer(kernel)
+        def ok(buffer):
             write_ok_status(buffer)
             buffer.put_int32(99)
-            buffer.rewind()
-            return buffer
 
-        obj, subcontract = make_object(kernel, reply)
-        result = remote_call(
-            obj, "op", lambda buf: buf.put_int32(1), lambda buf, d: buf.get_int32()
-        )
-        assert result == 99
+        obj, subcontract = make_object(kernel, scripted_reply(ok))
+        assert obj.op(1) == 99
         assert subcontract.preambles == 1
+        assert_pool_balanced(obj)
         # The request buffer holds: control, opname, then the argument.
         sent = subcontract.sent_buffers[0]
         sent.rewind()
@@ -99,35 +113,34 @@ class TestRemoteCall:
         assert sent.get_int32() == 1
 
     def test_exception_status_raises_remote_error(self, kernel):
-        def reply():
-            buffer = MarshalBuffer(kernel)
-            write_exception_status(buffer, KeyError("missing"))
-            buffer.rewind()
-            return buffer
-
-        obj, _ = make_object(kernel, reply)
+        obj, _ = make_object(
+            kernel,
+            scripted_reply(lambda b: write_exception_status(b, KeyError("missing"))),
+        )
         with pytest.raises(RemoteApplicationError) as info:
-            remote_call(obj, "op", lambda b: None, lambda b, d: None)
+            obj.op(1)
         assert info.value.remote_type == "KeyError"
         assert "missing" in info.value.message
+        assert_pool_balanced(obj)
 
     def test_revoked_status_raises_revoked(self, kernel):
-        def reply():
-            buffer = MarshalBuffer(kernel)
-            write_revoked_status(buffer, "gone")
-            buffer.rewind()
-            return buffer
-
-        obj, _ = make_object(kernel, reply)
+        obj, _ = make_object(
+            kernel, scripted_reply(lambda b: write_revoked_status(b, "gone"))
+        )
         with pytest.raises(RevokedObjectError, match="gone"):
-            remote_call(obj, "op", lambda b: None, lambda b, d: None)
+            obj.op(1)
+        assert_pool_balanced(obj)
 
     def test_consumed_object_rejected_before_any_work(self, kernel):
-        obj, subcontract = make_object(kernel, lambda: None)
+        obj, subcontract = make_object(kernel, None)
         subcontract.consume(obj)
+        # The method-table entry itself, not the stub class method (which
+        # checks too): the generated stub rejects the object on its own.
+        stub = obj._binding.remote_method_table()["op"]
         with pytest.raises(ObjectConsumedError):
-            remote_call(obj, "op", lambda b: None, lambda b, d: None)
+            stub(obj, 1)
         assert subcontract.preambles == 0
+        assert obj._domain.buffer_acquires == 0
 
     def test_status_codes_are_distinct(self):
         assert len({STATUS_OK, STATUS_EXCEPTION, STATUS_REVOKED}) == 3

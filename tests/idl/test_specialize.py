@@ -161,3 +161,32 @@ class TestSpecialization:
         narrowed = narrow(generic, binding)
         assert narrowed._method_table is table
         assert narrowed.add(1) == 1
+
+    @pytest.mark.parametrize("specialized", [False, True])
+    def test_narrowed_inline_object_stays_inline(self, kernel, specialized):
+        """Section 5.2.1: narrowing an inline simplex object keeps it
+        inline — it calls the implementation, creates no door and makes no
+        door call — even when the target type has fused simplex stubs."""
+        from repro.core import narrow
+
+        module = compile_idl(
+            "interface base { int32 one(); } interface derived : base { int32 two(); }",
+            "spec_inline",
+        )
+        server = make_domain(kernel, "server")
+
+        class Impl:
+            def one(self):
+                return 1
+
+            def two(self):
+                return 2
+
+        obj = SimplexServer(server).export(Impl(), module.binding("derived"), inline=True)
+        if specialized:
+            specialize(module, "base", "simplex")
+        kernel.clock.reset_tally()
+        narrowed = narrow(obj, module.binding("base"))
+        assert narrowed.one() == 1
+        assert narrowed._rep.door is None
+        assert "door_call" not in kernel.clock.tally()

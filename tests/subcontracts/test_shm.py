@@ -63,19 +63,20 @@ class TestSharedRegionPath:
         obj._subcontract.marshal(obj, buffer)
         buffer.seal_for_transmission(server)
         remote = binding.unmarshal_from(buffer, far_client)
-        # drive an invoke manually to inspect the reply buffer
-        from repro.core.stubs import remote_call
-
-        def margs(buf):
-            buf.put_string("hi")
-
+        # wrap the vector's invoke to inspect the reply the stub receives
+        vector = remote._subcontract
         captured = {}
 
-        def mres(buf, domain):
-            captured["region"] = buf.region
-            return buf.get_string()
+        def invoke(obj, buf):
+            reply = type(vector).invoke(vector, obj, buf)
+            captured["region"] = reply.region
+            return reply
 
-        assert remote_call(remote, "upper", margs, mres) == "HI"
+        vector.invoke = invoke
+        try:
+            assert remote.upper("hi") == "HI"
+        finally:
+            del vector.invoke
         assert captured["region"] is None
 
 
