@@ -12,15 +12,16 @@ from typing import TYPE_CHECKING
 
 from repro.core.object import SpringObject
 from repro.idl.rtypes import InterfaceBinding
+from repro.kernel.doors import DoorIdentifier
 
 if TYPE_CHECKING:
     from repro.kernel.domain import Domain
-    from repro.kernel.doors import DoorIdentifier
     from repro.marshal.buffer import MarshalBuffer
 
 __all__ = [
     "ANY_BINDING",
     "check_object_arg",
+    "discard_args",
     "marshal_object",
     "marshal_object_copy",
     "unmarshal_any",
@@ -105,3 +106,12 @@ def marshal_door_copy(
     """Marshal a copy of a raw door identifier, keeping the original."""
     duplicate = domain.kernel.copy_door_id(domain, value)
     buffer.put_door_id(domain, duplicate)
+
+
+def discard_args(domain: "Domain", *values: object) -> None:
+    """Give up the objects and doors a skeleton unmarshalled before a failure."""
+    for value in values:
+        if isinstance(value, SpringObject) and not value._consumed:
+            value.spring_consume()
+        elif isinstance(value, DoorIdentifier):
+            domain.kernel.delete_door_id(domain, value)

@@ -137,20 +137,29 @@ class SimClock:
         events[event] = events.get(event, 0.0) + duration
         return duration
 
-    def charge_bytes(self, count: int) -> float:
-        """Batched ``marshal_byte`` charge: one call per marshalled item.
+    def charge_bytes(self, count: int, *more: int) -> float:
+        """Batched ``marshal_byte`` charge: one call per run of items.
 
-        Identical float arithmetic to ``charge("marshal_byte", count)``
-        (unit * count, accumulated once), just without the event lookup.
+        Each count adds ``unit * count`` in order, as that many separate
+        ``charge("marshal_byte", count)`` calls would (bit-for-bit the same
+        floats).  Returns the total charged.
         """
-        duration = self._marshal_byte_us * count
+        unit = self._marshal_byte_us
+        duration = unit * count
         try:
             shard = self._local.shard
         except AttributeError:
             shard = self._new_shard()
-        shard.total_us += duration
         events = shard.events
-        events["marshal_byte"] = events.get("marshal_byte", 0.0) + duration
+        total = shard.total_us + duration
+        spent = events.get("marshal_byte", 0.0) + duration
+        for count in more:
+            count *= unit
+            duration += count
+            total += count
+            spent += count
+        shard.total_us = total
+        events["marshal_byte"] = spent
         return duration
 
     def advance(self, duration_us: float, category: str = "explicit") -> None:

@@ -4,8 +4,8 @@ A :class:`MarshalBuffer` is what the paper calls a "communications
 buffer": stubs marshal arguments into it, subcontracts write their control
 information and subcontract IDs into it, the kernel carries it through a
 door, and the receiving side unmarshals from it.  It *is* a
-:class:`~repro.marshal.codec.TaggedStream` — every ``put_*``/``get_*`` is
-the stream's own method, charged to the kernel's clock per item — plus
+:class:`~repro.marshal.codec.TaggedStream` — each ``put_*`` charges the
+kernel's clock per item, a generated stub per run of items — plus
 what only a communications buffer has:
 
 * **Door identifiers travel out-of-band.**  Marshalling a door identifier

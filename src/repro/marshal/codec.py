@@ -13,20 +13,19 @@ one byte store ``data`` and one cursor ``pos``.  ``put_*`` appends an
 item; ``get_*`` reads the item at ``pos`` and moves past it.  When the
 stream has a simulated clock (a :class:`~repro.marshal.buffer.MarshalBuffer`
 made by a kernel) each ``put_*`` charges the bytes it appended, once per
-item; the envelope, rawnet fragments and ``peek_opname`` use clock-less
-streams.  :class:`~repro.marshal.buffer.MarshalBuffer` *is* a stream, so a
-stub's ``put_int32`` or ``get_string`` is one Python call.
+item; the envelope's error payloads and rawnet fragments use clock-less
+streams.  Generated stubs and skeletons splice :data:`FRAGMENTS` instead,
+packing and reading primitive items on ``data`` and charging runs at once.
 
 Hot-path notes: fixed-width items are packed tag and value in one
 ``struct`` call, and read with ``struct.unpack_from`` straight off the
-store; variable-width payloads are sliced exactly once, when needed.  (A
-persistent ``memoryview`` would pin a ``bytearray`` against resizing,
-and the same store may be appended to between reads, so reads index it
-directly.)  The items the call path uses most — ``get_int8``,
-``get_int32`` and strings shorter than 128 bytes, both ways — are
-handled inline.  Anything else goes through the general path, and so
-does every error: each one (type, message, and where it leaves ``pos``)
-is raised in one place.
+store; payloads are copied once.  (A persistent ``memoryview`` would pin
+a ``bytearray`` against resizing, and the same store may be appended to
+between reads, so reads index it directly.)  ``get_int8``, ``get_int32``,
+short strings and sequence headers, and payload lengths (written at any
+size, read up to three varint bytes) are handled inline.  Anything else
+goes through the general path, and so does every error: each one (type,
+message, and where it leaves ``pos``) is raised in one place.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Any
 
 from repro.marshal.errors import BufferUnderflowError, MarshalError, WireTypeError
 
-__all__ = ["WireTag", "TaggedStream"]
+__all__ = ["WireTag", "TaggedStream", "FRAGMENTS", "FRAGMENT_GLOBALS"]
 
 _I8 = struct.Struct("<b")
 _I32 = struct.Struct("<i")
@@ -48,6 +47,7 @@ _F64 = struct.Struct("<d")
 
 #: tag byte + value, packed in one call
 _TAG_U8 = struct.Struct("<BB")
+_TAG_V2, _TAG_V3 = struct.Struct("<BBB"), struct.Struct("<BBBB")  # + a 2 or 3-byte varint
 _TAG_I8 = struct.Struct("<Bb")
 _TAG_I32 = struct.Struct("<Bi")
 _TAG_I64 = struct.Struct("<Bq")
@@ -79,6 +79,7 @@ class WireTag(enum.IntEnum):
 
 # Plain-int tags for the inline fast paths.
 _INT8, _INT32, _STRING = int(WireTag.INT8), int(WireTag.INT32), int(WireTag.STRING)
+_BYTES, _SEQUENCE = int(WireTag.BYTES), int(WireTag.SEQUENCE)
 
 
 class TaggedStream:
@@ -123,7 +124,13 @@ class TaggedStream:
         """Append ``tag``, a varint length, then ``raw``."""
         data = self.data
         data.append(tag)
-        written = 1 + self.put_varint(len(raw)) + len(raw)
+        size = len(raw)
+        written = size + 2
+        while size >= 0x80:  # the varint, without a call to put_varint
+            data.append(size & 0x7F | 0x80)
+            size >>= 7
+            written += 1
+        data.append(size)
         data += raw
         if self._clock is not None:
             self._clock.charge_bytes(written)
@@ -186,8 +193,12 @@ class TaggedStream:
 
     def put_sequence_header(self, count: int) -> None:
         """Append a sequence header with its element count."""
-        self.data.append(WireTag.SEQUENCE)
-        written = 1 + self.put_varint(count)
+        if 0 <= count < 0x80:
+            self.data += _TAG_U8.pack(_SEQUENCE, count)
+            written = 2
+        else:
+            self.data.append(_SEQUENCE)
+            written = 1 + self.put_varint(count)
         if self._clock is not None:
             self._clock.charge_bytes(written)
 
@@ -292,13 +303,24 @@ class TaggedStream:
         self.pos = end
         return item.unpack_from(data, pos + 1)[0]
 
-    def _blob_end(self, tag: WireTag) -> int:
+    def _blob_end(self, tag: int) -> int:
         """Consume ``tag`` and a varint length; return where the payload
         ends (``pos`` is left at its start)."""
-        self.expect_tag(tag)
+        data, pos = self.data, self.pos
+        if pos < len(data) and data[pos] == tag:
+            size = shift = 0
+            for at in range(pos + 1, min(pos + 4, len(data))):  # three length bytes
+                size |= (data[at] & 0x7F) << shift
+                shift += 7
+                if data[at] < 0x80:
+                    if at + 1 + size > len(data):
+                        break
+                    self.pos = at + 1
+                    return at + 1 + size
+        self.expect_tag(WireTag(tag))
         return self._bounds(self.get_varint())
 
-    def _get_text(self, tag: WireTag) -> str:
+    def _get_text(self, tag: int) -> str:
         end = self._blob_end(tag)
         value = str(self.data[self.pos : end], "utf-8")
         self.pos = end
@@ -350,14 +372,14 @@ class TaggedStream:
                 value = str(data[pos + 2 : end], "utf-8")
                 self.pos = end
                 return value
-        return self._get_text(WireTag.STRING)
+        return self._get_text(_STRING)
 
     def get_bytes(self) -> bytes:
-        """Read a tagged byte string."""
-        end = self._blob_end(WireTag.BYTES)
-        chunk = self.data[self.pos : end]
+        """Read a tagged byte string (its payload is copied once)."""
+        end = self._blob_end(_BYTES)
+        value = bytes(memoryview(self.data)[self.pos : end])
         self.pos = end
-        return chunk if type(chunk) is bytes else bytes(chunk)
+        return value
 
     def get_object_header(self) -> str:
         """Read a marshalled object's header; returns its subcontract ID."""
@@ -378,6 +400,10 @@ class TaggedStream:
 
     def get_sequence_header(self) -> int:
         """Read a sequence header; returns the element count."""
+        data, pos = self.data, self.pos
+        if pos + 2 <= len(data) and data[pos] == _SEQUENCE and data[pos + 1] < 0x80:
+            self.pos = pos + 2
+            return data[pos + 1]
         self.expect_tag(WireTag.SEQUENCE)
         return self.get_varint()
 
@@ -389,3 +415,83 @@ class TaggedStream:
     def get_nil(self) -> None:
         """Read a nil marker."""
         self.expect_tag(WireTag.NIL)
+
+
+#: The names fragment text uses: the ``struct``s above, filled in below.
+FRAGMENT_GLOBALS = {"_wire_pack_v2": _TAG_V2.pack, "_wire_pack_v3": _TAG_V3.pack}
+
+
+def _fixed(kind: str, tag: int, item: struct.Struct, tagged: struct.Struct) -> tuple:
+    wire = kind[:1] + str(8 * item.size) if kind != "bool" else "u8"
+    FRAGMENT_GLOBALS["_wire_" + wire] = item.unpack_from
+    FRAGMENT_GLOBALS["_wire_pack_" + wire] = tagged.pack
+    value = "1 if {v} else 0" if kind == "bool" else "{v}"
+    get = f"""\
+if _p + {tagged.size} <= _e and _d[_p] == {tag}:
+    {{v}} = _wire_{wire}(_d, _p + 1)[0]{" != 0" if kind == "bool" else ""}
+    _p += {tagged.size}
+else:
+    {{buf}}.pos = _p
+    {{v}} = {{buf}}.get_{kind}()
+    _p = {{buf}}.pos"""
+    return f"_d += _wire_pack_{wire}({tag}, {value})", tagged.size, get
+
+
+def _blob(kind: str, tag: int) -> tuple:
+    # Lengths of up to three varint bytes are packed and read inline.  A
+    # string read leaves the cursor at its payload (as bad UTF-8 would).
+    text = kind == "string"
+    raw = '{v}.encode("utf-8")' if text else "{v}"
+    payload = '{buf}.pos = _q\n{v} = str(_d[_q:_p], "utf-8")' if text else "{v} = bytes(memoryview(_d)[_q:_p])"
+    put = f"""\
+_r = {raw}
+{{s}} = len(_r)
+if {{s}} < 0x80:
+    _d += _wire_pack_u8({tag}, {{s}})
+    {{s}} += 2
+elif {{s}} < 0x4000:
+    _d += _wire_pack_v2({tag}, {{s}} & 0x7F | 0x80, {{s}} >> 7)
+    {{s}} += 3
+elif {{s}} < 0x200000:
+    _d += _wire_pack_v3({tag}, {{s}} & 0x7F | 0x80, {{s}} >> 7 & 0x7F | 0x80, {{s}} >> 14)
+    {{s}} += 4
+else:
+    _d.append({tag})
+    {{s}} += 1 + {{buf}}.put_varint({{s}})
+_d += _r"""
+    get = f"""\
+_n = _d[_p + 1] if _p + 2 <= _e and _d[_p] == {tag} else -1
+_q = _p + 2
+if _n >= 0x80:
+    if _q < _e and _d[_q] < 0x80:
+        _n = _n & 0x7F | _d[_q] << 7
+        _q += 1
+    elif _q + 1 < _e and _d[_q + 1] < 0x80:
+        _n = _n & 0x7F | (_d[_q] & 0x7F) << 7 | _d[_q + 1] << 14
+        _q += 2
+    else:
+        _n = -1
+if _n >= 0 and _q + _n <= _e:
+    _p = _q + _n
+else:
+    {{buf}}.pos = _p
+    _p = {{buf}}._blob_end({tag})
+    _q = {{buf}}.pos
+{payload}"""
+    return put, None, get
+
+
+#: Wire kind -> ``(put, size, get)`` source text for generated code.
+#: ``put`` appends ``{v}`` to ``_d``, the store of stream ``{buf}``, as
+#: ``put_<kind>`` does: ``size`` bytes, or ``None`` (left in ``{s}``).
+#: ``get`` reads the item at ``_p`` of ``_d`` (length ``_e``) into ``{v}``,
+#: leaving the unexpected to the stream, which raises every error.
+FRAGMENTS = {
+    "bool": _fixed("bool", int(WireTag.BOOL), _U8, _TAG_U8),
+    "int8": _fixed("int8", _INT8, _I8, _TAG_I8),
+    "int32": _fixed("int32", _INT32, _I32, _TAG_I32),
+    "int64": _fixed("int64", int(WireTag.INT64), _I64, _TAG_I64),
+    "float64": _fixed("float64", int(WireTag.FLOAT64), _F64, _TAG_F64),
+    "string": _blob("string", _STRING),
+    "bytes": _blob("bytes", _BYTES),
+}

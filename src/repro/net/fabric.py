@@ -218,9 +218,10 @@ class NetworkFabric:
 
         # Request leg: translate outbound doors, pay wire time, translate
         # inbound doors, then the serving kernel's incoming leg.
-        src.net_server.outbound(buffer.live_door_count(), domain=caller)
+        door_count = buffer.live_door_count() if buffer.doors else 0
+        src.net_server.outbound(door_count, domain=caller)
         self._wire_time(buffer.size, src, dst)
-        dst.net_server.inbound(buffer.live_door_count(), domain=door.server)
+        dst.net_server.inbound(door_count, domain=door.server)
         ctx = buffer.ctx
         dl = ctx.get(DEADLINE) if ctx is not None else None
         if dl is not None and self.kernel.clock.now_us >= dl:
@@ -237,9 +238,10 @@ class NetworkFabric:
         # and return it to its server-side pool here.
         try:
             self._leg(src, dst, "reply")
-            dst.net_server.outbound_reply(reply.live_door_count(), domain=door.server)
+            door_count = reply.live_door_count() if reply.doors else 0
+            dst.net_server.outbound_reply(door_count, domain=door.server)
             self._wire_time(reply.size, src, dst)
-            src.net_server.inbound_reply(reply.live_door_count(), domain=caller)
+            src.net_server.inbound_reply(door_count, domain=caller)
             if dl is not None and self.kernel.clock.now_us >= dl:
                 raise DeadlineExceeded(
                     f"reply from {dst.name!r} landed after the deadline"

@@ -26,7 +26,6 @@ from repro.core.object import SpringObject
 from repro.core.subcontract import ClientSubcontract
 from repro.kernel.errors import KernelError
 from repro.marshal.buffer import MarshalBuffer
-from repro.marshal.codec import TaggedStream
 from repro.runtime import tsan as _tsan
 from repro.runtime.retry import MemberEvictedError
 
@@ -97,12 +96,15 @@ def make_door_handler(
 
 def peek_opname(request: MarshalBuffer) -> str:
     """Read the operation name at the request's current position without
-    consuming it (the skeleton re-reads it during dispatch): a scratch
-    stream reads it, so the request's own cursor never moves."""
+    consuming it (the skeleton re-reads it during dispatch): the request's
+    own inline string read takes it, and its cursor is put back."""
+    pos = request.pos
     try:
-        return TaggedStream(request.data, request.pos).get_string()
+        return request.get_string()
     except Exception:
         return "?"
+    finally:
+        request.pos = pos
 
 
 def gossip_evicted(

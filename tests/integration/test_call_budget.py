@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro.core import narrow
+from repro.idl.compiler import compile_idl
 from repro.kernel.clock import SimClock
 from repro.runtime.env import Environment
 from repro.subcontracts.singleton import SingletonServer
@@ -23,12 +24,15 @@ from tests.conftest import CounterImpl
 
 _PACKAGE = os.path.dirname(repro.__file__) + os.sep
 
-#: Python calls one call may make, and the charges it makes.  Before the
-#: buffer became the codec these were 63 and 58 calls, and before the
-#: stubs marshalled inline 36 and 33, with these charges.
+#: Python calls one call may make, the clock calls it makes, and the
+#: charges they add up to.  Before the buffer became the codec these were
+#: 63 and 58 calls, before the stubs marshalled inline 36 and 33, and
+#: before they packed primitive items themselves 33 and 30, with these
+#: charges in 11 and 10 clock calls.
 BUDGETS = {
     "add": (
-        33,
+        22,
+        9,
         (1,),
         [
             ("charge", ("local_call",)),
@@ -45,7 +49,8 @@ BUDGETS = {
         ],
     ),
     "total": (
-        30,
+        22,
+        9,
         (),
         [
             ("charge", ("local_call",)),
@@ -66,9 +71,12 @@ BUDGETS = {
 #: The same calls with ``env.install_windows()`` (a tracer feeding a
 #: windowed series): four spans (invoke, door, handler, skeleton), each
 #: charging ``trace_span`` as it opens and ``window_probe`` as it ends.
+#: Before the stubs packed primitive items: 87 and 84 calls, 19 and 18
+#: clock calls.
 TRACED_BUDGETS = {
     "add": (
-        87,
+        75,
+        17,
         (1,),
         [
             ("charge", ("local_call",)),
@@ -93,7 +101,8 @@ TRACED_BUDGETS = {
         ],
     ),
     "total": (
-        84,
+        75,
+        17,
         (),
         [
             ("charge", ("local_call",)),
@@ -119,15 +128,30 @@ TRACED_BUDGETS = {
 }
 
 
+class Charges(list):
+    """Every clock charge made while a test runs, in order.  A
+    ``charge_bytes`` run is one entry per count, so it reads as the
+    separate item charges it adds up to; ``calls`` counts clock calls."""
+
+    calls = 0
+
+    def clear(self) -> None:
+        del self[:]
+        self.calls = 0
+
+
 @pytest.fixture
 def charges(monkeypatch):
-    """Every clock charge made while the test runs, in order."""
-    made = []
+    made = Charges()
     for name in ("charge", "charge_bytes"):
         original = getattr(SimClock, name)
 
         def recording(self, *args, _name=name, _original=original):
-            made.append((_name, args))
+            made.calls += 1
+            if _name == "charge_bytes":
+                made.extend((_name, (count,)) for count in args)
+            else:
+                made.append((_name, args))
             return _original(self, *args)
 
         monkeypatch.setattr(SimClock, name, recording)
@@ -178,13 +202,14 @@ def program_calls(fn, *args) -> int:
 
 
 def check_budget(counter, charges, op, budgets):
-    budget, args, expected = budgets[op]
+    budget, clock_calls, args, expected = budgets[op]
     method = getattr(counter, op)
     method(*args)  # warm: the pools hold a buffer each, the clock its shard
-    del charges[:]
+    charges.clear()
     calls = program_calls(method, *args)
     assert calls <= budget, f"{op}: {calls} Python calls, budget {budget}"
     assert charges == expected
+    assert charges.calls == clock_calls
 
 
 @pytest.mark.parametrize("op", sorted(BUDGETS))
@@ -195,6 +220,60 @@ def test_one_local_call_stays_within_its_budget(counter, charges, op):
 @pytest.mark.parametrize("op", sorted(TRACED_BUDGETS))
 def test_one_traced_call_stays_within_its_budget(traced_counter, charges, op):
     check_budget(traced_counter, charges, op, TRACED_BUDGETS)
+
+
+BLOB_IDL = """
+interface blob_store {
+    bytes roundtrip(bytes data);
+}
+"""
+
+
+class BlobImpl:
+    def roundtrip(self, data):
+        return data
+
+
+def blob_charges(size, head):
+    """``roundtrip`` of ``size`` bytes, whose item head (tag and varint
+    length) takes ``head`` bytes.  Before the stubs packed primitive items
+    this was 49 Python calls at 64 B and 53 at 64 KiB, in 11 clock calls."""
+    item = head + size
+    return (
+        22,
+        9,
+        [
+            ("charge", ("local_call",)),
+            ("charge", ("indirect_call",)),
+            ("charge_bytes", (11,)),  # opname "roundtrip"
+            ("charge_bytes", (item,)),  # bytes argument
+            ("charge", ("indirect_call",)),
+            ("charge", ("memory_copy_byte", 11 + item)),
+            ("charge", ("door_call",)),
+            ("charge", ("indirect_call",)),
+            ("charge_bytes", (2,)),
+            ("charge_bytes", (item,)),  # bytes result
+            ("charge", ("memory_copy_byte", 2 + item)),
+        ],
+    )
+
+
+@pytest.mark.parametrize("size, head", [(64, 2), (1024, 3), (64 * 1024, 4)])
+def test_one_bytes_call_stays_within_its_budget(charges, size, head):
+    env = Environment()
+    binding = compile_idl(BLOB_IDL, module_name="tests.blob").binding("blob_store")
+    server = env.create_domain("m0", "server")
+    client = env.create_domain("m0", "client")
+    env.bind(server, "/blob", SingletonServer(server).export(BlobImpl(), binding))
+    blob = narrow(env.resolve(client, "/blob"), binding)
+    payload = bytes(range(256)) * (size // 256) or bytes(range(size))
+    budget, clock_calls, expected = blob_charges(size, head)
+    assert blob.roundtrip(payload) == payload  # warm
+    charges.clear()
+    calls = program_calls(blob.roundtrip, payload)
+    assert calls <= budget, f"roundtrip: {calls} Python calls, budget {budget}"
+    assert charges == expected
+    assert charges.calls == clock_calls
 
 
 @pytest.mark.parametrize("feature", ["chaos", "admission", "tsan"])
