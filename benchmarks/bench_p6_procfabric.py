@@ -5,27 +5,25 @@ Two questions:
 1. **Does the default transport pay anything for the new one existing?**
    Nothing measurable: transport selection is construction-time
    (``Environment(transport=...)``) and the process fabric is not even
-   imported on the sim path.  The gates are the P3/P4/P5 ones — the
-   default transport's general-stub simulated time stays *bit-for-bit*
-   the pre-P6 figure (asserted on every run against
-   :data:`PRE_PROCFABRIC_GENERAL_SIM_US`), and the PR-time interleaved
-   A/B against the pre-P6 commit stays inside the 2% wall gate
-   (committed in :data:`PR_AB_VS_PRE_P6`).
+   imported on the sim path.  The default transport's general-stub
+   simulated time stays *bit-for-bit* the pre-P6 figure (asserted on
+   every run against :data:`PRE_PROCFABRIC_GENERAL_SIM_US`).
 
-2. **Is wall throughput finally a multi-core number?**  Every BENCH_P1–P5
-   figure was a single-process, single-core number by construction.  The
-   scaling legs drive CPU-bound general-stub calls through 1 / 2 / 4
-   worker processes (one supervisor thread per worker, all released by a
+2. **Is wall throughput a multi-core number?**  Every other journey is
+   a single-process, single-core number by construction.  The scaling
+   legs drive CPU-bound general-stub calls through 1 / 2 / 4 worker
+   processes (one supervisor thread per worker, all released by a
    barrier) and report aggregate wall calls/sec.  On a runner with >= 4
    cores the 1 -> 4 ratio must reach :data:`SCALING_GATE_1_TO_4` (2.5x);
    on smaller machines the legs still run and the ratio is recorded, but
    the gate is not asserted — real parallelism cannot be demonstrated on
-   hardware that has none, and the JSON records the core count so the
+   hardware that has none, and the result records the core count so the
    claim is honest.
 
 Wall throughput here is deliberately *wall*, not simulated: each worker
 process runs its own sim clock, and the thing PR 6 adds is precisely the
-number the simulated fabric could never produce.
+number the simulated fabric could never produce.  Wall time per call is
+the benchmark suite's job (``python -m benchmarks.suite``).
 """
 
 from __future__ import annotations
@@ -37,15 +35,14 @@ import time
 
 import pytest
 
-from benchmarks.bench_p1_hotpath import best_of, build_world
-from benchmarks.conftest import sim_us
+from benchmarks.conftest import best_of, build_world, sim_us
 from repro.idl.compiler import compile_idl
 from repro.runtime.env import Environment
 from repro.subcontracts.singleton import SingletonServer
 
-#: general-stub sim-us/call recorded by the PRE-P6 tree (the same figure
-#: P3/P4/P5 pinned — the sim hot path is untouched by this PR, so the
-#: deterministic clock must reproduce it bit-for-bit).
+#: general-stub sim-us/call recorded by the PRE-P6 tree (the sim hot path
+#: is untouched by the process fabric, so the deterministic clock must
+#: reproduce it bit-for-bit).
 PRE_PROCFABRIC_GENERAL_SIM_US = 111.61000000010245
 
 #: on a runner with >= 4 cores, 4-worker aggregate wall calls/sec must
@@ -57,26 +54,6 @@ WORKER_COUNTS = (1, 2, 4)
 #: LCG spin iterations per call — enough CPU work (~hundreds of wall-µs)
 #: that the worker processes, not the supervisor's marshalling, dominate
 GRIND_ITERS = 4000
-
-#: the PR-time wall gate record for the *default* transport: ten
-#: alternating best-of-6000 rounds of the P1 general-stub probe on this
-#: tree versus a worktree at the pre-P6 commit (8569ef0), same machine,
-#: same session.  Floor-to-floor across the alternating rounds (the
-#: P3/P4/P5 statistic): this PR adds no hot-path branch at all, and the
-#: floors agree within the 2% gate.
-PR_AB_VS_PRE_P6 = {
-    "pre_p6_commit": "8569ef0",
-    "rounds_per_sample": 6000,
-    "pre_p6_general_wall_us": [
-        10.71, 10.64, 10.68, 10.72, 10.96, 10.65, 10.88, 10.70, 10.77, 10.98,
-    ],
-    "instrumented_general_wall_us": [
-        16.71, 10.71, 10.92, 10.84, 10.70, 10.82, 10.88, 10.54, 10.76, 11.13,
-    ],
-    "best_of_overhead_pct": round(100.0 * (10.54 - 10.64) / 10.64, 1),
-    "gate_pct": 2.0,
-    "gate": "pass",
-}
 
 GRINDER_IDL = """
 interface grinder {
@@ -212,7 +189,6 @@ def run(
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.bench_smoke
 def bench_p6_shape_and_record(record):
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("the process fabric requires the fork start method")

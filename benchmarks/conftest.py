@@ -15,14 +15,20 @@ readable record (EXPERIMENTS.md is written from those records).
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
 
+from repro.core.registry import SubcontractRegistry
+from repro.idl.compiler import compile_idl
+from repro.idl.specialize import specialize
 from repro.kernel.clock import ClockWindow
 from repro.kernel.nucleus import Kernel
 from repro.marshal.buffer import MarshalBuffer
 from repro.runtime.env import Environment
+from repro.subcontracts import standard_subcontracts
+from repro.subcontracts.singleton import SingletonServer
 
 RESULTS_PATH = Path(__file__).parent / "results.txt"
 
@@ -121,3 +127,60 @@ def blob_module():
     from repro.idl.compiler import compile_idl
 
     return compile_idl(BLOB_IDL, module_name="bench.blob")
+
+
+def build_world():
+    """One kernel, two domains, raw/general/specialized counter objects."""
+    kernel = Kernel()
+    server = kernel.create_domain("server")
+    client = kernel.create_domain("client")
+    for domain in (server, client):
+        SubcontractRegistry(domain).register_many(standard_subcontracts())
+
+    general_module = compile_idl(COUNTER_IDL, "p1_general")
+    special_module = compile_idl(COUNTER_IDL, "p1_special")
+    specialize(special_module, "counter", "singleton")
+
+    def exported(module):
+        binding = module.binding("counter")
+        return ship(
+            kernel,
+            server,
+            client,
+            SingletonServer(server).export(CounterImpl(), binding),
+            binding,
+        )
+
+    general_obj = exported(general_module)
+    special_obj = exported(special_module)
+
+    impl = CounterImpl()
+
+    def raw_handler(request):
+        reply = MarshalBuffer(kernel)
+        reply.put_int32(impl.add(request.get_int32()))
+        return reply
+
+    raw_id = kernel.create_door(server, raw_handler, label="p1-raw")
+    raw_door = kernel.attach_door_id(client, kernel.detach_door_id(server, raw_id))
+
+    def raw_call(n: int = 1) -> int:
+        buffer = MarshalBuffer(kernel)
+        kernel.clock.charge("memory_copy_byte", 5)
+        buffer.put_int32(n)
+        reply = kernel.door_call(client, raw_door, buffer)
+        return reply.get_int32()
+
+    return kernel, raw_call, general_obj, special_obj
+
+
+def best_of(fn, rounds: int) -> float:
+    """Best single-call wall time in microseconds over ``rounds`` samples."""
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        fn()
+        elapsed = time.perf_counter() - start
+        if elapsed < best:
+            best = elapsed
+    return best * 1e6

@@ -42,8 +42,8 @@ replay exactly; the chaos soak asserts identical span sequences per seed.
 Installed, the plane sits in the kernel's launch and handler seams
 (``Kernel.interpose``); uninstalled, in neither, and only the fabric's
 link model reads ``kernel.chaos`` (per carry leg, wire time, datagram).
-Uninstalled sim totals are bit-for-bit the pre-chaos tree's (gated by
-``benchmarks/bench_p4_chaos_overhead``).
+A plane with every rate at zero charges exactly what no plane does
+(gated by ``tests/integration/test_quiet_features.py``).
 
 Every injected fault ticks :attr:`FaultPlane.injected` and, when a
 tracer is live, annotates the current span with a ``chaos.*`` event

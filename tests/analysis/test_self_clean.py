@@ -7,6 +7,7 @@ the CLI contract (``python -m repro.analysis src`` exits 0) must hold.
 
 from __future__ import annotations
 
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -18,8 +19,14 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
 
 
+@functools.cache
+def src_findings() -> list:
+    """springlint's findings over the whole ``src`` tree, one pass per run."""
+    return default_analyzer().run_paths([SRC])
+
+
 def test_src_tree_is_clean_in_process():
-    findings = default_analyzer().run_paths([SRC])
+    findings = src_findings()
     assert findings == [], "\n" + "\n".join(f.format_human() for f in findings)
 
 

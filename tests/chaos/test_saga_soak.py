@@ -50,8 +50,10 @@ REPAIR_PERIOD_US = 150_000.0
 DISTURBANCES = ("crash-a", "crash-b", "drop-reply", "drop-request", "none")
 
 
-def build_bank_world(seed: int) -> dict:
-    """Two durable banks, a teller with a saga coordinator, and chaos."""
+def build_bank_world(seed: int, crash_rate: float | None = None) -> dict:
+    """Two durable banks, a teller with a saga coordinator, and chaos:
+    the soak's door faults and carry drops, or only ``crash_rate``
+    crash-mid-call when it is given."""
     env = Environment(seed=seed)
     tracer = env.install_tracer(ring_capacity=1 << 16)
     bank_a = DurableKVService(env, "bank-a", "/services/acct-a")
@@ -69,8 +71,11 @@ def build_bank_world(seed: int) -> dict:
     # a recovery path under test.
     env.name_service.domain.locals["chaos_immune"] = True
     plane = env.install_chaos(seed=seed)
-    plane.door_fault_rate = 0.01
-    plane.default_link.carry_drop = 0.01
+    if crash_rate is None:
+        plane.door_fault_rate = 0.01
+        plane.default_link.carry_drop = 0.01
+    else:
+        plane.crash_mid_call_rate = crash_rate
 
     banks = (bank_a, bank_b)
 
@@ -116,17 +121,19 @@ def arm_disturbance(world: dict, rng: random.Random) -> str:
     return choice
 
 
-def run_transfers(world: dict, seed: int) -> dict:
-    """Drive ROUNDS transfer sagas, one disturbance per step boundary."""
-    rng = random.Random(seed * 7919 + 13)
+def run_transfers(world: dict, seed: int | None, rounds: int = ROUNDS) -> dict:
+    """Drive ``rounds`` transfer sagas; with a ``seed``, one disturbance
+    drawn from it per step boundary."""
+    rng = random.Random(seed * 7919 + 13) if seed is not None else None
     coord = world["coord"]
     acct_a = world["acct_a"]
     acct_b = world["acct_b"]
     outcomes = {"committed": 0, "aborted": 0}
-    for i in range(ROUNDS):
+    for i in range(rounds):
         try:
             with coord.begin(f"transfer-{i}") as saga:
-                arm_disturbance(world, rng)
+                if rng:
+                    arm_disturbance(world, rng)
                 saga.run(
                     "debit-a",
                     lambda: acct_a.adjust("balance", -AMOUNT),
@@ -135,7 +142,8 @@ def run_transfers(world: dict, seed: int) -> dict:
                     ),
                     comp_token=str(AMOUNT),
                 )
-                arm_disturbance(world, rng)
+                if rng:
+                    arm_disturbance(world, rng)
                 saga.run(
                     "credit-b",
                     lambda: acct_b.adjust("balance", AMOUNT),
@@ -273,6 +281,28 @@ def test_saga_soak_sweeps_distinct_schedules():
         a["plane"].injected != b["plane"].injected
         or a["coord"].journal_snapshot() != b["coord"].journal_snapshot()
     )
+
+
+def crash_rate_leg(rate: float) -> dict:
+    """Forty undisturbed transfers at a crash-mid-call ``rate``."""
+    world = build_bank_world(11, crash_rate=rate)
+    start = world["env"].clock.now_us
+    outcomes = run_transfers(world, None, rounds=40)
+    recover_leftovers(world)
+    check_conservation(world)
+    journal = world["coord"].journal_snapshot()
+    ends = [value for key, value in journal.items() if key.endswith(".end")]
+    assert outcomes["committed"] == ends.count("committed")
+    return {**outcomes, "sim_us": world["env"].clock.now_us - start, "journal": journal}
+
+
+def test_crash_rate_sweep_replays_and_costs_more_as_the_rate_rises():
+    """Crashes make a transfer dearer (retries, journal replays, repair
+    scans), never wrong; each leg replays from its seed."""
+    legs = [crash_rate_leg(rate) for rate in (0.0, 0.01, 0.05)]
+    assert legs == [crash_rate_leg(rate) for rate in (0.0, 0.01, 0.05)]
+    assert (legs[0]["committed"], legs[0]["aborted"]) == (40, 0)
+    assert legs[0]["sim_us"] < legs[1]["sim_us"] < legs[2]["sim_us"]
 
 
 def test_saga_chaos_free_world_commits_everything():

@@ -1,323 +1,127 @@
-"""Smallest-config smoke runs of the perf benches, in tier-1.
+"""Shape gates on the base call path that are not quiet-feature parity.
 
-Each headline bench (E1 invocation overhead, E11 specialized stubs, P1
-hot path, P3 observability overhead) gets one fast ``bench_smoke``-marked
-test here running its smallest configuration, so a hot-path regression
-that breaks a bench's *shape* assertions — sim-time drift, pool
-misbehaviour, specialization losing its edge, the tracer charging time
-while disabled — fails the ordinary test run, not just a manual bench
-session.  Select just these with ``pytest -m bench_smoke``.
-
-Wall-clock *numbers* are never asserted here (CI machines vary); only
-structural and simulated-time properties are.
+Paper §9.3 asks what the subcontract layer adds to a call and what
+fused stubs save; ``test_quiet_features.py`` states that an idle feature
+charges nothing.  The tests here keep the remaining deterministic
+gates: the subcontract tax, the fused stub's saving, an uninstalled
+feature leaving a fresh world's charges as they were, the default null
+tracer charging nothing, the four race classes, a clean whole-program
+springlint pass, and the SLO plane's building blocks producing output.
+Only simulated time and structure are asserted, never wall time.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from benchmarks.bench_p1_hotpath import build_world, run
-from benchmarks.bench_p3_obs_overhead import (
-    PRE_OBS_GENERAL_SIM_US,
-    SPANS_PER_GENERAL_CALL,
-    run as run_p3,
-)
-from benchmarks.bench_p4_chaos_overhead import (
-    PRE_CHAOS_GENERAL_SIM_US,
-    run as run_p4,
-)
-from benchmarks.bench_p5_admission import (
-    GOODPUT_GATE_AT_5X,
-    PRE_ADMISSION_GENERAL_SIM_US,
-    run as run_p5,
-)
-from benchmarks.conftest import sim_us
-
-pytestmark = pytest.mark.bench_smoke
-
-ROUNDS = 300
-WARMUP = 100
+from repro.kernel.nucleus import Kernel
+from repro.obs.sketch import Sketch
+from repro.obs.slo import SloEngine, SloPolicy
+from repro.obs.tracer import NULL_TRACER
+from repro.obs.windows import WindowedSeries
+from repro.runtime import tsan
+import tests.chaos.test_tsan_soak as tsan_soak
+from tests.analysis.test_self_clean import src_findings
+from tests.integration.test_quiet_features import World
 
 
-@pytest.fixture(scope="module")
-def p1_results():
-    return run(rounds=ROUNDS, warmup=WARMUP)
+def _installed_then_uninstalled(feature: str) -> None:
+    """A fresh world that installed ``feature`` and took it out again
+    before any call charges what a fresh world without it charges."""
+    bare = World().sims()
+    world = World()
+    try:
+        getattr(world.env, "install_" + feature)()
+        getattr(world.env, "uninstall_" + feature)()
+        assert world.sims() == bare
+    finally:
+        if tsan.active() is not None:
+            tsan.uninstall_tsan()
 
 
-@pytest.fixture(scope="module")
-def p3_results():
-    # run() itself asserts the two deterministic P3 gates: disabled sim
-    # time bit-for-bit equal to the pre-observability record, and the
-    # enabled delta exactly the tracer's own probe charges.
-    return run_p3(rounds=ROUNDS, warmup=WARMUP)
+def test_e1_smoke_subcontract_tax_is_small():
+    sims = World().sims()
+    general, raw = min(sims["general"]), min(sims["raw"])
+    assert 0 < general - raw < 0.10 * raw
 
 
-@pytest.fixture(scope="module")
-def p5_results():
-    # run() itself asserts the deterministic P5 gates: uninstalled sim
-    # time bit-for-bit equal to the pre-admission record, ungoverned-
-    # controller sim parity, and the ≥2x goodput gate at 5x offered load.
-    return run_p5(rounds=ROUNDS, warmup=WARMUP, goodput_calls=120)
+def test_e11_smoke_specialization_saves_indirect_calls():
+    world = World()
+    sims = world.sims()
+    general, fused = min(sims["general"]), min(sims["fused"])
+    assert fused < general
+    assert general - fused >= 2 * world.kernel.clock.model.indirect_call_us - 1e-9
 
 
-@pytest.fixture(scope="module")
-def p4_results():
-    # run() itself asserts the deterministic P4 gates: uninstalled sim
-    # time bit-for-bit equal to the pre-chaos record, quiet-plane sim
-    # parity, and degraded-mode cost monotone in the loss rate.
-    return run_p4(rounds=ROUNDS, warmup=WARMUP, degraded_calls=100)
+def test_p3_smoke_disabled_tracing_charges_zero_sim_time():
+    # Every kernel boots with the null tracer: no path charges a span,
+    # a trace event or a window probe.
+    world = World()
+    assert world.kernel.tracer is NULL_TRACER
+    world.sims()
+    clock = world.kernel.clock
+    for path in world.paths.values():
+        clock.reset_tally()
+        path()
+        charged = clock.tally()
+        assert charged and not {"trace_span", "trace_event", "window_probe"} & set(charged)
 
 
-def test_e1_smoke_subcontract_tax_is_small(p1_results):
-    # E1 smallest config: the subcontract layer's sim-time tax over a raw
-    # door call stays positive and under 10% (run() asserts the bound;
-    # re-check the sign here so this test names the property).
-    added = p1_results["general_sim_us"] - p1_results["raw_sim_us"]
-    assert added > 0
+def test_p4_smoke_uninstalled_chaos_charges_zero_sim_time():
+    _installed_then_uninstalled("chaos")
 
 
-def test_e11_smoke_specialization_saves_indirect_calls(p1_results):
-    # E11 smallest config: fused stubs save sim time versus general stubs.
-    assert p1_results["specialized_sim_us"] < p1_results["general_sim_us"]
+def test_p5_smoke_uninstalled_admission_charges_zero_sim_time():
+    _installed_then_uninstalled("admission")
 
 
-def test_p1_smoke_pool_eliminates_buffer_allocations(p1_results):
-    assert p1_results["general_buffer_allocs_per_call"] < 0.5
+def test_p7_smoke_uninstalled_tsan_charges_zero_sim_time():
+    _installed_then_uninstalled("tsan")
 
 
-def test_p3_smoke_disabled_tracing_charges_zero_sim_time(p3_results):
-    # The machine-independent form of the 2% overhead gate: with the
-    # default NULL_TRACER the sim clock's per-call total is bit-for-bit
-    # the pre-observability figure — tracing contributes nothing.
-    assert p3_results["disabled_general_sim_us"] == pytest.approx(
-        PRE_OBS_GENERAL_SIM_US, abs=1e-6
+def test_p7_smoke_race_classes_classify_deterministically():
+    # The four canonical classes of ``TestRaceClasses``, each on a fresh
+    # kernel, twice over: detection never depends on the schedule.
+    classes = tsan_soak.TestRaceClasses()
+    try:
+        for _ in range(2):
+            for name in (
+                "test_unlocked_write_write",
+                "test_lock_protected_but_disjoint_locksets",
+                "test_missed_join_edge",
+                "test_door_handoff_is_not_a_race",
+            ):
+                getattr(classes, name)(Kernel(), None)
+    finally:
+        if tsan.active() is not None:
+            tsan.uninstall_tsan()
+
+
+def test_p7_smoke_whole_program_springlint_is_clean():
+    assert src_findings() == []
+
+
+def test_p8_smoke_sketch_and_slo_micro_legs_ran():
+    sketch = Sketch()
+    seed = 0x9E3779B9
+    for _ in range(1_000):
+        seed = (seed * 1103515245 + 12345) & 0x7FFFFFFF
+        sketch.insert(1.0 + (seed % 1_000_000) / 100.0)
+    assert sketch.snapshot()["buckets"]
+
+    series = WindowedSeries(window_us=1_000.0, retention=8)
+    for index in range(8):
+        now = index * 1_000.0 + 1.0
+        for call in range(10):
+            series.count("svc", "invocations", now_us=now)
+            series.observe("svc", "invoke_sim_us", 50.0 + call, now_us=now)
+    engine = SloEngine(
+        [
+            SloPolicy(name="svc-latency", scope="svc", latency_p_us=80.0,
+                      fast_windows=2, slow_windows=8),
+            SloPolicy(name="svc-errors", scope="svc", max_error_rate=0.01,
+                      fast_windows=2, slow_windows=8),
+        ]
     )
-
-
-def test_p3_smoke_enabled_tracing_charges_only_its_probes(p3_results):
-    delta = p3_results["enabled_general_sim_us"] - p3_results["disabled_general_sim_us"]
-    assert delta == pytest.approx(
-        SPANS_PER_GENERAL_CALL * p3_results["trace_span_us"]
-    )
-
-
-def test_p4_smoke_uninstalled_chaos_charges_zero_sim_time(p4_results):
-    # The machine-independent form of the 2% overhead gate: with no
-    # fault plane installed the sim clock's per-call total is bit-for-bit
-    # the pre-chaos figure — the interception points contribute nothing.
-    assert p4_results["uninstalled_general_sim_us"] == pytest.approx(
-        PRE_CHAOS_GENERAL_SIM_US, abs=1e-6
-    )
-
-
-def test_p4_smoke_quiet_plane_is_free(p4_results):
-    # An installed plane with every rate at zero draws nothing from the
-    # RNG and charges nothing: capability, not cost.
-    assert (
-        p4_results["quiet_plane_general_sim_us"]
-        == p4_results["uninstalled_general_sim_us"]
-    )
-
-
-def test_p4_smoke_retransmission_tax_grows_with_loss(p4_results):
-    costs = [e["sim_us_per_call"] for e in p4_results["degraded_rawnet"]]
-    assert costs == sorted(costs) and len(set(costs)) == len(costs)
-
-
-def test_p5_smoke_uninstalled_admission_charges_zero_sim_time(p5_results):
-    # The machine-independent form of the 2% overhead gate: with no
-    # admission controller installed the sim clock's per-call total is
-    # bit-for-bit the pre-admission figure — the gate costs nothing idle.
-    assert p5_results["uninstalled_general_sim_us"] == pytest.approx(
-        PRE_ADMISSION_GENERAL_SIM_US, abs=1e-6
-    )
-
-
-def test_p5_smoke_ungoverned_controller_is_free(p5_results):
-    # An installed controller with no governed doors resolves each door
-    # to a cached None and charges nothing: governance is opt-in.
-    assert (
-        p5_results["ungoverned_general_sim_us"]
-        == p5_results["uninstalled_general_sim_us"]
-    )
-
-
-def test_p5_smoke_shedding_preserves_goodput_under_overload(p5_results):
-    # At 5x offered load the bounded-queue, deadline-aware posture must
-    # deliver at least 2x the goodput of the unprotected one.
-    assert p5_results["goodput_ratio_at_5x"] >= GOODPUT_GATE_AT_5X
-
-
-def test_p5_smoke_unprotected_door_never_refuses(p5_results):
-    # Without shedding every call is admitted (and pays the wait): the
-    # controller's refusal behaviour is entirely policy-driven.
-    for leg in p5_results["goodput"]:
-        if not leg["shedding"]:
-            assert leg["busy"] == 0 and leg["ok"] == leg["calls"]
-
-
-def test_p1_smoke_sim_time_is_deterministic():
-    # Two fresh worlds charge bit-for-bit identical simulated time —
-    # the invariant the sharded clock and pooled buffers must preserve.
-    def measure():
-        kernel, raw_call, general_obj, special_obj = build_world()
-        raw_call()
-        general_obj.total()
-        return (
-            min(sim_us(kernel, general_obj.total) for _ in range(3)),
-            min(sim_us(kernel, special_obj.total) for _ in range(3)),
-            min(sim_us(kernel, raw_call) for _ in range(3)),
-        )
-
-    assert measure() == measure()
-
-
-@pytest.fixture(scope="module")
-def p7_results():
-    # run() itself asserts the deterministic P7 gates: uninstalled sim
-    # time bit-for-bit equal to the pre-P7 record, enabled-detector sim
-    # parity, a race-free hot path with sync edges observed, all four
-    # canonical race classes classified correctly, and a clean
-    # whole-program springlint pass over src/.
-    from benchmarks.bench_p7_tsan import run as run_p7
-
-    return run_p7(rounds=ROUNDS, warmup=WARMUP)
-
-
-def test_p7_smoke_uninstalled_tsan_charges_zero_sim_time(p7_results):
-    from benchmarks.bench_p7_tsan import PRE_TSAN_GENERAL_SIM_US
-
-    # The machine-independent form of the 2% overhead gate: with no
-    # detector installed the sim clock's per-call total is bit-for-bit
-    # the pre-P7 figure — the sync-edge hooks cost nothing idle.
-    assert p7_results["uninstalled_general_sim_us"] == pytest.approx(
-        PRE_TSAN_GENERAL_SIM_US, abs=1e-6
-    )
-
-
-def test_p7_smoke_enabled_detector_charges_zero_sim_time(p7_results):
-    # The detector watches the clock, never advances it: even enabled,
-    # sim totals are bit-for-bit the uninstalled figure.
-    assert (
-        p7_results["enabled_general_sim_us"]
-        == p7_results["uninstalled_general_sim_us"]
-    )
-
-
-def test_p7_smoke_race_classes_classify_deterministically(p7_results):
-    assert all(p7_results["race_classes"].values()), p7_results["race_classes"]
-
-
-def test_p7_smoke_whole_program_springlint_is_clean(p7_results):
-    assert p7_results["springlint_whole_program"]["findings"] == 0
-
-
-@pytest.fixture(scope="module")
-def p8_results():
-    # run() itself asserts the deterministic P8 gates: uninstalled sim
-    # time bit-for-bit equal to the pre-P8 record, a deterministic
-    # enabled sim tariff across fresh worlds, and snapshot p99 equal to
-    # the live windowed series bit-for-bit.
-    from benchmarks.bench_p8_slo import run as run_p8
-
-    return run_p8(rounds=ROUNDS, warmup=WARMUP)
-
-
-def test_p8_smoke_uninstalled_windows_charge_zero_sim_time(p8_results):
-    from benchmarks.bench_p8_slo import PRE_P8_GENERAL_SIM_US
-
-    # The machine-independent form of the 2% overhead gate: with no
-    # windowed series installed the sim clock's per-call total is
-    # bit-for-bit the pre-P8 figure — the feed costs one attr read idle.
-    assert p8_results["uninstalled_general_sim_us"] == pytest.approx(
-        PRE_P8_GENERAL_SIM_US, abs=1e-6
-    )
-
-
-def test_p8_smoke_enabled_plane_charges_a_deterministic_tariff(p8_results):
-    # Enabled, the plane charges the explicit trace_span/window_probe
-    # tariff — more than zero, and identical across fresh worlds (the
-    # bench asserts the second half internally).
-    assert (
-        p8_results["enabled_general_sim_us"]
-        > p8_results["uninstalled_general_sim_us"]
-    )
-
-
-def test_p8_smoke_sketch_and_slo_micro_legs_ran(p8_results):
-    assert p8_results["sketch_micro"]["buckets"] > 0
-    assert p8_results["slo_eval_micro"]["states"]
-
-
-@pytest.fixture(scope="module")
-def p9_results():
-    # run() itself asserts the deterministic P9 gates: uninstalled sim
-    # time bit-for-bit equal to the pre-P9 record, every saga leg
-    # identical when replayed from its seed, and money conservation at
-    # every crash rate.
-    from benchmarks.bench_p9_saga import run as run_p9
-
-    return run_p9(rounds=ROUNDS, warmup=WARMUP)
-
-
-def test_p9_smoke_uninstalled_exactly_once_charges_zero_sim_time(p9_results):
-    from benchmarks.bench_p9_saga import PRE_P9_GENERAL_SIM_US
-
-    # The machine-independent form of the 2% overhead gate: with no
-    # idempotency-key context live, the sim clock's per-call total is
-    # bit-for-bit the pre-P9 figure — the stamp gate costs one plain
-    # attribute read + branch idle.
-    assert p9_results["uninstalled_general_sim_us"] == pytest.approx(
-        PRE_P9_GENERAL_SIM_US, abs=1e-6
-    )
-
-
-def test_p9_smoke_chaos_makes_transfers_dearer_not_wrong(p9_results):
-    # Rising crash rates cost more simulated time per transfer (retries,
-    # journal replays, repair scans) but never break exactly-once — the
-    # bench asserts conservation inside each leg.
-    legs = p9_results["saga_legs"]
-    assert [leg["crash_rate"] for leg in legs] == [0.0, 0.01, 0.05]
-    costs = [leg["sim_us_per_transfer"] for leg in legs]
-    assert costs == sorted(costs)
-    assert costs[0] < costs[-1]
-
-
-def test_p9_smoke_dedup_micro_leg_ran(p9_results):
-    micro = p9_results["dedup_micro"]
-    assert micro["entries"] > 0
-    assert micro["hit_lookup_ns"] > 0.0
-
-
-@pytest.fixture(scope="module")
-def p10_results():
-    # run() itself asserts the deterministic P10 gates: uninstalled sim
-    # time bit-for-bit equal to the pre-P10 record, the failover sweep
-    # identical when replayed, every figure within the protocol bound.
-    from benchmarks.bench_p10_membership import run as run_p10
-
-    return run_p10(rounds=ROUNDS, warmup=WARMUP)
-
-
-def test_p10_smoke_uninstalled_membership_charges_zero_sim_time(p10_results):
-    from benchmarks.bench_p10_membership import PRE_P10_GENERAL_SIM_US
-
-    # The machine-independent form of the 2% overhead gate: with no
-    # membership installed, the sim clock's per-call total is bit-for-bit
-    # the pre-P10 figure — the view gate costs one class-default
-    # attribute read + branch idle.
-    assert p10_results["uninstalled_general_sim_us"] == pytest.approx(
-        PRE_P10_GENERAL_SIM_US, abs=1e-6
-    )
-
-
-def test_p10_smoke_failover_distribution_within_bound(p10_results):
-    legs = p10_results["failover_legs"]
-    assert len(legs) == p10_results["failover_seeds"]
-    for leg in legs:
-        assert 0.0 < leg["detection_us"] <= leg["bound_us"]
-        assert 0.0 < leg["failover_us"] <= leg["bound_us"]
-    # the distribution block summarizes the same legs
-    failover = p10_results["failover"]
-    assert failover["min_us"] == min(leg["failover_us"] for leg in legs)
-    assert failover["max_us"] == max(leg["failover_us"] for leg in legs)
+    states = engine.evaluate(series)
+    assert sorted(state["policy"] for state in states) == ["svc-errors", "svc-latency"]
+    assert all(state["windows_evaluated"] == 8 for state in states)
+    assert {state["state"] for state in states} <= {"ok", "warn", "page"}

@@ -9,6 +9,8 @@ simulated, and identical seeds replay bit-for-bit.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.kernel.errors import DeadlineExceeded, ServerBusyError
@@ -416,6 +418,52 @@ class TestBursts:
 
         assert run(3) == run(3)
         assert run(3) != run(4)
+
+
+class TestGoodput:
+    """A limit-1 door under a seeded burst at 1x, 2x and 5x its capacity,
+    with shedding (bounded queue, deadline aware) and without (unbounded
+    queue, deadline blind)."""
+
+    SERVICE_US = 400.0
+    CALLS = 120
+
+    def leg(self, counter_module, factor, shedding):
+        """(ok, busy, goodput per sim µs over the storm, think time in)."""
+        env, proxy, _ = make_world(counter_module, seed=7)
+        door = proxy._rep.door
+        env.install_admission(seed=7).govern(
+            door,
+            AdmissionPolicy(
+                limit=1, queue_limit=8 if shedding else None,
+                deadline_aware=shedding, service_estimate_us=self.SERVICE_US,
+            ),
+        )
+        env.install_chaos(seed=7).burst(
+            door, interarrival_us=self.SERVICE_US / factor, service_us=self.SERVICE_US
+        )
+        rng = random.Random(7)
+        ok = busy = 0
+        start = env.clock.now_us
+        for _ in range(self.CALLS):
+            env.clock.advance(50.0 + 150.0 * rng.random(), "think_time")
+            try:
+                proxy.add(1)
+                ok += 1
+            except ServerBusyError:
+                busy += 1
+        return ok, busy, ok / (env.clock.now_us - start)
+
+    def test_shedding_doubles_goodput_at_five_times_capacity(self, counter_module):
+        ok, busy, shed_goodput = self.leg(counter_module, 5, shedding=True)
+        assert ok > 0 and busy > 0
+        assert shed_goodput >= 2.0 * self.leg(counter_module, 5, shedding=False)[2]
+
+    def test_unprotected_door_never_refuses(self, counter_module):
+        legs = [self.leg(counter_module, factor, shedding=False) for factor in (1, 2, 5)]
+        assert [(ok, busy) for ok, busy, _ in legs] == [(self.CALLS, 0)] * 3
+        goodput = [g for _, _, g in legs]
+        assert goodput == sorted(goodput, reverse=True)
 
 
 class TestDomainGovernance:

@@ -124,6 +124,28 @@ class TestLossRecovery:
         rto = env.clock.tally()["rawnet_rto"]
         assert rto >= MAX_ATTEMPTS * 20_000.0 - 1e-6
 
+    def test_cost_rises_strictly_with_datagram_loss(self, counter_module):
+        """Sim µs per call under 0, 1 and 5 % fault-plane loss: the
+        retransmission tax grows, and the calls still get through."""
+        costs, failures, drops = [], [], []
+        for drop in (0.0, 0.01, 0.05):
+            env = Environment(latency_us=200.0)
+            _, _, _, obj = build(env, counter_module)
+            plane = env.install_chaos(seed=1)
+            plane.default_link.drop = drop
+            start, failed = env.clock.now_us, 0
+            for _ in range(100):
+                try:
+                    obj.add(1)
+                except CommunicationError:
+                    failed += 1
+            costs.append(env.clock.now_us - start)
+            failures.append(failed)
+            drops.append(plane.injected.get("datagram_drop", 0))
+        assert costs[0] < costs[1] < costs[2]
+        assert failures[0] == drops[0] == 0 and max(failures) <= 5
+        assert drops[2] > drops[1] > 0
+
     def test_partition_behaves_like_loss(self, env, counter_module):
         server, client, _, obj = build(env, counter_module)
         obj.add(1)
