@@ -6,11 +6,13 @@ interface:
 
 * a stub class (subclassing :class:`SpringObject`) whose public methods
   forward through the object's method table — the structure of Section 4;
-* one *remote stub* function per operation: Figure 3's client-side path,
-  driving the subcontract operations vector;
-* one *skeleton* handler per operation plus a dispatch class — the
-  server-side stubs that unmarshal arguments and call into the server
-  application (Figure 3's server-side path).
+* per operation it declares, a *remote stub* ``_stub_<iface>_<op>``
+  (Figure 3's client-side path, driving the subcontract operations
+  vector) and a *skeleton* handler ``_skel_<iface>_<op>`` (the server
+  side: unmarshal the arguments, call the server application); a stub
+  depends only on its declaration (Sections 4 and 9.1), so derived
+  interfaces use their declarer's;
+* a skeleton class, its dispatch the module's one :data:`_DISPATCH`.
 
 Every client stub, general or fused, comes from one template,
 :data:`_CLIENT_STUB`; its two variants differ only in how the stub
@@ -318,9 +320,7 @@ def _emit_stub_class(out: _Emitter, iface: CheckedInterface) -> None:
     ancestry = " : ".join(iface.ancestors)
     out.line(f'"""IDL interface {ancestry}."""')
     out.line(f'_idl_interface = "{iface.name}"')
-    if not iface.operations:
-        out.line("pass")
-    for op in iface.operations.values():
+    for op in iface.own_operations:
         params = _op_signature(op)
         head = f"def {op.name}(self{', ' + params if params else ''}):"
         out.line(head)
@@ -334,6 +334,11 @@ def _emit_stub_class(out: _Emitter, iface: CheckedInterface) -> None:
         out.line(f'return self._method_table["{op.name}"]({call_args})')
         out.pop()
     out.pop()
+    # Inherited methods are the declarer's functions, bound after the body
+    # (no method name shadows a base); IDL bases need not have a Python MRO.
+    for op in iface.operations.values():
+        if op.introduced_by != iface.name:
+            out.line(f"{iface.name}.{op.name} = {op.introduced_by}.{op.name}")
     out.line()
 
 
@@ -397,7 +402,6 @@ def {name}(_obj{params}):
 #: General stubs: through the subcontract operations vector, paying the
 #: two client-side indirect calls Section 9.3 charges.
 _GENERAL = {
-    "prefix": "_stub",
     "span_attrs": "",
     "preamble": """\
             _kernel.clock.charge("indirect_call")  # stubs -> subcontract (preamble)
@@ -410,7 +414,6 @@ _GENERAL = {
 #: Fused stubs (Section 9.1): ``SingleDoorClient.invoke`` inlined, so
 #: neither indirect call is made.
 _FUSED = {
-    "prefix": "_spec",
     "span_attrs": ", fused=True",
     "preamble": "",
     "invoke": """\
@@ -446,17 +449,7 @@ def _emit_client_stub(
     out.line()
 
 
-def _emit_client_stubs(
-    out: _Emitter, iface: CheckedInterface | InterfaceBinding, variant: dict[str, str]
-) -> None:
-    for op in iface.operations.values():
-        _emit_client_stub(out, f"{variant['prefix']}_{iface.name}_{op.name}", op, variant)
-
-
-def _emit_skeleton_handler(
-    out: _Emitter, iface: CheckedInterface, op: OperationSpec
-) -> None:
-    name = f"_skel_{iface.name}_{op.name}"
+def _emit_skeleton_handler(out: _Emitter, name: str, op: OperationSpec) -> None:
     out.line(f"def {name}(_domain, _impl, _buf, _reply):")
     out.push()
     # Objects and doors unmarshalled before a failing argument are given up.
@@ -494,49 +487,43 @@ def _emit_skeleton_handler(
     out.line()
 
 
+#: Figure 3's server half up to the handler, emitted once per module:
+#: read the op name, answer the reserved type query (Section 6.3), and
+#: pass the call to the op's handler.  Each interface's skeleton closes
+#: it over its own name, which an unknown op's error names, and handlers.
+_DISPATCH = """\
+def _dispatch_for(_name, _handlers):
+    def dispatch(_domain, _impl, _buf, _reply, _binding):
+        try:
+{op}
+        except Exception as _exc:
+            write_exception_status(_reply, _exc)
+            return
+        if _op == TYPE_QUERY_OP:
+            _reply.put_int8(STATUS_OK)
+            _reply.put_sequence_header(len(_binding.ancestors))
+            for _ancestor in _binding.ancestors:
+                _reply.put_string(_ancestor)
+            return
+        _handler = _handlers.get(_op)
+        if _handler is None:
+            write_exception_status(_reply, LookupError("interface " + _name + " has no operation " + repr(_op)))
+            return
+        _handler(_domain, _impl, _buf, _reply)
+    return dispatch
+"""
+
+
 def _emit_skeleton_class(out: _Emitter, iface: CheckedInterface) -> None:
     handlers = ", ".join(
-        f'"{op.name}": _skel_{iface.name}_{op.name}' for op in iface.operations.values()
+        f'"{op.name}": _skel_{op.introduced_by}_{op.name}'
+        for op in iface.operations.values()
     )
-    out.line(f"_HANDLERS_{iface.name} = {{{handlers}}}")
-    out.line()
     out.line(f"class _skel_{iface.name}:")
     out.push()
     out.line(f'"""Server-side stubs (skeleton) for interface {iface.name}."""')
     out.line(f'interface_name = "{iface.name}"')
-    out.line("@staticmethod")
-    out.line("def dispatch(_domain, _impl, _buf, _reply, _binding):")
-    out.push()
-    out.line("try:")
-    out.push()
-    _emit_get(out, "_buf", "_op", "string")
-    out.pop()
-    out.line("except Exception as _exc:")
-    out.push()
-    out.line("write_exception_status(_reply, _exc)")
-    out.line("return")
-    out.pop()
-    out.line("if _op == TYPE_QUERY_OP:")
-    out.push()
-    out.line("_reply.put_int8(STATUS_OK)")
-    out.line("_reply.put_sequence_header(len(_binding.ancestors))")
-    out.line("for _ancestor in _binding.ancestors:")
-    out.push()
-    out.line("_reply.put_string(_ancestor)")
-    out.pop()
-    out.line("return")
-    out.pop()
-    out.line(f"_handler = _HANDLERS_{iface.name}.get(_op)")
-    out.line("if _handler is None:")
-    out.push()
-    out.line(
-        f"write_exception_status(_reply, "
-        f"LookupError('interface {iface.name} has no operation ' + repr(_op)))"
-    )
-    out.line("return")
-    out.pop()
-    out.line("_handler(_domain, _impl, _buf, _reply)")
-    out.pop()
+    out.line(f'dispatch = staticmethod(_dispatch_for("{iface.name}", {{{handlers}}}))')
     out.pop()
     out.line()
 
@@ -547,16 +534,20 @@ def _emit_skeleton_class(out: _Emitter, iface: CheckedInterface) -> None:
 def generate_source(spec: CheckedSpec) -> str:
     """Generate the Python source for a checked specification."""
     out = _Emitter()
-    for line in _HEADER.splitlines():
-        out.line(line)
+    _splice(out, _HEADER)
     out.line()
     for struct in spec.structs.values():
         _emit_struct(out, struct)
+    if spec.interfaces:
+        op = _Emitter(indent=3)
+        _emit_get(op, "_buf", "_op", "string")
+        _splice(out, _DISPATCH.format(op=op.source().rstrip("\n")))
+        out.line()
     for iface in spec.interfaces.values():
         _emit_stub_class(out, iface)
-        _emit_client_stubs(out, iface, _GENERAL)
-        for op in iface.operations.values():
-            _emit_skeleton_handler(out, iface, op)
+        for op in iface.own_operations:
+            _emit_client_stub(out, f"_stub_{iface.name}_{op.name}", op, _GENERAL)
+            _emit_skeleton_handler(out, f"_skel_{iface.name}_{op.name}", op)
         _emit_skeleton_class(out, iface)
     return out.source()
 
@@ -565,7 +556,8 @@ def generate_fused_source(binding: InterfaceBinding) -> str:
     """The fused stub ``_spec_<iface>_<op>`` for every operation of
     ``binding``; it runs in its compiled module's namespace."""
     out = _Emitter()
-    _emit_client_stubs(out, binding, _FUSED)
+    for op in binding.operations.values():
+        _emit_client_stub(out, f"_spec_{binding.name}_{op.name}", op, _FUSED)
     return out.source()
 
 
@@ -573,8 +565,7 @@ def generate_type_query_source() -> str:
     """A module whose general stub ``remote_type_query`` asks the server
     for an object's most-derived type and its ancestors, as a tuple."""
     out = _Emitter()
-    for line in _HEADER.splitlines():
-        out.line(line)
+    _splice(out, _HEADER)
     op = OperationSpec(TYPE_QUERY_OP, (), SequenceType(PrimitiveType(Primitive.STRING)))
     _emit_client_stub(out, "remote_type_query", op, _GENERAL, "_result = tuple(_result)")
     return out.source()

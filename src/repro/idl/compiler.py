@@ -127,7 +127,8 @@ def compile_idl(
         binding.stub_class = namespace[name]
         binding.skeleton = namespace[f"_skel_{name}"]
         binding._remote_table = {
-            op: namespace[f"_stub_{name}_{op}"] for op in binding.operations
+            op.name: namespace[f"_stub_{op.introduced_by}_{op.name}"]
+            for op in binding.operations.values()
         }
     for name, struct_binding in structs.items():
         struct_binding.value_class = namespace[name]

@@ -109,9 +109,12 @@ def marshal_door_copy(
 
 
 def discard_args(domain: "Domain", *values: object) -> None:
-    """Give up the objects and doors a skeleton unmarshalled before a failure."""
+    """Give up the objects and doors a skeleton unmarshalled before a
+    failure, also those held in (nested) sequences."""
     for value in values:
-        if isinstance(value, SpringObject) and not value._consumed:
+        if isinstance(value, list):
+            discard_args(domain, *value)
+        elif isinstance(value, SpringObject) and not value._consumed:
             value.spring_consume()
         elif isinstance(value, DoorIdentifier):
             domain.kernel.delete_door_id(domain, value)

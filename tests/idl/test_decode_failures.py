@@ -71,35 +71,54 @@ def test_a_reply_that_fails_to_decode_goes_back_to_its_pool(stubs, reply):
         assert unbalanced(server, client) == []
 
 
-CLIENT_HOLDER = """
-interface counter { int32 total(); }
-interface holder { void put(counter c, int32 n); }
+HOLDER_IDL = """
+interface counter {{ int32 total(); }}
+interface holder {{ void put({held}, int32 n); }}
 """
-SERVER_HOLDER = CLIENT_HOLDER.replace("int32 n", "string n")
 
 
 class HolderImpl:
-    def put(self, c, n):  # never reached: ``n`` does not unmarshal
+    def put(self, held, n):  # never reached: ``n`` does not unmarshal
         raise AssertionError("called")
 
 
-def test_arguments_unmarshalled_before_a_failing_one_are_given_up():
+#: the argument unmarshalled before the failing one -> how the counter is sent in it
+HELD = {
+    "counter c": lambda counter: counter,
+    "sequence<counter> cs": lambda counter: [counter],
+    "sequence<sequence<counter>> css": lambda counter: [[], [counter]],
+    # the counter's door identifier itself, not an object wrapping it
+    "sequence<door> ds": lambda counter: [counter._rep.door],
+}
+
+
+def check_given_up(held):
     env = Environment()
     owner = env.create_domain("m0", "owner")
     holder_domain = env.create_domain("m0", "holder")
-    served = compile_idl(SERVER_HOLDER, module_name="tests.holder.server")
+    client_idl = HOLDER_IDL.format(held=held)
+    served = compile_idl(client_idl.replace("int32 n", "string n"))
     exported = SingletonServer(holder_domain).export(HolderImpl(), served.binding("holder"))
     env.bind(holder_domain, "/holder", exported)
-    module = compile_idl(CLIENT_HOLDER, module_name="tests.holder.client")
+    module = compile_idl(client_idl)
     holder = narrow(env.resolve(owner, "/holder"), module.binding("holder"))
     fired = []
     impl = CounterImpl()
     counter = SingletonServer(owner).export(
         impl, module.binding("counter"), unreferenced=fired.append
     )
-    held = len(holder_domain.door_ids)
+    held_ids = len(holder_domain.door_ids)
     with pytest.raises(RemoteApplicationError):
-        holder.put(counter, 5)  # the owner's only reference moves
-    assert len(holder_domain.door_ids) == held
+        holder.put(HELD[held](counter), 5)  # the owner's only reference moves
+    assert len(holder_domain.door_ids) == held_ids
     assert fired == [impl]
     assert unbalanced(owner, holder_domain) == []
+
+
+def test_arguments_unmarshalled_before_a_failing_one_are_given_up():
+    check_given_up("counter c")
+
+
+@pytest.mark.parametrize("held", [held for held in HELD if held.startswith("sequence")])
+def test_objects_and_doors_held_in_a_sequence_are_given_up(held):
+    check_given_up(held)
