@@ -8,7 +8,7 @@ put the subtle object-passing semantics (move vs copy, Section 3.2 and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.object import SpringObject
 from repro.idl.rtypes import InterfaceBinding
@@ -25,6 +25,7 @@ __all__ = [
     "marshal_object",
     "marshal_object_copy",
     "unmarshal_any",
+    "unmarshal_sequence",
     "marshal_door",
     "marshal_door_copy",
 ]
@@ -106,6 +107,19 @@ def marshal_door_copy(
     """Marshal a copy of a raw door identifier, keeping the original."""
     duplicate = domain.kernel.copy_door_id(domain, value)
     buffer.put_door_id(domain, duplicate)
+
+
+def unmarshal_sequence(buffer: "MarshalBuffer", domain: "Domain", get: Callable) -> list:
+    """Unmarshal a sequence of objects or doors, one ``get(buffer, domain)``
+    each; should element k fail, elements 0..k-1 are given up first."""
+    values: list = []
+    try:
+        for _ in range(buffer.get_sequence_header()):
+            values.append(get(buffer, domain))
+    except BaseException:
+        discard_args(domain, values)
+        raise
+    return values
 
 
 def discard_args(domain: "Domain", *values: object) -> None:

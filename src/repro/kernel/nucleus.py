@@ -394,14 +394,18 @@ class Kernel:
         # The handler runs in the context that came with the call, less
         # the keys that name this hop only (an idempotency key names one
         # request, not the calls it makes); door_call stamps every
-        # non-empty context, so a call carrying none is already in its own.
+        # non-empty context, so a call carrying none is already in its own,
+        # and so is one carrying hop keys alone (every traced call's).
+        swap = False
         if ctx is not None:
             ctx_local = self.context
             held = ctx_local.value
-            inherited = ctx.copy()
-            for key_id in HOP_KEYS:
-                inherited.pop(key_id, None)
-            ctx_local.value = inherited or None
+            inherited = None if ctx.keys() <= HOP_KEYS else {
+                key_id: value for key_id, value in ctx.items() if key_id not in HOP_KEYS
+            }
+            swap = inherited is not held
+            if swap:
+                ctx_local.value = inherited
         handle = self.handler_seam
         try:
             if handle is not None:
@@ -409,7 +413,7 @@ class Kernel:
             return door.handler(buffer)
         finally:
             depth_local.value = depth
-            if ctx is not None:
+            if swap:
                 ctx_local.value = held
 
     def interpose(self, feature) -> None:

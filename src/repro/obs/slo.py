@@ -33,11 +33,10 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.obs.sketch import Sketch
-from repro.obs.windows import _snapshot_windows
+from repro.obs.windows import _unpack
 
 if TYPE_CHECKING:
-    from repro.obs.windows import WindowedSeries
+    from repro.obs.windows import WindowedSeries, _Window
 
 __all__ = ["SloPolicy", "SloEngine", "render_slo", "slo_json"]
 
@@ -88,51 +87,6 @@ class SloPolicy:
             raise ValueError(f"SLO {self.name!r} sets no target")
 
 
-class _WindowView:
-    """Uniform per-window accessor over live windows or snapshot dicts."""
-
-    __slots__ = ("index", "_counters", "_sketches", "_alpha")
-
-    def __init__(self, index: int, counters, sketches, alpha: float) -> None:
-        self.index = index
-        self._counters = counters
-        self._sketches = sketches
-        self._alpha = alpha
-
-    def counter(self, scope: str, name: str) -> int:
-        return self._counters.get((scope, name), 0)
-
-    def quantile(self, scope: str, name: str, q: float) -> float | None:
-        sketch = self._sketches.get((scope, name))
-        if sketch is None:
-            return None
-        if isinstance(sketch, dict):
-            sketch = Sketch.from_snapshot(sketch)
-        return sketch.quantile(q)
-
-
-def _live_views(series: "WindowedSeries") -> list[_WindowView]:
-    return [
-        _WindowView(w.index, w.counters, w.sketches, series.alpha)
-        for w in series.windows()
-    ]
-
-
-def _snapshot_views(snapshot: dict) -> list[_WindowView]:
-    views = []
-    for window in _snapshot_windows(snapshot, None):
-        counters = {
-            (scope, name): value for scope, name, value in window["counters"]
-        }
-        sketches = {
-            (scope, name): sketch for scope, name, sketch in window["sketches"]
-        }
-        views.append(
-            _WindowView(window["index"], counters, sketches, snapshot["alpha"])
-        )
-    return views
-
-
 class SloEngine:
     """Evaluates a set of policies against windowed telemetry."""
 
@@ -145,15 +99,14 @@ class SloEngine:
 
     # -- evaluation -----------------------------------------------------
 
-    def _violates(self, policy: SloPolicy, view: _WindowView) -> tuple[bool, dict]:
+    def _violates(self, policy: SloPolicy, window: "_Window") -> tuple[bool, dict]:
         measured: dict = {}
         violated = False
-        calls = view.counter(policy.scope, policy.calls)
-        errors = view.counter(policy.scope, policy.errors)
+        calls = window.counters.get((policy.scope, policy.calls), 0)
+        errors = window.counters.get((policy.scope, policy.errors), 0)
         if policy.latency_p_us is not None:
-            quantile = view.quantile(
-                policy.scope, policy.latency_metric, policy.latency_q
-            )
+            sketch = window.sketches.get((policy.scope, policy.latency_metric))
+            quantile = None if sketch is None else sketch.quantile(policy.latency_q)
             measured["latency_p_us"] = quantile
             if quantile is not None and quantile > policy.latency_p_us:
                 violated = True
@@ -169,12 +122,12 @@ class SloEngine:
                 violated = True
         return violated, measured
 
-    def _evaluate_views(self, views: list[_WindowView]) -> list[dict]:
-        views = sorted(views, key=lambda v: v.index)
+    def _evaluate_windows(self, windows: "list[_Window]") -> list[dict]:
+        """Alert states over ``windows``, oldest first."""
         states = []
         for policy in self.policies:
-            lookback = views[-policy.slow_windows :]
-            verdicts = [self._violates(policy, view) for view in lookback]
+            lookback = windows[-policy.slow_windows :]
+            verdicts = [self._violates(policy, window) for window in lookback]
             violations = [v for v, _ in verdicts]
             fast = violations[-policy.fast_windows :]
             fast_burn = sum(fast) / len(fast) if fast else 0.0
@@ -205,11 +158,11 @@ class SloEngine:
 
     def evaluate(self, series: "WindowedSeries") -> list[dict]:
         """Alert states against a live series (one dict per policy)."""
-        return self._evaluate_views(_live_views(series))
+        return self._evaluate_windows(series.windows())
 
     def evaluate_snapshot(self, snapshot: dict) -> list[dict]:
         """Alert states against a snapshot dict (wire-format telemetry)."""
-        return self._evaluate_views(_snapshot_views(snapshot))
+        return self._evaluate_windows(_unpack(snapshot))
 
 
 def render_slo(states: list[dict]) -> str:

@@ -47,6 +47,7 @@ import itertools
 import struct
 import threading
 import time
+from bisect import bisect_right
 from typing import TYPE_CHECKING, Any
 
 from repro.marshal.context import register_key
@@ -75,7 +76,8 @@ TRACE = register_key(
 
 
 class Span:
-    """One timed unit of work; also a context manager (records errors)."""
+    """One timed unit of work; also a context manager (records errors).
+    ``end_sim_us`` and ``end_wall_s`` exist once it has ended."""
 
     __slots__ = (
         "tracer",
@@ -99,7 +101,6 @@ class Span:
         "seq",
         "_ring",
         "_stack",
-        "_ended",
     )
 
     def __init__(
@@ -113,15 +114,20 @@ class Span:
     ) -> None:
         """Open under ``ctx`` = ``(trace_id, parent_id)``, or under the
         thread's current span if ``None``; ``attrs`` becomes the span's."""
-        stack = getattr(tracer._local, "stack", None)
-        if stack is None:
+        try:
+            stack = tracer._local.stack
+        except AttributeError:
             stack = tracer._local.stack = []
-        if ctx is None:
-            ctx = (stack[-1].trace_id, stack[-1].span_id) if stack else (next(tracer._trace_ids), 0)
+        if ctx is not None:
+            self.trace_id, self.parent_id = ctx
+        elif stack:
+            parent = stack[-1]
+            self.trace_id, self.parent_id = parent.trace_id, parent.span_id
+        else:
+            self.trace_id, self.parent_id = next(tracer._trace_ids), 0
         clock = tracer.clock
         clock.charge(_EV_TRACE_SPAN)
         self.tracer = tracer
-        self.trace_id, self.parent_id = ctx
         self.span_id = next(tracer._span_ids)
         self.name = name
         self.category = category
@@ -129,21 +135,19 @@ class Span:
         self.domain_name = domain.name
         machine = domain.machine
         self.machine_name = machine.name if machine is not None else ""
-        self.end_sim_us = 0.0
-        self.end_wall_s = 0.0
         self.status = "ok"
         self.error_type: str | None = None
         self.error_message: str | None = None
-        self.events: list[dict] = []
+        #: point events, in order; spans without any share one empty tuple
+        self.events: "list[dict] | tuple[()]" = ()
         self.attrs: dict[str, Any] = attrs
-        self.seq = -1
+        self.seq = -1  # its ring position once ended
         ring = domain._trace_ring
         if ring is None or ring.owner is not tracer:
             ring = tracer._ring_for(domain)
         self._ring = ring
         self._stack = stack
-        self._ended = False
-        self.start_sim_us = clock.now_us
+        self.start_sim_us = clock.now()
         self.start_wall_s = time.perf_counter()  # springlint: disable=clock-discipline -- spans record real wall-clock deltas alongside simulated time by design
         stack.append(self)
 
@@ -177,7 +181,7 @@ class Span:
         evt = {"name": name, "ts_us": clock.now_us}
         if detail:
             evt.update(detail)
-        self.events.append(evt)
+        self.events = [*self.events, evt]
 
     def record_error(self, exc: BaseException) -> None:
         """Mark this span failed; called once per failing span."""
@@ -194,12 +198,11 @@ class Span:
         Idempotent — a second ``end`` (e.g. an explicit call inside a
         ``with`` block) is a no-op.
         """
-        if self._ended:
+        if self.seq >= 0:
             return
-        self._ended = True
         tracer = self.tracer
         clock = tracer.clock
-        self.end_sim_us = clock.now_us
+        self.end_sim_us = clock.now()
         self.end_wall_s = time.perf_counter()  # springlint: disable=clock-discipline -- spans record real wall-clock deltas alongside simulated time by design
         stack = self._stack
         if stack and stack[-1] is self:
@@ -218,21 +221,27 @@ class Span:
             windows.record_span(self)
         if self.category != "invoke":
             return
-        # Registry handles are bound once per (scope, name), on first use.
+        # The scope's registry handles sit in one list, each bound on first
+        # use (an aggregate never observed has no registry entry).
         scope = self.subcontract or "unknown"
-        bound = tracer._bound
-        (bound.get((scope, "invocations")) or tracer._bind(scope, "invocations")).value += 1
+        bound = tracer._bound.get(scope)
+        if bound is None:
+            bound = tracer._bound[scope] = [None] * len(_AGGREGATES)
+        (bound[0] or tracer._bind(bound, scope, 0)).value += 1
         if self.status != "ok":
-            (bound.get((scope, "errors")) or tracer._bind(scope, "errors")).value += 1
+            (bound[1] or tracer._bind(bound, scope, 1)).value += 1
         attrs = self.attrs
-        for name, bounds, value in (
-            ("invoke_sim_us", LATENCY_BUCKETS_US, self.end_sim_us - self.start_sim_us),
-            ("request_bytes", BYTES_BUCKETS, attrs.get("request_bytes")),
-            ("reply_bytes", BYTES_BUCKETS, attrs.get("reply_bytes")),
-            ("retries", RETRY_BUCKETS, attrs.get("retries")),
+        for slot, value in (
+            (2, self.end_sim_us - self.start_sim_us),
+            (3, attrs.get("request_bytes")),
+            (4, attrs.get("reply_bytes")),
+            (5, attrs.get("retries")),
         ):
-            if value is not None:
-                (bound.get((scope, name)) or tracer._bind(scope, name, bounds)).observe(value)
+            if value is not None:  # Histogram.observe, inline
+                histogram = bound[slot] or tracer._bind(bound, scope, slot)
+                histogram.counts[bisect_right(histogram.bounds, value)] += 1
+                histogram.total += 1
+                histogram.sum += value
 
     def __enter__(self) -> "Span":
         return self
@@ -254,6 +263,13 @@ class Span:
 _EV_TRACE_SPAN = "trace_span"
 _EV_TRACE_EVENT = "trace_event"
 _EV_WINDOW_PROBE = "window_probe"
+
+#: an invoke span's aggregates, in the order of a scope's handle list:
+#: (name, histogram bounds, or None for a counter)
+_AGGREGATES = (
+    ("invocations", None), ("errors", None), ("invoke_sim_us", LATENCY_BUCKETS_US),
+    ("request_bytes", BYTES_BUCKETS), ("reply_bytes", BYTES_BUCKETS), ("retries", RETRY_BUCKETS),
+)
 
 
 class Tracer:
@@ -278,16 +294,10 @@ class Tracer:
         self._local = threading.local()
         self._rings: list[TraceRing] = []
         self._ring_lock = threading.Lock()
-        #: (scope, name) -> an invoke aggregate's registry Counter/Histogram
-        self._bound: dict[tuple[str, str], Any] = {}
+        #: scope -> its invoke aggregates' registry handles (see _AGGREGATES)
+        self._bound: dict[str, list[Any]] = {}
 
     # -- plumbing ------------------------------------------------------
-
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
 
     def _ring_for(self, domain: "Domain") -> TraceRing:
         with self._ring_lock:
@@ -298,14 +308,15 @@ class Tracer:
                 self._rings.append(ring)
             return ring
 
-    def _bind(self, scope: str, name: str, bounds: Any = None) -> Any:
+    def _bind(self, bound: list, scope: str, slot: int) -> Any:
         """Bind one invoke aggregate to its registry handle (first use only;
         the registry's bounds check runs here, and for every other caller)."""
+        name, bounds = _AGGREGATES[slot]
         if bounds is None:
-            handle = self.metrics.counter(scope, name)  # springlint: disable=metrics-naming -- generic relay: the literal names are in Span.end
+            handle = self.metrics.counter(scope, name)  # springlint: disable=metrics-naming -- generic relay: the literal names are in _AGGREGATES
         else:
-            handle = self.metrics.histogram(scope, name, bounds)  # springlint: disable=metrics-naming -- generic relay: the literal names are in Span.end
-        self._bound[scope, name] = handle
+            handle = self.metrics.histogram(scope, name, bounds)  # springlint: disable=metrics-naming -- generic relay: the literal names are in _AGGREGATES
+        bound[slot] = handle
         return handle
 
     # -- span creation (each is one Span constructor call) --------------
@@ -350,21 +361,23 @@ class Tracer:
 
         def launch(caller, door, buffer, remote):
             ctx, server, name = buffer.ctx, door.server, door.label
-            span = self.begin_span(
-                caller, name or f"door#{door.uid}", "door", door=door.uid,
-                server=server.name, remote=remote,
+            span = Span(
+                self, caller, name or f"door#{door.uid}", "door",
+                {"door": door.uid, "server": server.name, "remote": remote}, None,
             )
             carry = None
             try:
-                buffer.ctx = span.stamp(ctx)
+                hop = (span.trace_id, span.span_id)  # span.stamp(ctx), inline
+                buffer.ctx = {**ctx, TRACE: hop} if ctx else {TRACE: hop}
                 if remote:
-                    carry = self.begin_span(
-                        caller, "fabric.carry", "fabric", src=caller.machine.name,
-                        dst=server.machine.name, bytes=buffer.size,
+                    carry = Span(
+                        self, caller, "fabric.carry", "fabric",
+                        {"src": caller.machine.name, "dst": server.machine.name,
+                         "bytes": buffer.size}, None,
                     )
                 reply = inner(caller, door, buffer, remote)
                 if carry is not None:
-                    carry.annotate(reply_bytes=reply.size)
+                    carry.attrs["reply_bytes"] = reply.size
                 return reply
             except BaseException as exc:
                 if carry is not None:
@@ -385,9 +398,10 @@ class Tracer:
 
         def handle(door, buffer):
             ctx = buffer.ctx
-            span = self.begin_handler(
-                door.server, door.label or f"door#{door.uid}",
-                ctx.get(TRACE) if ctx is not None else None, door=door.uid,
+            trace = ctx.get(TRACE) if ctx is not None else None
+            span = Span(
+                self, door.server, door.label or f"door#{door.uid}", "handler",
+                {"door": door.uid}, trace or (next(self._trace_ids), 0),
             )
             try:
                 return inner(door, buffer)
@@ -403,12 +417,12 @@ class Tracer:
 
     def current(self) -> Span | None:
         """The calling thread's innermost open span, if any."""
-        stack = self._stack()
+        stack = getattr(self._local, "stack", None)
         return stack[-1] if stack else None
 
     def current_ctx(self) -> tuple[int, int] | None:
         """Wire context of the current span, for in-band transports."""
-        stack = self._stack()
+        stack = getattr(self._local, "stack", None)
         return stack[-1].ctx if stack else None
 
     def event(self, name: str, subcontract: str | None = None, **detail: Any) -> None:
@@ -425,13 +439,13 @@ class Tracer:
             clock = self.clock
             clock.charge(_EV_WINDOW_PROBE)
             windows.record_event(name, subcontract, detail, clock.now_us)
-        stack = self._stack()
+        stack = getattr(self._local, "stack", None)
         if stack:
             stack[-1].event(name, **detail)
 
     def annotate(self, **attrs: Any) -> None:
         """Attach attributes to the current span, if one is open."""
-        stack = self._stack()
+        stack = getattr(self._local, "stack", None)
         if stack:
             stack[-1].attrs.update(attrs)
 

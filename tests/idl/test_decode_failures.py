@@ -122,3 +122,34 @@ def test_arguments_unmarshalled_before_a_failing_one_are_given_up():
 @pytest.mark.parametrize("held", [held for held in HELD if held.startswith("sequence")])
 def test_objects_and_doors_held_in_a_sequence_are_given_up(held):
     check_given_up(held)
+
+
+def test_elements_before_one_that_fails_to_decode_are_given_up():
+    """A ``sequence<counter>`` of two whose second element is an int32:
+    the counter decoded as element 0 is given up when element 1 fails."""
+    env = Environment()
+    owner = env.create_domain("m0", "owner")
+    holder_domain = env.create_domain("m0", "holder")
+    module = compile_idl(HOLDER_IDL.format(held="sequence<counter> cs").replace(", int32 n", ""))
+    exported = SingletonServer(holder_domain).export(HolderImpl(), module.binding("holder"))
+    env.bind(holder_domain, "/holder", exported)
+    holder = narrow(env.resolve(owner, "/holder"), module.binding("holder"))
+    fired = []
+    impl = CounterImpl()
+    counter = SingletonServer(owner).export(
+        impl, module.binding("counter"), unreferenced=fired.append
+    )
+    held_ids = len(holder_domain.door_ids)
+    request = owner.acquire_buffer()
+    request.put_string("put")
+    request.put_sequence_header(2)
+    counter._subcontract.marshal(counter, request)  # the owner's only reference moves
+    request.put_int32(5)
+    reply = holder._subcontract.invoke(holder, request)
+    request.recycle()
+    assert reply.get_int8() == STATUS_EXCEPTION
+    assert reply.get_string() == "WireTypeError"
+    reply.release()
+    assert len(holder_domain.door_ids) == held_ids
+    assert fired == [impl]
+    assert unbalanced(owner, holder_domain) == []
