@@ -124,3 +124,31 @@ class TestReconnectableRetries:
         counters = tracer.metrics.snapshot()["reconnectable"]["counters"]
         assert counters["events:reconnect.retry"] == len(attempts)
         assert counters["errors"] == 1
+
+
+class TestSkeletonFailure:
+    def test_a_raising_dispatch_fails_its_skeleton_span(
+        self, traced_world, counter_module, monkeypatch
+    ):
+        env, tracer, _, _, remote = traced_world
+        skeleton = counter_module.binding("counter").skeleton
+        dispatch = skeleton.dispatch
+
+        def broken(*args):
+            raise KeyError("no such slot")
+
+        monkeypatch.setattr(skeleton, "dispatch", broken)
+        with pytest.raises(Exception):
+            remote.add(1)
+        monkeypatch.setattr(skeleton, "dispatch", dispatch)
+        try:
+            raise LookupError("handled by the caller")
+        except LookupError:
+            # A call made while the caller handles an exception is not
+            # failed by it.
+            assert remote.add(2) == 2
+        failed, ok = [s for s in tracer.spans() if s.category == "skeleton"]
+        assert (failed.status, failed.error_type, failed.error_message) == (
+            "error", "KeyError", "'no such slot'"
+        )
+        assert (ok.status, ok.error_type) == ("ok", None)
