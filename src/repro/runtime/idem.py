@@ -22,9 +22,10 @@ The memo MUST be bounded (springlint's ``compensation-discipline`` rule
 enforces this): every retried request parks bytes in it, and an
 unbounded memo is a slow leak under millions of clients.  Give the memo
 a :class:`~repro.services.stable.StableStore` record and the recorded
-replies survive server crashes — recovery pays one ``STABLE_SCAN_US``
-and each record/evict pays ``STABLE_WRITE_US``, matching the durable
-services the memo typically fronts.
+replies survive server crashes — recovery pays one ``STABLE_SCAN_US``,
+and :func:`wrap_idempotent` writes a keyed request's effect, its record
+and any eviction as one stable write (one ``STABLE_WRITE_US``), matching
+the durable services the memo typically fronts.
 
 Interplay with the rest of the runtime, by design:
 
@@ -117,8 +118,10 @@ class DedupMemo:
     Soft state by default; pass ``store``/``record`` to back it with
     stable storage so recorded replies survive server crashes (the memo
     reloads itself from the record set at construction, paying the
-    recovery scan).  Sibling handler threads share the memo, so the
-    dict is tsan-tracked and mutations go through an instrumented lock.
+    recovery scan).  Under :func:`wrap_idempotent` the entry and eviction
+    :meth:`record` commits join the request's write group.  Sibling
+    handler threads share the memo, so the dict is tsan-tracked and
+    mutations go through an instrumented lock.
     """
 
     def __init__(
@@ -204,6 +207,8 @@ def wrap_idempotent(
     handler and records its reply.
     """
     kernel = domain.kernel
+    store = memo._store
+    group = store.group if store is not None else None
 
     def handler(request: "MarshalBuffer") -> "MarshalBuffer":
         ctx = request.ctx
@@ -212,8 +217,22 @@ def wrap_idempotent(
             return inner(request)
         data = memo.lookup(key)
         if data is None:
-            reply = inner(request)
-            if memo.record(key, reply):
+            if group is None:
+                reply = inner(request)
+                recorded = memo.record(key, reply)
+            else:
+                # The effect, its dedup record and any eviction land as one
+                # stable write, before the reply leaves (also on a raise).
+                outer = group.records
+                group.records = records = []
+                try:
+                    reply = inner(request)
+                    recorded = memo.record(key, reply)
+                finally:
+                    group.records = outer
+                    if records:
+                        store.write(records)
+            if recorded:
                 tracer = kernel.tracer
                 if tracer.enabled:
                     tracer.event(

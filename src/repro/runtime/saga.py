@@ -140,7 +140,9 @@ class SagaCoordinator:
     # ------------------------------------------------------------------
 
     def _journal(self, key: str, value: str) -> None:
-        self.store.commit(self.record, key, value)
+        # A write of its own, never part of an open write group: recovery
+        # trusts a step's ".d" record only once it is on stable storage.
+        self.store.write(((self.record, key, value),))
         tracer = self.domain.kernel.tracer
         if tracer.enabled:
             tracer.event(

@@ -97,7 +97,7 @@ class _CacheFront:
         domain = self.manager.domain
         kernel = domain.kernel
         opname = request.get_string()
-        key = (opname, bytes(request.data[request.pos :]))
+        key = (opname, bytes(memoryview(request.data)[request.pos :]))
         cacheable = (
             opname in self.manager.cacheable and request.live_door_count() == 0
         )
@@ -109,13 +109,14 @@ class _CacheFront:
                 if kernel.tracer.enabled:
                     kernel.tracer.event("cache.hit", subcontract="caching", op=opname)
                 kernel.clock.charge("memory_copy_byte", len(stored))
-                reply = MarshalBuffer(kernel)
+                # Pool-acquired: the caller releases the reply.
+                reply = domain.acquire_buffer()
                 reply.data.extend(stored)
                 return reply
 
         # Forward to the real server through D1, re-addressing the
         # request without understanding its contents.
-        forward = MarshalBuffer(kernel)
+        forward = domain.acquire_buffer()
         forward.put_string(opname)
         forward.graft_tail(request)
         try:
@@ -123,8 +124,9 @@ class _CacheFront:
         finally:
             # graft_tail stole the request's door vector; if the forward
             # never reaches the server (or the server leaves slots
-            # unread), drop the leftovers so their refcounts unwind.
-            forward.discard()
+            # unread), recycling drops the leftovers so their refcounts
+            # unwind before the buffer goes back to the pool.
+            forward.recycle()
 
         if cacheable and reply.live_door_count() == 0:
             self.manager.miss_count += 1

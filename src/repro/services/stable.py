@@ -15,8 +15,9 @@ whole point, made into a reusable service).
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.idl.compiler import IdlModule, compile_idl
 from repro.runtime.idem import DedupMemo
@@ -36,13 +37,24 @@ STABLE_WRITE_US = 900.0
 STABLE_SCAN_US = 2500.0
 
 
+class _WriteGroup(threading.local):
+    #: the calling thread's open write group's records; ``None`` outside one
+    records: "list[tuple[str, str, str | None]] | None" = None
+
+
 class StableStore:
-    """Crash-surviving storage attached to a machine."""
+    """Crash-surviving storage attached to a machine.
+
+    While the calling thread's ``group.records`` is a list, :meth:`commit`
+    appends to it and the group's opener writes it with one :meth:`write`;
+    outside a group a commit is a group of one.  ``commits`` counts writes.
+    """
 
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
         self._records: dict[str, dict[str, str]] = {}
         self.commits = 0
+        self.group = _WriteGroup()
 
     def load(self, name: str) -> dict[str, str]:
         """Read a record set at recovery time (pays a scan charge)."""
@@ -50,13 +62,22 @@ class StableStore:
         return dict(self._records.get(name, {}))
 
     def commit(self, name: str, key: str, value: "str | None") -> None:
-        """Synchronously persist one mutation (pays a commit charge)."""
-        self.machine.kernel.clock.advance(STABLE_WRITE_US, "stable_write")
-        record = self._records.setdefault(name, {})
-        if value is None:
-            record.pop(key, None)
+        """Persist one mutation: in the thread's open group, else now."""
+        records = self.group.records
+        if records is None:
+            self.write(((name, key, value),))
         else:
-            record[key] = value
+            records.append((name, key, value))
+
+    def write(self, records: "Iterable[tuple[str, str, str | None]]") -> None:
+        """Synchronously persist ``records``, in order (one commit charge)."""
+        self.machine.kernel.clock.advance(STABLE_WRITE_US, "stable_write")
+        for name, key, value in records:
+            record = self._records.setdefault(name, {})
+            if value is None:
+                record.pop(key, None)
+            else:
+                record[key] = value
         self.commits += 1
 
     def wipe(self, name: str) -> None:

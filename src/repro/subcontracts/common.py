@@ -38,7 +38,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "make_door_handler",
-    "peek_opname",
     "RepClient",
     "SingleDoorRep",
     "DoorSetRep",
@@ -80,14 +79,20 @@ def make_door_handler(
             control_hook(request, reply)
         tracer = kernel.tracer
         if tracer.enabled:
+            # Read the op name once, for the span and dispatch alike.
+            pos = request.pos
+            try:
+                op = request.get_string()
+            except Exception:
+                op, request.pos = None, pos  # dispatch re-reads and reports it
             span = Span(
-                tracer, domain, peek_opname(request), "skeleton",
+                tracer, domain, "?" if op is None else op, "skeleton",
                 {"interface": interface_name, **span_attrs}, None,
             )
             dispatched = False
             try:
                 kernel.clock.charge("indirect_call")  # subcontract -> server stubs
-                skeleton.dispatch(domain, impl, request, reply, binding)
+                skeleton.dispatch(domain, impl, request, reply, binding, op)
                 dispatched = True
             finally:
                 if not dispatched:  # the exception on its way out
@@ -99,19 +104,6 @@ def make_door_handler(
         return reply
 
     return handler
-
-
-def peek_opname(request: MarshalBuffer) -> str:
-    """Read the operation name at the request's current position without
-    consuming it (the skeleton re-reads it during dispatch): the request's
-    own inline string read takes it, and its cursor is put back."""
-    pos = request.pos
-    try:
-        return request.get_string()
-    except Exception:
-        return "?"
-    finally:
-        request.pos = pos
 
 
 def gossip_evicted(

@@ -11,6 +11,7 @@ from repro.runtime.env import Environment
 from repro.runtime.faults import crash_domain, partitioned
 from repro.subcontracts.reconnectable import ReconnectableServer
 from tests.conftest import CounterImpl
+from tests.obs.conftest import build_counter_world
 
 
 def invoke_spans(tracer):
@@ -152,3 +153,19 @@ class TestSkeletonFailure:
             "error", "KeyError", "'no such slot'"
         )
         assert (ok.status, ok.error_type) == ("ok", None)
+
+    def test_an_unreadable_op_name_is_reported_as_untraced(self, counter_module):
+        # The traced skeleton reads the op name for its span; when that
+        # read fails, dispatch re-reads it and writes the same failure
+        # status an untraced server would.
+        replies = []
+        for traced in (False, True):
+            env, client, server, remote = build_counter_world(counter_module)
+            tracer = install_tracer(env.kernel) if traced else None
+            request = MarshalBuffer(env.kernel)
+            request.put_int32(7)  # where the op name belongs
+            reply = env.kernel.door_call(client, remote._rep.door, request)
+            replies.append(bytes(reply.data))
+        assert replies[0] == replies[1]
+        (span,) = [s for s in tracer.spans() if s.category == "skeleton"]
+        assert span.name == "?"

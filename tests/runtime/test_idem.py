@@ -8,9 +8,14 @@ the unkeyed path more than one attribute read and a branch.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.kernel.nucleus import Kernel
+from repro.marshal.buffer import MarshalBuffer
 from repro.runtime.env import Environment
 from repro.runtime.idem import (
     IDEM,
@@ -18,8 +23,10 @@ from repro.runtime.idem import (
     current_idempotency_key,
     idempotency_key,
     next_idempotency_key,
+    wrap_idempotent,
 )
-from repro.services.stable import DurableKVService
+from repro.runtime.threads import run_concurrently
+from repro.services.stable import STABLE_WRITE_US, DurableKVService, stable_store_for
 
 
 @pytest.fixture
@@ -184,7 +191,44 @@ class TestDedupOnSimFabric:
         assert (memo.hits, memo.misses, memo.recorded) == (0, 0, 0)
 
 
+def fill_memo(env, service, acct):
+    """Record a reply for every slot, so the next keyed request evicts."""
+    for _ in range(service.dedup_memo.entries):
+        with idempotency_key(env.kernel, next_idempotency_key(env.kernel)):
+            acct.adjust("balance", 0)
+    assert len(service.dedup_memo) == service.dedup_memo.entries
+
+
+def durable_world(env):
+    """``(store, domain, memo)``: a durable memo on machine ``m``."""
+    store = stable_store_for(env.machine("m"))
+    return store, env.create_domain("m", "d"), DedupMemo(store=store, record="/memo")
+
+
+def keyed_request(domain, key):
+    request = MarshalBuffer(domain.kernel)
+    request.ctx = {IDEM: key}
+    return request
+
+
 class TestDurableMemo:
+    @pytest.mark.parametrize("keyed", [True, False], ids=["keyed-adjust", "unkeyed-put"])
+    def test_one_request_is_one_stable_write(self, bank, keyed):
+        # A keyed request's effect, its dedup record and the eviction it
+        # forces from the full memo are one synchronous write, not three.
+        env, service, acct = bank
+        fill_memo(env, service, acct)
+        commits = service.store.commits
+        written = env.clock.tally()["stable_write"]
+        if keyed:
+            with idempotency_key(env.kernel, next_idempotency_key(env.kernel)):
+                assert acct.adjust("balance", -1) == "99"
+            assert service.dedup_memo.evicted == 1
+        else:
+            acct.put("other", "x")
+        assert service.store.commits == commits + 1
+        assert env.clock.tally()["stable_write"] == written + STABLE_WRITE_US
+
     def test_memo_survives_restart(self, bank):
         # A client retrying across a crash+restart still deduplicates:
         # the recorded reply came back in the new incarnation's recovery
@@ -200,6 +244,24 @@ class TestDurableMemo:
         assert acct.get("balance") == "75"
         assert service.dedup_memo.hits == 1
 
+    def test_a_write_group_survives_restart(self, bank):
+        # The effect, the record and the eviction written as one group
+        # come back together: the retry replays, the evicted key is gone.
+        env, service, acct = bank
+        kernel = env.kernel
+        fill_memo(env, service, acct)
+        oldest = next(iter(service.dedup_memo._memo))
+        key = next_idempotency_key(kernel)
+        with idempotency_key(kernel, key):
+            assert acct.adjust("balance", -25) == "75"
+        service.restart()
+        memo = service.dedup_memo
+        assert len(memo) == memo.entries and oldest not in memo._memo
+        with idempotency_key(kernel, key):
+            assert acct.adjust("balance", -25) == "75"  # replayed
+        assert acct.get("balance") == "75"
+        assert (memo.hits, memo.recorded) == (1, 0)
+
     def test_eviction_deletes_the_durable_record(self, env):
         from repro.services.stable import stable_store_for
 
@@ -212,3 +274,101 @@ class TestDurableMemo:
             memo.record(key, reply)
             reply.release()
         assert store._records["/memo"] == {f"{2:016x}": "02"}
+
+    def test_sibling_threads_write_their_own_groups(self, env):
+        # Request 2 opens its group while request 1's is open, and request
+        # 1 records and writes before request 2 does: a group shared
+        # between threads would move records from one request to the other.
+        store, domain, memo = durable_world(env)
+        first_open, second_open, first_done = (threading.Event() for _ in range(3))
+
+        def inner(request):
+            key = request.ctx[IDEM]
+            store.commit("/effects", str(key), "done")
+            if key == 1:
+                first_open.set()
+                second_open.wait(10)
+            else:
+                second_open.set()
+                first_done.wait(10)
+            reply = domain.acquire_buffer()
+            reply.data.extend(bytes([key]))
+            return reply
+
+        handler = wrap_idempotent(domain, inner, memo)
+
+        def call(key):
+            if key == 2:
+                first_open.wait(10)
+            handler(keyed_request(domain, key)).release()
+            if key == 1:
+                first_done.set()
+
+        commits = store.commits
+        run_concurrently([lambda: call(1), lambda: call(2)], timeout=30)
+        assert store.commits == commits + 2
+        assert store._records["/effects"] == {"1": "done", "2": "done"}
+        assert store._records["/memo"] == {f"{1:016x}": "01", f"{2:016x}": "02"}
+
+    def test_concurrent_keyed_requests_keep_every_record(self, env):
+        store, domain, memo = durable_world(env)
+
+        def inner(request):
+            store.commit("/effects", str(request.ctx[IDEM]), "done")
+            time.sleep(0)  # let a sibling open its group inside this one's
+            return domain.acquire_buffer()
+
+        handler = wrap_idempotent(domain, inner, memo)
+
+        def worker(first):
+            for key in range(first, first + 25):
+                handler(keyed_request(domain, key)).release()
+
+        commits = store.commits
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_concurrently([lambda i=i: worker(1 + 25 * i) for i in range(4)], timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert store.commits == commits + 100
+        assert len(store._records["/effects"]) == len(store._records["/memo"]) == 100
+
+    def test_a_raising_handler_still_writes_what_it_committed(self, env):
+        store, domain, memo = durable_world(env)
+
+        def inner(request):
+            store.commit("/effects", "k", "v")
+            raise RuntimeError("after the effect")
+
+        handler = wrap_idempotent(domain, inner, memo)
+        commits = store.commits
+        with pytest.raises(RuntimeError, match="after the effect"):
+            handler(keyed_request(domain, 5))
+        assert store.commits == commits + 1
+        assert store._records["/effects"] == {"k": "v"}
+        assert store.group.records is None
+        assert len(memo) == 0
+
+    def test_a_nested_request_writes_before_the_outer_one(self, env):
+        store, domain, memo = durable_world(env)
+        seen = {}
+
+        def nested(request):
+            store.commit("/effects", "nested", "done")
+            return domain.acquire_buffer()
+
+        nested_handler = wrap_idempotent(domain, nested, memo)
+
+        def outer(request):
+            store.commit("/effects", "outer", "done")
+            nested_handler(keyed_request(domain, 2)).release()
+            seen["on disk"] = dict(store._records["/effects"])
+            return domain.acquire_buffer()
+
+        handler = wrap_idempotent(domain, outer, memo)
+        commits = store.commits
+        handler(keyed_request(domain, 1)).release()
+        assert seen["on disk"] == {"nested": "done"}
+        assert store._records["/effects"] == {"nested": "done", "outer": "done"}
+        assert store.commits == commits + 2

@@ -108,6 +108,19 @@ class TestFrontBehaviour:
         assert front.get() == "v2"
         assert backend.reads == 2
 
+    def test_front_buffers_come_from_and_return_to_the_manager_pool(self, world):
+        kernel, service, client, exported, backend, module = world
+        front = self._front_object(world)
+        domain = service.domain
+        acquires, releases = domain.buffer_acquires, domain.buffer_releases
+        assert front.get() == "v1"  # miss: one forward
+        assert front.get() == "v1"  # hit: one reply
+        front.set("v2")  # invalidating write: one forward
+        assert front.get() == "v2"  # miss: one forward
+        assert domain.buffer_acquires - acquires == 4
+        assert domain.buffer_releases - releases == 4
+        assert domain.buffer_acquires == domain.buffer_releases
+
     def test_flush_invalidates_on_demand(self, world):
         kernel, service, client, exported, backend, module = world
         front = self._front_object(world)
