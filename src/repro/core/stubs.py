@@ -4,7 +4,8 @@ The client half of the call protocol is one template in
 :mod:`repro.idl.codegen`, from which every generated client stub comes;
 the server half is the generated skeletons.  What both halves share lives
 here: the reply status codes, the reserved type-query operation, the
-run-time narrow, and the skeletons' status writers.  The logical
+run-time narrow, the skeletons' status writers, and the stubs' one reader
+of a status other than ok (a stub tests for ok inline).  The logical
 progression of a call matches Figure 3 of the paper:
 
     application
@@ -40,9 +41,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.errors import NarrowError
+from repro.core.errors import NarrowError, RemoteApplicationError, RevokedObjectError
 from repro.core.object import SpringObject
 from repro.marshal.buffer import MarshalBuffer
+from repro.marshal.errors import MarshalError
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
@@ -57,6 +59,7 @@ __all__ = [
     "write_ok_status",
     "write_exception_status",
     "write_revoked_status",
+    "read_status",
 ]
 
 STATUS_OK = 0
@@ -74,7 +77,7 @@ def remote_type_query(obj: SpringObject) -> tuple[str, ...]:
     through the client stub generated for :data:`TYPE_QUERY_OP`."""
     from repro.idl.compiler import remote_type_query as stub  # idl builds on core
 
-    return stub(obj)
+    return tuple(stub(obj))
 
 
 def narrow(obj: SpringObject, target: "InterfaceBinding") -> SpringObject:
@@ -118,3 +121,19 @@ def write_revoked_status(reply: MarshalBuffer, message: str) -> None:
     raised client-side as :class:`RevokedObjectError`."""
     reply.put_int8(STATUS_REVOKED)
     reply.put_string(message)
+
+
+def read_status(reply: MarshalBuffer, pos: int) -> int:
+    """Read the reply status at ``pos``; returns the cursor after an ok
+    status, and raises for any other: :class:`RemoteApplicationError`,
+    :class:`RevokedObjectError`, or :class:`MarshalError` naming a status
+    no skeleton writes."""
+    reply.pos = pos
+    status = reply.get_int8()
+    if status == STATUS_OK:
+        return reply.pos
+    if status == STATUS_EXCEPTION:
+        raise RemoteApplicationError(reply.get_string(), reply.get_string())
+    if status == STATUS_REVOKED:
+        raise RevokedObjectError(reply.get_string())
+    raise MarshalError(f"unknown reply status {status}")

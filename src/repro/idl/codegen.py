@@ -18,8 +18,11 @@ Every client stub, general or fused, comes from one template,
 :data:`_CLIENT_STUB`; its two variants differ only in how the stub
 reaches the subcontract (:func:`generate_fused_source` serves
 :mod:`repro.idl.specialize`, :func:`generate_type_query_source` the
-reserved type query of Section 6.3).  Stubs and skeletons pack and read
-primitive items inline, from :data:`repro.marshal.codec.FRAGMENTS`.
+reserved type query of Section 6.3).  Stubs and skeletons carry only the
+fast path: they pack and read primitive items inline, from
+:data:`repro.marshal.codec.FRAGMENTS`, and test the reply status for ok.
+Every cold path (a run that does not pack, an item that does not read,
+any other status) is one call to a helper they all share.
 
 The general code is deliberately subcontract-agnostic: any stub works
 with any subcontract and vice versa (Section 9.1).  The compiler execs
@@ -29,6 +32,7 @@ this source with the module's interface/struct bindings pre-injected as
 
 from __future__ import annotations
 
+from itertools import groupby
 from textwrap import indent
 
 from repro.idl.checker import CheckedInterface, CheckedSpec, CheckedStruct
@@ -50,22 +54,11 @@ __all__ = ["generate_source", "generate_fused_source", "generate_type_query_sour
 
 _HEADER = '''\
 # Generated by repro.idl.codegen -- do not edit.
-from repro.core.errors import RemoteApplicationError, RevokedObjectError
 from repro.core.object import SpringObject
-from repro.core.stubs import (
-    STATUS_EXCEPTION,
-    STATUS_OK,
-    STATUS_REVOKED,
-    TYPE_QUERY_OP,
-    write_exception_status,
-)
+from repro.core.stubs import STATUS_OK, TYPE_QUERY_OP, read_status, write_exception_status, write_ok_status
 from repro.idl.genruntime import (
-    discard_args,
-    marshal_door,
-    marshal_door_copy,
-    marshal_object,
-    marshal_object_copy,
-    unmarshal_any, unmarshal_sequence,
+    discard_args, marshal_door, marshal_door_copy, marshal_object, marshal_object_copy,
+    marshal_primitives, unmarshal_any, unmarshal_primitives, unmarshal_sequence,
 )
 from repro.marshal.codec import FRAGMENT_GLOBALS
 globals().update(FRAGMENT_GLOBALS)
@@ -126,6 +119,10 @@ def _emit_put(
         out.line(f'{helper}({buf}, {expr}, "{idl_type.name}")')
         return
     assert isinstance(idl_type, SequenceType)
+    kind = _wire_kind(idl_type.element)
+    if kind is not None:
+        out.line(f'marshal_primitives({buf}, "{kind}", {expr})')
+        return
     item = f"_item{depth}"
     out.line(f"{buf}.put_sequence_header(len({expr}))")
     out.line(f"for {item} in {expr}:")
@@ -150,6 +147,9 @@ def _get_expr(idl_type: IdlType, buf: str, domain: str, depth: int = 0) -> str:
     if isinstance(idl_type, InterfaceType):
         return f'_B["{idl_type.name}"].unmarshal_from({buf}, {domain})'
     assert isinstance(idl_type, SequenceType)
+    kind = _wire_kind(idl_type.element)
+    if kind is not None:
+        return f'unmarshal_primitives({buf}, "{kind}")'
     if _holds_refs(idl_type.element):  # given up should a later element fail
         b, d = f"_b{depth}", f"_d{depth}"
         element = _get_expr(idl_type.element, b, d, depth + 1)
@@ -173,27 +173,31 @@ def _wire_kind(idl_type: IdlType | str) -> str | None:
     return kind if kind in FRAGMENTS else None
 
 
+def _packed(kind: str, value: object) -> bytes:
+    stream = TaggedStream()
+    getattr(stream, "put_" + kind)(value)
+    return bytes(stream.data)
+
+
 def _splice(out: _Emitter, text: str) -> None:
     for line in text.splitlines():
         out.line(line)
 
 
 #: Primitive items appended straight to ``{buf}``'s byte store, charged
-#: with one ``charge_bytes``.  Should one fail, the codec's ``put_*`` redo
-#: the run: they raise the error and charge the items before it.
+#: with one ``charge_bytes``.  Should one fail, the codec's shared
+#: ``_wire_replay`` drops the run's bytes and redoes it through ``put_*``,
+#: which raises the error and charges the items before it.
 _PUT_RUN = """\
 _d = {buf}.data
 _m = len(_d)
 try:
 {fast}
 except Exception:
-    del _d[_m:]
-    _d = None
+    _wire_replay({buf}, _m, {kinds!r}, {values})
 else:
     if {buf}._clock is not None:
-        {buf}._clock.charge_bytes({sizes})
-if _d is None:
-{slow}"""
+        {buf}._clock.charge_bytes({sizes})"""
 
 
 def _emit_put_run(out: _Emitter, buf: str, run: list[tuple[str, str, object]]) -> None:
@@ -207,13 +211,12 @@ def _emit_put_run(out: _Emitter, buf: str, run: list[tuple[str, str, object]]) -
             fast.append(put.format(v=expr, s=f"_s{index}", buf=buf))
             sizes.append(f"_s{index}" if size is None else str(size))
             continue
-        packed = TaggedStream()
-        getattr(packed, "put_" + kind)(constant)
-        fast.append(f"_d += {bytes(packed.data)!r}  # {expr}")
-        sizes.append(str(len(packed.data)))
-    slow = "\n".join(f"{buf}.put_{kind}({expr})" for kind, expr, _ in run)
-    fast, slow = indent("\n".join(fast), "    "), indent(slow, "    ")
-    _splice(out, _PUT_RUN.format(buf=buf, fast=fast, sizes=", ".join(sizes), slow=slow))
+        packed = _packed(kind, constant)
+        fast.append(f"_d += {packed!r}  # {expr}")
+        sizes.append(str(len(packed)))
+    kinds, values = tuple(kind for kind, _, _ in run), ", ".join(expr for _, expr, _ in run)
+    fast, sizes = indent("\n".join(fast), "    "), ", ".join(sizes)
+    _splice(out, _PUT_RUN.format(buf=buf, fast=fast, kinds=kinds, values=values, sizes=sizes))
 
 
 def _emit_marshal(out: _Emitter, buf: str, lead: tuple, params: list[tuple]) -> None:
@@ -230,15 +233,32 @@ def _emit_marshal(out: _Emitter, buf: str, lead: tuple, params: list[tuple]) -> 
     _emit_put_run(out, buf, run)
 
 
-def _emit_get(out: _Emitter, buf: str, name: str, idl_type: IdlType | str) -> None:
-    """Unmarshal ``name`` from ``buf``; a primitive item inline, cursor in ``_p``."""
-    kind = _wire_kind(idl_type)
-    if kind is None:
-        out.line(f"{name} = {_get_expr(idl_type, buf, '_domain')}")
-        return
-    _splice(out, f"_d = {buf}.data\n_p = {buf}.pos\n_e = len(_d)")
-    _splice(out, FRAGMENTS[kind][2].format(v=name, buf=buf))
-    out.line(f"{buf}.pos = _p")
+#: A reply status read inline when it is ``STATUS_OK``; any other is
+#: :func:`repro.core.stubs.read_status`'s to raise.
+_STATUS = f"""\
+if _d[_p:_p + 2] == {_packed("int8", STATUS_OK)!r}:
+    _p += 2
+else:
+    _p = read_status({{buf}}, _p)"""
+
+
+def _emit_reads(out: _Emitter, buf: str, reads: list[tuple[str, IdlType | str]]) -> None:
+    """Unmarshal each ``(name, type)`` of ``reads`` from ``buf``.  Each run
+    of primitive items (type ``"status"``: the reply status) is read
+    inline on one cursor ``_p``, loaded and stored once."""
+    for inline, run in groupby(reads, lambda read: read[1] == "status" or _wire_kind(read[1]) is not None):
+        run = list(run)
+        if not inline:
+            for name, idl_type in run:
+                out.line(f"{name} = {_get_expr(idl_type, buf, '_domain')}")
+            continue
+        _splice(out, f"_d = {buf}.data\n_p = {buf}.pos")
+        if any(idl_type != "status" for _, idl_type in run):
+            out.line("_e = len(_d)")
+        for name, idl_type in run:
+            text = _STATUS if idl_type == "status" else FRAGMENTS[_wire_kind(idl_type)][2]
+            _splice(out, text.format(v=name, buf=buf))
+        out.line(f"{buf}.pos = _p")
 
 
 # ----------------------------------------------------------------------
@@ -246,74 +266,47 @@ def _emit_get(out: _Emitter, buf: str, name: str, idl_type: IdlType | str) -> No
 # ----------------------------------------------------------------------
 
 
+#: An IDL struct's value class (a tuple of its fields for equality and
+#: hashing, ``()`` for a struct with none) and its marshal helpers.
+_STRUCT = '''\
+class {name}:
+    """IDL struct {name}({fieldsig})."""
+    __slots__ = ({slots})
+    _idl_struct = "{name}"
+    def __init__(self{params}):
+{inits}
+    def __eq__(self, other):
+        return isinstance(other, {name}) and ({mine}) == ({theirs})
+    def __hash__(self):
+        return hash(("{name}", {mine}))
+    def __repr__(self):
+        return f"{name}({fields})"
+
+def _marshal_{name}(_buf, _value):
+{puts}
+
+def _unmarshal_{name}(_buf, _domain):
+    return {name}({gets})
+'''
+
+
 def _emit_struct(out: _Emitter, struct: CheckedStruct) -> None:
     names = [name for name, _ in struct.fields]
-    signature = ", ".join(names)
-    out.line(f"class {struct.name}:")
-    out.push()
-    fieldsig = ", ".join(f"{n}: {t}" for n, t in struct.fields)
-    out.line(f'"""IDL struct {struct.name}({fieldsig})."""')
-    slots = ", ".join(f'"{n}"' for n in names)
-    trailing = "," if len(names) == 1 else ""
-    out.line(f"__slots__ = ({slots}{trailing})")
-    out.line(f'_idl_struct = "{struct.name}"')
-    if names:
-        out.line(f"def __init__(self, {signature}):")
-        out.push()
-        for name in names:
-            out.line(f"self.{name} = {name}")
-        out.pop()
-    else:
-        out.line("def __init__(self):")
-        out.push()
-        out.line("pass")
-        out.pop()
-    tuple_self = ", ".join(f"self.{n}" for n in names) or ""
-    tuple_other = ", ".join(f"other.{n}" for n in names) or ""
-    out.line("def __eq__(self, other):")
-    out.push()
-    if names:
-        out.line(
-            f"return isinstance(other, {struct.name}) and "
-            f"({tuple_self},) == ({tuple_other},)"
-        )
-    else:
-        out.line(f"return isinstance(other, {struct.name})")
-    out.pop()
-    out.line("def __hash__(self):")
-    out.push()
-    if names:
-        out.line(f'return hash(("{struct.name}", {tuple_self}))')
-    else:
-        out.line(f'return hash("{struct.name}")')
-    out.pop()
-    out.line("def __repr__(self):")
-    out.push()
-    if names:
-        parts = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-        out.line(f'return f"{struct.name}({parts})"')
-    else:
-        out.line(f'return "{struct.name}()"')
-    out.pop()
-    out.pop()
-    out.line()
-
-    out.line(f"def _marshal_{struct.name}(_buf, _value):")
-    out.push()
-    if not struct.fields:
-        out.line("pass")
+    puts = _Emitter(indent=1)
     for name, ftype in struct.fields:
-        _emit_put(out, ftype, f"_value.{name}", "_buf", "_domain_unused")
-    out.pop()
-    out.line()
-
-    out.line(f"def _unmarshal_{struct.name}(_buf, _domain):")
-    out.push()
-    args = ", ".join(
-        f"{name}={_get_expr(ftype, '_buf', '_domain')}" for name, ftype in struct.fields
-    )
-    out.line(f"return {struct.name}({args})")
-    out.pop()
+        _emit_put(puts, ftype, f"_value.{name}", "_buf", "_domain_unused")
+    _splice(out, _STRUCT.format(
+        name=struct.name,
+        fieldsig=", ".join(f"{n}: {t}" for n, t in struct.fields),
+        slots="".join(f'"{n}", ' for n in names).rstrip(),
+        params="".join(f", {n}" for n in names),
+        inits="\n".join(f"        self.{n} = {n}" for n in names) or "        pass",
+        mine="".join(f"self.{n}, " for n in names).rstrip(),
+        theirs="".join(f"other.{n}, " for n in names).rstrip(),
+        fields=", ".join(f"{n}={{self.{n}!r}}" for n in names),
+        puts=puts.source().rstrip("\n") or "    pass",
+        gets=", ".join(f"{n}={_get_expr(t, '_buf', '_domain')}" for n, t in struct.fields),
+    ))
     out.line()
 
 
@@ -322,30 +315,22 @@ def _emit_struct(out: _Emitter, struct: CheckedStruct) -> None:
 # ----------------------------------------------------------------------
 
 
-def _op_signature(op: OperationSpec) -> str:
-    return ", ".join(p.name for p in op.params)
+#: A stub class method: forward through the object's method table
+#: (Section 4).
+_METHOD = """\
+    def {op}(self{params}):
+        if self._consumed:
+            self._check_live()
+        self._domain.kernel.clock.charge("local_call")
+        return self._method_table["{op}"](self{params})"""
 
 
 def _emit_stub_class(out: _Emitter, iface: CheckedInterface) -> None:
     out.line(f"class {iface.name}(SpringObject):")
-    out.push()
-    ancestry = " : ".join(iface.ancestors)
-    out.line(f'"""IDL interface {ancestry}."""')
-    out.line(f'_idl_interface = "{iface.name}"')
+    out.line(f'    """IDL interface {" : ".join(iface.ancestors)}."""')
+    out.line(f'    _idl_interface = "{iface.name}"')
     for op in iface.own_operations:
-        params = _op_signature(op)
-        head = f"def {op.name}(self{', ' + params if params else ''}):"
-        out.line(head)
-        out.push()
-        out.line("if self._consumed:")
-        out.push()
-        out.line("self._check_live()")
-        out.pop()
-        out.line('self._domain.kernel.clock.charge("local_call")')
-        call_args = f"self{', ' + params if params else ''}"
-        out.line(f'return self._method_table["{op.name}"]({call_args})')
-        out.pop()
-    out.pop()
+        _splice(out, _METHOD.format(op=op.name, params="".join(f", {p.name}" for p in op.params)))
     # Inherited methods are the declarer's functions, bound after the body
     # (no method name shadows a base); IDL bases need not have a Python MRO.
     for op in iface.operations.values():
@@ -357,12 +342,14 @@ def _emit_stub_class(out: _Emitter, iface: CheckedInterface) -> None:
 #: Figure 3's client half, the one template every client stub comes from:
 #: check liveness, marshal the op name and arguments into a pooled buffer,
 #: invoke, unmarshal the reply status and result.  Primitive items are
-#: packed and read inline (``{puts}``, ``{status}``, ``{result}``).  When
-#: tracing is on the call runs inside the client invoke span (a trace
-#: root, or a child of the thread's current span inside a handler);
-#: untraced, ``_span`` is None and every branch on it falls through.
-#: ``{preamble}`` and ``{invoke}`` are the variant slots, filled from
-#: :data:`_GENERAL` or :data:`_FUSED`.
+#: packed and read inline (``{puts}``, ``{reads}``).  The request is spent
+#: once invoke returns or fails; one with door arguments is recycled,
+#: which discards those still in transit (so unreferenced notifications
+#: fire) before pooling.  When tracing is on the call runs inside the
+#: client invoke span (a trace root, or a child of the thread's current
+#: span inside a handler); untraced, ``_span`` is None and every branch on
+#: it falls through.  ``{preamble}`` and ``{invoke}`` are the variant
+#: slots, filled from :data:`_GENERAL` or :data:`_FUSED`.
 _CLIENT_STUB = """\
 def {name}(_obj{params}):
     if _obj._consumed:
@@ -381,9 +368,6 @@ def {name}(_obj{params}):
                 _span.attrs["request_bytes"] = _buf.size
 {invoke}
         finally:
-            # The request is spent once invoke returns or fails; one with
-            # door arguments is recycled, which discards those still in
-            # transit (so unreferenced notifications fire) before pooling.
             if _buf.doors:
                 _buf.recycle()
             else:
@@ -391,12 +375,7 @@ def {name}(_obj{params}):
         try:
             if _span is not None:
                 _span.attrs["reply_bytes"] = _reply.size
-{status}
-            if _status == STATUS_EXCEPTION:
-                raise RemoteApplicationError(_reply.get_string(), _reply.get_string())
-            if _status == STATUS_REVOKED:
-                raise RevokedObjectError(_reply.get_string())
-{result}
+{reads}
         except BaseException:
             _reply.recycle()
             raise
@@ -412,14 +391,15 @@ def {name}(_obj{params}):
 """
 
 #: General stubs: through the subcontract operations vector, paying the
-#: two client-side indirect calls Section 9.3 charges.
+#: two client-side indirect calls (stubs -> subcontract, for the preamble
+#: and for invoke) Section 9.3 charges.
 _GENERAL = {
     "span_attrs": "",
     "preamble": """\
-            _kernel.clock.charge("indirect_call")  # stubs -> subcontract (preamble)
+            _kernel.clock.charge("indirect_call")
             _sc.invoke_preamble(_obj, _buf)""",
     "invoke": """\
-            _kernel.clock.charge("indirect_call")  # stubs -> subcontract (invoke)
+            _kernel.clock.charge("indirect_call")
             _reply = _sc.invoke(_obj, _buf)""",
 }
 
@@ -437,22 +417,17 @@ _FUSED = {
 }
 
 
-def _emit_client_stub(
-    out: _Emitter, name: str, op: OperationSpec, variant: dict[str, str], tail: str = ""
-) -> None:
-    puts, status, result = _Emitter(indent=3), _Emitter(indent=3), _Emitter(indent=3)
+def _emit_client_stub(out: _Emitter, name: str, op: OperationSpec, variant: dict[str, str]) -> None:
+    puts, reads = _Emitter(indent=3), _Emitter(indent=3)
     params = [(p.type, p.name, p.mode) for p in op.params]
     _emit_marshal(puts, "_buf", ("string", f'"{op.name}"', op.name), params)
-    _emit_get(status, "_reply", "_status", "int8")
-    _emit_get(result, "_reply", "_result", op.result)
-    result.line(tail)
+    _emit_reads(reads, "_reply", [("_status", "status"), ("_result", op.result)])
     text = _CLIENT_STUB.format(
         name=name,
         params="".join(f", {p.name}" for p in op.params),
         op=op.name,
         puts=puts.source(),
-        status=status.source(),
-        result=result.source(),
+        reads=reads.source(),
         **variant,
     )
     for line in text.splitlines():
@@ -468,25 +443,22 @@ def _emit_skeleton_handler(out: _Emitter, name: str, op: OperationSpec) -> None:
     held = [p.name for p in op.params[:-1] if _wire_kind(p.type) is None]
     if held:
         out.line(" = ".join(held) + " = None")
-    out.line("try:")
-    out.push()
-    for param in op.params:
-        _emit_get(out, "_buf", param.name, param.type)
-    if not op.params:
-        out.line("pass")
-    out.pop()
-    out.line("except Exception as _exc:")
-    out.push()
-    if held:
-        out.line(f"discard_args(_domain, {', '.join(held)})")
-    out.line("write_exception_status(_reply, _exc)")
-    out.line("return")
-    out.pop()
+    if op.params:
+        out.line("try:")
+        out.push()
+        _emit_reads(out, "_buf", [(p.name, p.type) for p in op.params])
+        out.pop()
+        out.line("except Exception as _exc:")
+        out.push()
+        if held:
+            out.line(f"discard_args(_domain, {', '.join(held)})")
+        out.line("write_exception_status(_reply, _exc)")
+        out.line("return")
+        out.pop()
     out.line("_rollback = (len(_reply.data), len(_reply.doors))")
     out.line("try:")
     out.push()
-    args = _op_signature(op)
-    out.line(f"_result = _impl.{op.name}({args})")
+    out.line(f"_result = _impl.{op.name}({', '.join(p.name for p in op.params)})")
     result = [(op.result, "_result", ParamMode.IN)]
     _emit_marshal(out, "_reply", ("int8", "STATUS_OK", STATUS_OK), result)
     out.pop()
@@ -514,10 +486,8 @@ def _dispatch_for(_name, _handlers):
                 write_exception_status(_reply, _exc)
                 return
         if _op == TYPE_QUERY_OP:
-            _reply.put_int8(STATUS_OK)
-            _reply.put_sequence_header(len(_binding.ancestors))
-            for _ancestor in _binding.ancestors:
-                _reply.put_string(_ancestor)
+            write_ok_status(_reply)
+            marshal_primitives(_reply, "string", _binding.ancestors)
             return
         _handler = _handlers.get(_op)
         if _handler is None:
@@ -529,16 +499,13 @@ def _dispatch_for(_name, _handlers):
 
 
 def _emit_skeleton_class(out: _Emitter, iface: CheckedInterface) -> None:
-    handlers = ", ".join(
-        f'"{op.name}": _skel_{op.introduced_by}_{op.name}'
-        for op in iface.operations.values()
-    )
-    out.line(f"class _skel_{iface.name}:")
-    out.push()
-    out.line(f'"""Server-side stubs (skeleton) for interface {iface.name}."""')
-    out.line(f'interface_name = "{iface.name}"')
-    out.line(f'dispatch = staticmethod(_dispatch_for("{iface.name}", {{{handlers}}}))')
-    out.pop()
+    ops = iface.operations.values()
+    handlers = ", ".join(f'"{op.name}": _skel_{op.introduced_by}_{op.name}' for op in ops)
+    _splice(out, f'''class _skel_{iface.name}:
+    """Server-side stubs (skeleton) for interface {iface.name}."""
+    interface_name = "{iface.name}"
+    dispatch = staticmethod(_dispatch_for("{iface.name}", {{{handlers}}}))
+''')
     out.line()
 
 
@@ -554,7 +521,7 @@ def generate_source(spec: CheckedSpec) -> str:
         _emit_struct(out, struct)
     if spec.interfaces:
         op = _Emitter(indent=4)
-        _emit_get(op, "_buf", "_op", "string")
+        _emit_reads(op, "_buf", [("_op", "string")])
         _splice(out, _DISPATCH.format(op=op.source().rstrip("\n")))
         out.line()
     for iface in spec.interfaces.values():
@@ -567,19 +534,21 @@ def generate_source(spec: CheckedSpec) -> str:
 
 
 def generate_fused_source(binding: InterfaceBinding) -> str:
-    """The fused stub ``_spec_<iface>_<op>`` for every operation of
-    ``binding``; it runs in its compiled module's namespace."""
+    """The fused stub ``_spec_<iface>_<op>`` for every operation
+    ``binding`` declares (derived interfaces use their declarer's, as
+    general stubs do); it runs in its compiled module's namespace."""
     out = _Emitter()
     for op in binding.operations.values():
-        _emit_client_stub(out, f"_spec_{binding.name}_{op.name}", op, _FUSED)
+        if op.introduced_by == binding.name:
+            _emit_client_stub(out, f"_spec_{binding.name}_{op.name}", op, _FUSED)
     return out.source()
 
 
 def generate_type_query_source() -> str:
     """A module whose general stub ``remote_type_query`` asks the server
-    for an object's most-derived type and its ancestors, as a tuple."""
+    for an object's most-derived type and its ancestors."""
     out = _Emitter()
     _splice(out, _HEADER)
     op = OperationSpec(TYPE_QUERY_OP, (), SequenceType(PrimitiveType(Primitive.STRING)))
-    _emit_client_stub(out, "remote_type_query", op, _GENERAL, "_result = tuple(_result)")
+    _emit_client_stub(out, "remote_type_query", op, _GENERAL)
     return out.source()

@@ -8,7 +8,7 @@ put the subtle object-passing semantics (move vs copy, Section 3.2 and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.object import SpringObject
 from repro.idl.rtypes import InterfaceBinding
@@ -28,6 +28,8 @@ __all__ = [
     "unmarshal_sequence",
     "marshal_door",
     "marshal_door_copy",
+    "marshal_primitives",
+    "unmarshal_primitives",
 ]
 
 #: The generic ``object`` type: any Spring object can be unmarshalled at
@@ -120,6 +122,18 @@ def unmarshal_sequence(buffer: "MarshalBuffer", domain: "Domain", get: Callable)
         discard_args(domain, values)
         raise
     return values
+
+
+def marshal_primitives(buffer: "MarshalBuffer", kind: str, values: Sequence) -> None:
+    """Marshal a sequence of primitive ``kind`` items through ``put_<kind>``."""
+    buffer.put_sequence_header(len(values))
+    for value in values:
+        getattr(buffer, "put_" + kind)(value)
+
+
+def unmarshal_primitives(buffer: "MarshalBuffer", kind: str) -> list:
+    """Unmarshal a sequence of primitive ``kind`` items through ``get_<kind>``."""
+    return [getattr(buffer, "get_" + kind)() for _ in range(buffer.get_sequence_header())]
 
 
 def discard_args(domain: "Domain", *values: object) -> None:

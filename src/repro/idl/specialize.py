@@ -12,8 +12,10 @@ the specialized stubs."
 one single-door subcontract.  The stubs come from the code generator's
 one client template in its fused variant, which inlines the subcontract's
 invoke and so skips the two client-side indirect calls Section 9.3
-charges.  Object fabrication (:meth:`ClientSubcontract.make_object`)
-picks the table up when — and only when — the fabricating subcontract
+charges.  A fused stub depends only on its operation's declaration, so
+each is compiled once per module, by its declaring interface, and shared
+by every interface and fusable subcontract.  Object fabrication
+(:meth:`ClientSubcontract.make_object`) picks the table up when — and only when — the fabricating subcontract
 matches; everything else keeps the general-purpose stubs, so flexibility
 is not lost.
 
@@ -56,12 +58,15 @@ def specialize(
             f"a bare door call"
         )
     binding = module.binding(interface_name)
-    filename = f"<idl:{module.name}.{interface_name}@{subcontract_id}#{next(_spec_counter)}>"
-    # Fused stubs run in (a copy of) the module's namespace: its header
-    # imports, struct helpers and bindings.
-    namespace = load_generated(
-        generate_fused_source(binding), filename, dict(module._namespace)
-    )
-    table = {op: namespace[f"_spec_{interface_name}_{op}"] for op in binding.operations}
+    # Fused stubs run in the module's namespace: its header imports,
+    # struct helpers and bindings.
+    namespace = module._namespace
+    names = {op.name: f"_spec_{op.introduced_by}_{op.name}" for op in binding.operations.values()}
+    for op in binding.operations.values():
+        if names[op.name] not in namespace:  # its declarer's stubs are not compiled yet
+            filename = f"<idl:{module.name}.{op.introduced_by}@fused#{next(_spec_counter)}>"
+            source = generate_fused_source(module.binding(op.introduced_by))
+            load_generated(source, filename, namespace)
+    table = {op: namespace[name] for op, name in names.items()}
     binding.install_specialized_table(subcontract_id, table)
     return table

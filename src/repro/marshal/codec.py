@@ -15,7 +15,9 @@ stream has a simulated clock (a :class:`~repro.marshal.buffer.MarshalBuffer`
 made by a kernel) each ``put_*`` charges the bytes it appended, once per
 item; the envelope's error payloads and rawnet fragments use clock-less
 streams.  Generated stubs and skeletons splice :data:`FRAGMENTS` instead,
-packing and reading primitive items on ``data`` and charging runs at once.
+packing and reading primitive items on ``data`` and charging runs at once;
+anything a fragment does not expect goes back to ``put_*``/``get_*``
+through one shared helper.
 
 Hot-path notes: fixed-width items are packed tag and value in one
 ``struct`` call, and read with ``struct.unpack_from`` straight off the
@@ -417,8 +419,31 @@ class TaggedStream:
         self.expect_tag(WireTag.NIL)
 
 
-#: The names fragment text uses: the ``struct``s above, filled in below.
-FRAGMENT_GLOBALS = {"_wire_pack_v2": _TAG_V2.pack, "_wire_pack_v3": _TAG_V3.pack}
+def _replay(stream: TaggedStream, mark: int, kinds: tuple, *values: Any) -> None:
+    """Drop a failed run's bytes past ``mark``; put each item through ``put_*``."""
+    del stream.data[mark:]
+    for kind, value in zip(kinds, values):
+        getattr(stream, "put_" + kind)(value)
+
+
+def _get_at(stream: TaggedStream, pos: int, kind: str) -> tuple[Any, int]:
+    """``get_<kind>`` at ``pos``: the value and the cursor after it."""
+    stream.pos = pos
+    return getattr(stream, "get_" + kind)(), stream.pos
+
+
+def _blob_at(stream: TaggedStream, pos: int, tag: int) -> tuple[int, int]:
+    """``_blob_end`` at ``pos``: where the payload starts and ends."""
+    stream.pos = pos
+    end = stream._blob_end(tag)
+    return stream.pos, end
+
+
+#: The names fragment text uses: the shared cold paths above, where the
+#: stream's own code raises every error, and the ``struct``s (filled in
+#: below).
+FRAGMENT_GLOBALS = {"_wire_replay": _replay, "_wire_get": _get_at, "_wire_blob": _blob_at}
+FRAGMENT_GLOBALS.update(_wire_pack_v2=_TAG_V2.pack, _wire_pack_v3=_TAG_V3.pack)
 
 
 def _fixed(kind: str, tag: int, item: struct.Struct, tagged: struct.Struct) -> tuple:
@@ -431,9 +456,7 @@ if _p + {tagged.size} <= _e and _d[_p] == {tag}:
     {{v}} = _wire_{wire}(_d, _p + 1)[0]{" != 0" if kind == "bool" else ""}
     _p += {tagged.size}
 else:
-    {{buf}}.pos = _p
-    {{v}} = {{buf}}.get_{kind}()
-    _p = {{buf}}.pos"""
+    {{v}}, _p = _wire_get({{buf}}, _p, "{kind}")"""
     return f"_d += _wire_pack_{wire}({tag}, {value})", tagged.size, get
 
 
@@ -474,18 +497,17 @@ if _n >= 0x80:
 if _n >= 0 and _q + _n <= _e:
     _p = _q + _n
 else:
-    {{buf}}.pos = _p
-    _p = {{buf}}._blob_end({tag})
-    _q = {{buf}}.pos
+    _q, _p = _wire_blob({{buf}}, _p, {tag})
 {payload}"""
     return put, None, get
 
 
 #: Wire kind -> ``(put, size, get)`` source text for generated code.
 #: ``put`` appends ``{v}`` to ``_d``, the store of stream ``{buf}``, as
-#: ``put_<kind>`` does: ``size`` bytes, or ``None`` (left in ``{s}``).
-#: ``get`` reads the item at ``_p`` of ``_d`` (length ``_e``) into ``{v}``,
-#: leaving the unexpected to the stream, which raises every error.
+#: ``put_<kind>`` does: ``size`` bytes, or ``None`` (left in ``{s}``); a
+#: run that raises is replayed by ``_wire_replay``.  ``get`` reads the
+#: item at ``_p`` of ``_d`` (length ``_e``) into ``{v}``, leaving the
+#: unexpected to ``_wire_get``/``_wire_blob``, which raise every error.
 FRAGMENTS = {
     "bool": _fixed("bool", int(WireTag.BOOL), _U8, _TAG_U8),
     "int8": _fixed("int8", _INT8, _I8, _TAG_I8),

@@ -35,13 +35,25 @@ def unknown_status(domain, impl, request, reply, binding):
     reply.put_string("seven")
 
 
+def unknown_status_valid_result(domain, impl, request, reply, binding):
+    reply.put_int8(7)
+    reply.put_int32(7)
+
+
 def malformed_exception(domain, impl, request, reply, binding):
     reply.put_int8(STATUS_EXCEPTION)
     reply.put_int32(7)
 
 
 #: skeleton dispatches that write a reply no stub can decode
-RAW_REPLIES = {"unknown status": unknown_status, "malformed exception": malformed_exception}
+RAW_REPLIES = {
+    "unknown status": unknown_status,
+    "unknown status, valid result": unknown_status_valid_result,
+    "malformed exception": malformed_exception,
+}
+
+#: what the error must say, where it says something in particular
+MESSAGES = {"unknown status, valid result": "unknown reply status 7"}
 
 
 def unbalanced(*domains):
@@ -50,7 +62,7 @@ def unbalanced(*domains):
 
 
 @pytest.mark.parametrize("stubs", ["general", "fused"])
-@pytest.mark.parametrize("reply", ["wrong type", "unknown status", "malformed exception"])
+@pytest.mark.parametrize("reply", ["wrong type", *RAW_REPLIES])
 def test_a_reply_that_fails_to_decode_goes_back_to_its_pool(stubs, reply):
     env = Environment()
     server = env.create_domain("m0", "server")
@@ -66,7 +78,7 @@ def test_a_reply_that_fails_to_decode_goes_back_to_its_pool(stubs, reply):
     if reply != "wrong type":
         skeleton.dispatch = RAW_REPLIES[reply]
     for _ in range(3):
-        with pytest.raises(MarshalError):
+        with pytest.raises(MarshalError, match=MESSAGES.get(reply)):
             gauge.total()
         assert unbalanced(server, client) == []
 

@@ -5,18 +5,25 @@ An operation's stub and skeleton handler depend only on its declaration
 declares it: ``_stub_<declaring iface>_<op>`` and ``_skel_…``.  Every
 interface that inherits the operation points at those functions, and
 each interface's skeleton class wraps one module-wide dispatch body.
+Fused stubs follow the same rule, once per module.  Generated code holds
+only the fast path: every primitive item that does not pack or read
+inline goes back to ``put_*``/``get_*`` through a shared helper.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import re
 
 import pytest
 
 from repro.core import narrow
 from repro.core.errors import RemoteApplicationError
+from repro.idl.codegen import generate_fused_source, generate_type_query_source
 from repro.idl.compiler import compile_idl
 from repro.idl.specialize import specialize
+from repro.marshal.codec import FRAGMENTS
 from repro.runtime.env import Environment
 from repro.services.cachemgr import CACHE_MANAGER_IDL
 from repro.services.fs import FS_IDL
@@ -25,6 +32,9 @@ from repro.services.naming import NAMING_IDL
 from repro.services.obsd import OBSD_IDL
 from repro.services.stable import DURABLE_KV_IDL
 from repro.subcontracts.singleton import SingletonServer
+
+#: the module (``repro.idl`` exports the function under the same name)
+specialize_module = importlib.import_module("repro.idl.specialize")
 
 DIAMOND_IDL = """
 interface a { int32 x(int32 n); }
@@ -75,6 +85,25 @@ def test_one_stub_and_one_handler_per_declared_operation(name):
     assert functions(module.source, "_stub_") == [f"_stub_{op}" for op in declared]
     assert functions(module.source, "_skel_") == [f"_skel_{op}" for op in declared]
     assert functions(module.source, "_dispatch_for") == ["_dispatch_for"]
+
+
+#: a call that puts or gets one primitive item the fragments pack inline
+INLINE_CALL = re.compile(r"\.(?:put|get)_(?:%s)\(" % "|".join(FRAGMENTS))
+
+
+@pytest.mark.parametrize("name", IDLS)
+def test_no_generated_code_puts_or_gets_an_inline_item_itself(name):
+    module = compile_idl(IDLS[name], f"tests.structure.cold.{name}")
+    sources = [module.source, generate_type_query_source()]
+    sources += [generate_fused_source(binding) for binding in module.bindings.values()]
+    for source in sources:
+        assert INLINE_CALL.findall(source) == []
+
+
+def test_the_fs_module_stays_small():
+    source = compile_idl(FS_IDL, "tests.structure.size").source
+    assert len(source.splitlines()) <= 1_400
+    assert len(re.findall(r"\.(?:put|get)_\w+\(", source)) <= 16
 
 
 @pytest.mark.parametrize("name", ["fs", "diamond", "no_mro"])
@@ -141,3 +170,26 @@ def test_an_unknown_operation_names_the_derived_interface(diamond):
         obj.extra()
     assert raised.value.remote_type == "LookupError"
     assert raised.value.message == "interface d has no operation 'extra'"
+
+
+def test_specialize_compiles_each_declared_fused_stub_once(monkeypatch):
+    """Fusing ``d`` for singleton, then ``b``, then ``d`` for simplex, then
+    ``a``: each op's fused stub is compiled once, by its declarer, and
+    every table holds that one function."""
+    compiled = []
+    load = specialize_module.load_generated
+
+    def counting(source, *rest):
+        compiled.extend(functions(source, "_spec_"))
+        return load(source, *rest)
+
+    monkeypatch.setattr(specialize_module, "load_generated", counting)
+    module = compile_idl(DIAMOND_IDL, "tests.structure.diamond.fused_once")
+    tables = [
+        specialize(module, name, subcontract)
+        for name, subcontract in [("d", "singleton"), ("b", "singleton"), ("d", "simplex"), ("a", "simplex")]
+    ]
+    assert sorted(compiled) == ["_spec_a_x", "_spec_b_y", "_spec_c_z", "_spec_d_w"]
+    for table in tables:
+        for op, stub in table.items():
+            assert stub is tables[0][op]

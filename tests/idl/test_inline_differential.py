@@ -13,7 +13,10 @@ to the reference:
   after the same bytes and charges;
 * reading a run cut at every length gives the values ``get_*`` gives,
   or the same exception type, and leaves the cursor where ``get_*``
-  leaves it.
+  leaves it;
+* a reply's status followed by its result, over every status byte, wrong
+  tags and every cut length, reads as ``get_int8`` followed by the two
+  status raises, the unknown-status error and ``get_*`` read it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,13 @@ import functools
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.idl.codegen import _Emitter, _emit_get, _emit_put_run
-from repro.marshal.codec import FRAGMENT_GLOBALS, TaggedStream
+import pytest
+
+from repro.core.errors import RemoteApplicationError, RevokedObjectError
+from repro.core.stubs import STATUS_EXCEPTION, STATUS_OK, STATUS_REVOKED, read_status
+from repro.idl.codegen import _Emitter, _emit_put_run, _emit_reads
+from repro.marshal.codec import FRAGMENT_GLOBALS, TaggedStream, WireTag
+from repro.marshal.errors import MarshalError
 
 KINDS = ("bool", "int8", "int32", "int64", "float64", "string", "bytes")
 
@@ -85,7 +93,7 @@ class Charges:
 
 
 def _load(body: _Emitter, signature: str):
-    namespace = dict(FRAGMENT_GLOBALS)
+    namespace = dict(FRAGMENT_GLOBALS, read_status=read_status)
     exec(compile(f"def run({signature}):\n" + body.source(), "<fragments>", "exec"), namespace)
     return namespace["run"]
 
@@ -102,8 +110,7 @@ def put_run(kinds):
 def get_run(kinds):
     """The generated code that reads a run of ``kinds`` inline."""
     body = _Emitter(indent=1)
-    for i, kind in enumerate(kinds):
-        _emit_get(body, "buf", f"v{i}", kind)
+    _emit_reads(body, "buf", [(f"v{i}", kind) for i, kind in enumerate(kinds)])
     body.line(f"return [{', '.join(f'v{i}' for i in range(len(kinds)))}]")
     return _load(body, "buf")
 
@@ -171,3 +178,62 @@ def test_fragments_write_and_read_a_run_as_the_stream_does(run):
 def test_fragments_read_arbitrary_bytes_as_the_stream_does(kinds, data):
     kinds = tuple(kinds)
     assert read(by_fragment_reads, kinds, data) == read(by_get, kinds, data)
+
+
+@functools.cache
+def get_reply(kind):
+    """The generated code that reads a reply's status, then a ``kind`` result."""
+    body = _Emitter(indent=1)
+    _emit_reads(body, "buf", [("_status", "status"), ("result", kind)])
+    body.line("return result")
+    return _load(body, "buf")
+
+
+def by_reply_reads(stream, kind):
+    return get_reply(kind)(stream)
+
+
+def by_status_get(stream, kind):
+    status = stream.get_int8()
+    if status == STATUS_EXCEPTION:
+        raise RemoteApplicationError(stream.get_string(), stream.get_string())
+    if status == STATUS_REVOKED:
+        raise RevokedObjectError(stream.get_string())
+    if status != STATUS_OK:
+        raise MarshalError(f"unknown reply status {status}")
+    return getattr(stream, "get_" + kind)()
+
+
+#: one result of each kind
+RESULTS = {
+    "bool": True,
+    "int8": -3,
+    "int32": 2**31 - 1,
+    "int64": -(2**40),
+    "float64": 0.5,
+    "string": "é",
+    "bytes": b"\x00\xff",
+}
+
+#: what follows a status byte: a result, the exception's or the revoked
+#: status's strings
+TAILS = {STATUS_EXCEPTION: ["string", "string"], STATUS_REVOKED: ["string"]}
+
+
+def reply(tag, status, kind):
+    stream = TaggedStream(bytearray([tag, status]))
+    for tail_kind in TAILS.get(status, [kind]):
+        getattr(stream, "put_" + tail_kind)(RESULTS[tail_kind])
+    return bytes(stream.data)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_status_then_a_result_reads_as_the_stream_does(kind):
+    right = int(WireTag.INT8)
+    replies = [reply(right, status, kind) for status in range(256)]
+    for wrong in (int(WireTag.INT32), int(WireTag.STRING)):
+        replies += [reply(wrong, status, kind) for status in (0, 1, 2, 7)]
+    for data in replies:
+        for cut in range(len(data) + 1):
+            prefix = data[:cut]
+            assert read(by_reply_reads, kind, prefix) == read(by_status_get, kind, prefix), prefix
