@@ -4,8 +4,9 @@ Carries two kinds of traffic:
 
 * **forwarded door calls** — installed as the kernel's ``fabric`` hook;
   invoked whenever a door call's caller and server live on different
-  machines.  Applies latency on both legs, honours partitions, and drives
-  the per-machine network-server accounting.
+  machines.  Each leg honours partitions, charges the door-identifier
+  translation of the network servers at both ends (Section 3.3), pays
+  wire time, and checks the call's deadline as it leaves and lands.
 * **datagrams** — an unreliable, loss-prone, fire-and-forget service used
   by the video subcontract's media path (Section 8.4).
 
@@ -28,6 +29,15 @@ if TYPE_CHECKING:
     from repro.marshal.buffer import MarshalBuffer
 
 __all__ = ["NetworkFabric"]
+
+#: simulated cost of translating one door identifier to or from network form
+TRANSLATE_DOOR_US = 6.0
+
+#: per leg: the sending and the receiving network server's span names
+_SPANS = {
+    "request": ("netserver.outbound", "netserver.inbound"),
+    "reply": ("netserver.outbound_reply", "netserver.inbound_reply"),
+}
 
 
 class NetworkFabric:
@@ -208,44 +218,18 @@ class NetworkFabric:
         self, caller: "Domain", door: "Door", buffer: "MarshalBuffer"
     ) -> "MarshalBuffer":
         """Kernel fabric hook: forward one door call between machines."""
-        src = caller.machine
-        dst = door.server.machine
-        assert src is not None and dst is not None
-        # A lost request leg raises before delivery; the caller's failure
-        # path cleans the request buffer up.
-        self._leg(src, dst, "request")
-        self.calls_carried += 1
-
-        # Request leg: translate outbound doors, pay wire time, translate
-        # inbound doors, then the serving kernel's incoming leg.
-        door_count = buffer.live_door_count() if buffer.doors else 0
-        src.net_server.outbound(door_count, domain=caller)
-        self._wire_time(buffer.size, src, dst)
-        dst.net_server.inbound(door_count, domain=door.server)
+        server = door.server
         ctx = buffer.ctx
-        dl = ctx.get(DEADLINE) if ctx is not None else None
-        if dl is not None and self.kernel.clock.now_us >= dl:
-            raise DeadlineExceeded(
-                f"deadline passed on the request wire leg to {dst.name!r}"
-            )
-        # The serving machine's incoming leg may still refuse (busy, dead,
-        # late): that propagates back like any other carry failure, and
-        # the caller's failure path recycles the request.
+        deadline = ctx.get(DEADLINE) if ctx is not None else None
+        # A request refused on its leg or by the serving machine's incoming
+        # leg (busy, dead, late) is recycled by the caller's failure path.
+        self._leg(caller, server, buffer, deadline, "request")
         reply = self.kernel.incoming(door, buffer)
-
-        # Reply leg.  A reply that does not reach the caller is nobody
-        # else's to clean up: whatever loses it, drop its in-transit doors
-        # and return it to its server-side pool here.
+        # A reply that does not reach the caller is nobody else's to clean
+        # up: whatever loses it, drop its in-transit doors and return it to
+        # its server-side pool here.
         try:
-            self._leg(src, dst, "reply")
-            door_count = reply.live_door_count() if reply.doors else 0
-            dst.net_server.outbound_reply(door_count, domain=door.server)
-            self._wire_time(reply.size, src, dst)
-            src.net_server.inbound_reply(door_count, domain=caller)
-            if dl is not None and self.kernel.clock.now_us >= dl:
-                raise DeadlineExceeded(
-                    f"reply from {dst.name!r} landed after the deadline"
-                )
+            self._leg(server, caller, reply, deadline, "reply")
         except BaseException:
             reply.recycle()
             raise
@@ -253,30 +237,72 @@ class NetworkFabric:
         reply.region = None
         return reply
 
-    def _leg(self, src: Machine, dst: Machine, leg: str) -> None:
-        """Raise unless one leg of a carried call gets through its link
-        (the reply travels dst -> src) and the fault plane's link model."""
-        if leg == "request":
-            if (src.name, dst.name) in self._partitions:
-                raise NetworkPartitionError(
-                    f"machines {src.name!r} and {dst.name!r} are partitioned"
-                )
-        elif (dst.name, src.name) in self._partitions:
-            raise NetworkPartitionError(
-                f"reply lost: machines {src.name!r} and {dst.name!r} partitioned"
-            )
-        plane = self.kernel.chaos
-        if plane is not None:
-            plane.on_carry(src, dst, leg)
-
-    def _wire_time(
-        self, size: int, src: Machine | str | None = None, dst: Machine | str | None = None
+    def _leg(
+        self,
+        sender: "Domain",
+        receiver: "Domain",
+        message: "MarshalBuffer",
+        deadline: float | None,
+        leg: str,
     ) -> None:
+        """Carry one leg of a call, its request or its reply, from the
+        sender's machine to the receiver's.  Raises, having charged only
+        what came before, when the link is cut, the link model drops the
+        message, or the deadline passes before it leaves or as it lands."""
+        out_of, into = sender.machine, receiver.machine
+        # The link model and wire time see the call's direction: caller to server.
+        src, dst = (out_of, into) if leg == "request" else (into, out_of)
+        if (out_of.name, into.name) in self._partitions:
+            raise NetworkPartitionError(
+                f"machines {src.name!r} and {dst.name!r} are partitioned"
+                if leg == "request"
+                else f"reply lost: machines {src.name!r} and {dst.name!r} partitioned"
+            )
+        kernel = self.kernel
+        chaos = kernel.chaos
+        if chaos is not None:
+            chaos.on_carry(src, dst, leg)
+        if leg == "request":
+            self.calls_carried += 1
+        # The sending machine's network server translates the riding door
+        # identifiers to network form, and the receiving one back again.
+        doors = message.live_door_count() if message.doors else 0
+        clock = kernel.clock
+        tracer = kernel.tracer
+        traced = tracer.enabled
+        outbound, inbound = _SPANS[leg]
+        if traced:
+            with tracer.begin_span(
+                sender, outbound, "netserver", machine=out_of.name, doors=doors
+            ):
+                if doors:
+                    clock.advance(TRANSLATE_DOOR_US * doors, "net_door_translate")
+        elif doors:
+            clock.advance(TRANSLATE_DOOR_US * doors, "net_door_translate")
+        if deadline is not None and clock.now_us >= deadline:
+            raise DeadlineExceeded(f"the {leg} left {out_of.name!r} after the deadline")
+        self._wire_time(message.size, src, dst)
+        if traced:
+            with tracer.begin_span(
+                receiver, inbound, "netserver", machine=into.name, doors=doors
+            ):
+                if doors:
+                    clock.advance(TRANSLATE_DOOR_US * doors, "net_door_translate")
+        elif doors:
+            clock.advance(TRANSLATE_DOOR_US * doors, "net_door_translate")
+        if deadline is not None and clock.now_us >= deadline:
+            raise DeadlineExceeded(
+                f"deadline passed on the request wire leg to {dst.name!r}"
+                if leg == "request"
+                else f"reply from {dst.name!r} landed after the deadline"
+            )
+
+    def _wire_time(self, size: int, src: Machine | str, dst: Machine | str) -> None:
         us = self.latency_us + self.bandwidth_us_per_byte * size
-        if self._region_scales is not None and src is not None and dst is not None:
+        if self._region_scales is not None:
             us *= self._pair_scale(self._name(src), self._name(dst))
         chaos = self.kernel.chaos
-        if chaos is not None and src is not None and dst is not None:
+        if chaos is not None:
             us = chaos.wire_us(src, dst, us)
         self.kernel.clock.advance(us, "network")
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.net.netserver import NetworkServer
-
 if TYPE_CHECKING:
     from repro.kernel.domain import Domain
     from repro.kernel.nucleus import Kernel
@@ -21,7 +19,7 @@ __all__ = ["Machine"]
 
 
 class Machine:
-    """One machine: a set of domains plus a network server."""
+    """One machine: a set of domains."""
 
     def __init__(self, kernel: "Kernel", name: str, fabric: "NetworkFabric | None") -> None:
         self.kernel = kernel
@@ -34,8 +32,6 @@ class Machine:
         #: True after :meth:`crash` — gossip nodes on a crashed machine
         #: go silent (they neither probe nor answer)
         self.crashed = False
-        #: per-machine network server statistics (doors in/out, calls)
-        self.net_server = NetworkServer(self)
 
     def create_domain(self, name: str) -> "Domain":
         """Boot a domain on this machine."""

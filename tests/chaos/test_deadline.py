@@ -1,8 +1,8 @@
 """Call deadlines: the time budget that travels with the invocation.
 
-Enforcement sits at four legs — door launch, arrival before the handler,
-the wire legs (fabric), and door-identifier translation (netserver) —
-and every violation surfaces as :class:`DeadlineExceeded`, which retry
+Enforcement sits at three legs — door launch, arrival before the
+handler, and each wire leg (fabric) as it leaves and as it lands — and
+every violation surfaces as :class:`DeadlineExceeded`, which retry
 policies refuse to retry.  These tests pin each leg, the nesting rule,
 and the no-buffer-leak guarantee on the late-reply path.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.kernel.errors import CommunicationError, DeadlineExceeded
+from repro.net.fabric import TRANSLATE_DOOR_US
 from repro.obs.tracer import install_tracer
 from repro.runtime.deadline import deadline, remaining_us
 from repro.runtime.env import Environment
@@ -91,6 +92,38 @@ class TestWireLegs:
         with deadline(env.kernel, 500.0):
             with pytest.raises(DeadlineExceeded):
                 obj.add(1)
+        assert_no_buffer_leaks(env)
+
+    def test_request_landing_late_is_refused_on_the_wire(self, remote_world):
+        # The budget covers the stub's marshalling but not the wire time:
+        # the request is refused as it lands, before the server sees it.
+        env, _, _, obj = remote_world
+        with deadline(env.kernel, 500.0):
+            with pytest.raises(DeadlineExceeded, match="request wire leg"):
+                obj.add(1)
+        assert obj._rep.door.door.calls_handled == 0
+        assert_no_buffer_leaks(env)
+
+    def test_translation_past_the_deadline_is_refused_before_the_wire(
+        self, remote_world, counter_module
+    ):
+        # A request carrying a door: translating it to network form spends
+        # the budget, so the request never leaves and pays no wire time.
+        env, _, client, obj = remote_world
+        passenger = SingletonServer(client).export(
+            CounterImpl(), counter_module.binding("counter")
+        )
+        request = client.acquire_buffer()
+        request.put_door_id(client, passenger._rep.door)
+        env.clock.reset_tally()
+        with deadline(env.kernel, TRANSLATE_DOOR_US / 2):
+            with pytest.raises(DeadlineExceeded, match="request left 'north'"):
+                env.kernel.door_call(client, obj._rep.door, request)
+        request.recycle()
+        tally = env.clock.tally()
+        assert tally["net_door_translate"] == TRANSLATE_DOOR_US
+        assert "network" not in tally
+        assert obj._rep.door.door.calls_handled == 0
         assert_no_buffer_leaks(env)
 
     def test_reply_leg_violation_recycles_the_reply(self, remote_world):

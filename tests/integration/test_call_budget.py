@@ -144,7 +144,7 @@ class Charges(list):
 @pytest.fixture
 def charges(monkeypatch):
     made = Charges()
-    for name in ("charge", "charge_bytes"):
+    for name in ("charge", "charge_bytes", "advance"):
         original = getattr(SimClock, name)
 
         def recording(self, *args, _name=name, _original=original):
@@ -159,14 +159,14 @@ def charges(monkeypatch):
     return made
 
 
-def export_counter(counter_module):
-    """``(env, counter)``: a singleton counter exported by one domain and
-    resolved by another on the same machine, as a Spring program would
-    reach it."""
+def export_counter(counter_module, client_machine="m0"):
+    """``(env, counter)``: a singleton counter exported by one domain on
+    ``m0`` and resolved by another, on the same machine unless
+    ``client_machine`` names another, as a Spring program would reach it."""
     env = Environment()
     binding = counter_module.binding("counter")
     server = env.create_domain("m0", "server")
-    client = env.create_domain("m0", "client")
+    client = env.create_domain(client_machine, "client")
     env.bind(server, "/counter", SingletonServer(server).export(CounterImpl(), binding))
     return env, narrow(env.resolve(client, "/counter"), binding)
 
@@ -183,16 +183,15 @@ def traced_counter(counter_module, charges):
     return counter
 
 
-def program_calls(fn, *args) -> int:
-    """Python calls ``fn(*args)`` makes in ``repro`` and generated IDL code."""
+def program_calls(fn, *args, under=(_PACKAGE, "<idl:")) -> int:
+    """Python calls ``fn(*args)`` makes in files whose names start with one
+    of ``under``: by default ``repro`` and generated IDL code."""
     calls = 0
 
     def profiler(frame, event, arg):
         nonlocal calls
-        if event == "call":
-            filename = frame.f_code.co_filename
-            if filename.startswith(_PACKAGE) or filename.startswith("<idl:"):
-                calls += 1
+        if event == "call" and frame.f_code.co_filename.startswith(under):
+            calls += 1
 
     sys.setprofile(profiler)
     try:
@@ -294,3 +293,43 @@ def test_an_uninstalled_feature_leaves_the_call_as_it_found_it(counter_module, f
         made.append((program_calls(obj.add, 1), world.clock.tally()))
     assert made[1] == made[0]
     assert made[1][0] <= BUDGETS["add"][0]
+
+
+#: ``add(1)`` from another machine: Python calls in ``repro`` and IDL code,
+#: those in ``repro/net/``, clock calls, and the charges.  They are the local
+#: call's, with the wire leg's two ``network`` advances around the server's
+#: half; no door rides, so no translation is charged.  Before the wire leg
+#: became one path it made 39 and 13 Python calls.
+REMOTE_BUDGET = (
+    31,
+    5,
+    11,
+    [
+        ("charge", ("local_call",)),
+        ("charge", ("indirect_call",)),
+        ("charge_bytes", (5,)),
+        ("charge_bytes", (5,)),
+        ("charge", ("indirect_call",)),
+        ("charge", ("memory_copy_byte", 10)),
+        ("advance", (1200.5, "network")),  # request: 10 bytes on the wire
+        ("charge", ("door_call",)),
+        ("charge", ("indirect_call",)),
+        ("charge_bytes", (2,)),
+        ("charge_bytes", (5,)),
+        ("advance", (1200.35, "network")),  # reply: 7 bytes
+        ("charge", ("memory_copy_byte", 7)),
+    ],
+)
+
+
+def test_one_cross_machine_call_stays_within_its_budget(counter_module, charges):
+    budget, net_budget, clock_calls, expected = REMOTE_BUDGET
+    counter = export_counter(counter_module, client_machine="m1")[1]
+    counter.add(1)  # warm
+    charges.clear()
+    net_calls = program_calls(counter.add, 1, under=_PACKAGE + "net" + os.sep)
+    assert net_calls <= net_budget, f"add: {net_calls} Python calls in repro/net/"
+    assert charges == expected
+    assert charges.calls == clock_calls
+    calls = program_calls(counter.add, 1)
+    assert calls <= budget, f"add: {calls} Python calls, budget {budget}"

@@ -427,7 +427,7 @@ def test_legs_read_their_hooks_on_every_call():
             return None
 
     def leg_spans(tracer):
-        # netserver spans are opened by the net servers, not the legs
+        # netserver spans are the wire leg's door translations, not a leg
         return [s.category for s in tracer.spans() if s.category != "netserver"]
 
     originals = (door.handler, kernel.fabric)

@@ -139,8 +139,8 @@ class TestLostReply:
 
     def test_reply_landing_after_the_buffer_deadline_is_recycled(self, world):
         # The budget rides the buffer's slot, not this thread's deadline
-        # (as for a call a forwarder relays), so no netserver leg refuses
-        # first and the fabric's own landing check is what fires.
+        # (as for a call a forwarder relays): the wire leg's checks read it
+        # there, and the reply leg's landing check is what fires.
         env, server, client, remote = world
         request = client.acquire_buffer()
         request.put_string("total")
@@ -205,23 +205,30 @@ class TestNetServerAccounting:
             buffer, client
         )
 
-        machine_a = env.machine("acct-a")
-        machine_b = env.machine("acct-b")
-        exported_before = machine_a.net_server.doors_exported
-        imported_before = machine_b.net_server.doors_imported
-
         from repro.core import narrow
 
+        tracer = env.install_tracer()
         taken = narrow(remote_dispenser.take(), binding)
         assert taken.add(2) == 2
         # The reply carrying the counter object moved exactly one door
-        # out of machine-a and into machine-b.
-        assert machine_a.net_server.doors_exported == exported_before + 1
-        assert machine_b.net_server.doors_imported == imported_before + 1
+        # out of acct-a and into acct-b; no other message carried one.
+        assert [
+            (s.name, s.attrs["machine"], s.attrs["doors"])
+            for s in tracer.spans()
+            if s.category == "netserver" and s.attrs["doors"]
+        ] == [
+            ("netserver.outbound_reply", "acct-a", 1),
+            ("netserver.inbound_reply", "acct-b", 1),
+        ]
 
     def test_calls_forwarded_counted(self, world):
+        """One carried call counts once, on its request leg, once that leg
+        is past its link check; a request the link refuses is not counted."""
         env, _, _, remote = world
-        machine_b = env.machine("machine-b")
-        before = machine_b.net_server.calls_forwarded
+        before = env.fabric.calls_carried
         remote.add(1)
-        assert machine_b.net_server.calls_forwarded == before + 1
+        assert env.fabric.calls_carried == before + 1
+        env.fabric.partition("machine-a", "machine-b")
+        with pytest.raises(NetworkPartitionError):
+            remote.add(1)
+        assert env.fabric.calls_carried == before + 1
