@@ -59,7 +59,6 @@ def world(counter_module):
 
     def raw_call(n: int) -> int:
         buffer = MarshalBuffer(kernel)
-        kernel.clock.charge("memory_copy_byte", 5)
         buffer.put_int32(n)
         reply = kernel.door_call(client, raw_door, buffer)
         return reply.get_int32()

@@ -166,7 +166,6 @@ def build_world():
 
     def raw_call(n: int = 1) -> int:
         buffer = MarshalBuffer(kernel)
-        kernel.clock.charge("memory_copy_byte", 5)
         buffer.put_int32(n)
         reply = kernel.door_call(client, raw_door, buffer)
         return reply.get_int32()

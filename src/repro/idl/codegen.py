@@ -409,11 +409,7 @@ _FUSED = {
     "span_attrs": ", fused=True",
     "preamble": "",
     "invoke": """\
-            if _buf.region is None:
-                _kernel.clock.charge("memory_copy_byte", len(_buf.data))
-            _reply = _kernel.door_call(_domain, _obj._rep.door, _buf)
-            if _reply.region is None:
-                _kernel.clock.charge("memory_copy_byte", len(_reply.data))""",
+            _reply = _kernel.door_call(_domain, _obj._rep.door, _buf)""",
 }
 
 

@@ -280,18 +280,27 @@ class Kernel:
     ) -> "MarshalBuffer":
         """Execute a cross-address-space call through a door.
 
-        This is the launch leg: the kernel validates the caller's budget
-        and capability, stamps the caller's call context, seals the buffer
-        and routes it, through the launch seam when a feature is
-        installed there — to the network fabric when the server lives on
-        another machine, otherwise straight to :meth:`incoming`, which
-        the fabric also ends in.  The gate order is the "launch" rows
-        of the table in ``docs/architecture.md``.
+        This is the launch leg: the kernel copies the arguments in,
+        validates the caller's budget and capability, stamps the caller's
+        call context, seals the buffer and routes it, through the launch
+        seam when a feature is installed there — to the network fabric
+        when the server lives on another machine, otherwise straight to
+        :meth:`incoming`, which the fabric also ends in — and copies the
+        reply back out.  The gate order is the "launch" rows of the table
+        in ``docs/architecture.md``.
+
+        A buffer marshalled into a shared region (the shm subcontract,
+        Section 5.1.4) pays neither copy: the server writes its reply into
+        the same region.  The region is read on entry, since the request
+        buffer may be released before the reply returns.
 
         The liveness and capability gates test inline and call
         ``check_alive`` / ``_check_usable`` only to raise, so each
         refusal is worded in one place.
         """
+        copied = buffer.region is None
+        if copied:
+            self.clock.charge("memory_copy_byte", len(buffer.data))
         if not caller.alive:
             caller.check_alive()
 
@@ -345,6 +354,8 @@ class Kernel:
             reply = self.incoming(door, buffer)
         reply.pos = 0
         reply.sealed = True
+        if copied:
+            self.clock.charge("memory_copy_byte", len(reply.data))
         return reply
 
     def incoming(

@@ -233,8 +233,6 @@ class NetworkFabric:
         except BaseException:
             reply.recycle()
             raise
-        # Shared regions do not span machines; never let one leak across.
-        reply.region = None
         return reply
 
     def _leg(

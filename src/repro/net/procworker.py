@@ -195,7 +195,6 @@ def _serve(
                 log.write("supervisor channel closed mid-reply; exiting")
                 return
             finally:
-                reply.region = None
                 reply.recycle()
         elif envelope.kind == KIND_CONTROL:
             payload, stop = _serve_control(

@@ -145,7 +145,6 @@ class CachingClient(RepClient):
                 subcontract=self.id,
                 via="cache" if cache_door is not None else "server",
             )
-        kernel.clock.charge("memory_copy_byte", buffer.size)
         try:
             reply = kernel.door_call(self.domain, door, buffer)
         except (CommunicationError, InvalidDoorError) as failure:
@@ -165,9 +164,7 @@ class CachingClient(RepClient):
                     tracer.event(
                         "caching.stale_hit", subcontract=self.id, bytes=len(memo)
                     )
-                reply = self._stale_reply(kernel, memo)
-                kernel.clock.charge("memory_copy_byte", reply.size)
-                return reply
+                return self._stale_reply(kernel, memo)
             if cache_door is None or verdict is SPENT:
                 # No cache front to fall back from (or the caller's
                 # deadline is spent): surface the failure unchanged.
@@ -186,7 +183,6 @@ class CachingClient(RepClient):
                     error=type(failure).__name__,
                 )
             reply = kernel.door_call(self.domain, rep.server_door, buffer)
-        kernel.clock.charge("memory_copy_byte", reply.size)
         # Memoise door-free request/reply byte pairs so a later shed can
         # be answered locally.  Door-carrying payloads never memoise: the
         # bytes alone do not reproduce a capability transfer.

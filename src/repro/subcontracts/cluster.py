@@ -94,10 +94,7 @@ class ClusterClient(RepClient):
                         incarnation=evicted.incarnation,
                     )
                 raise CommunicationError(str(evicted))
-        kernel.clock.charge("memory_copy_byte", buffer.size)
-        reply = kernel.door_call(self.domain, obj._rep.door, buffer)
-        kernel.clock.charge("memory_copy_byte", reply.size)
-        return reply
+        return kernel.door_call(self.domain, obj._rep.door, buffer)
 
 
 class ClusterServer(ServerSubcontract):

@@ -105,9 +105,7 @@ class MigratoryClient(ClientSubcontract):
             )
             reply.rewind()
             return reply
-        kernel.clock.charge("memory_copy_byte", buffer.size)
         reply = kernel.door_call(self.domain, rep.door, buffer)
-        kernel.clock.charge("memory_copy_byte", reply.size)
         rep.remote_calls += 1
         if (
             self.migration_threshold is not None

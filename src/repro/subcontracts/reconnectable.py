@@ -131,9 +131,7 @@ class ReconnectableClient(RepClient):
                     if gate == "half_open" and tracer.enabled:
                         tracer.event("retry.breaker_probe", subcontract=self.id)
                 try:
-                    kernel.clock.charge("memory_copy_byte", buffer.size)
                     reply = kernel.door_call(self.domain, rep.door, buffer)
-                    kernel.clock.charge("memory_copy_byte", reply.size)
                     if breaker is not None:
                         healed = breaker.record_success(rep.name)
                         if healed is not None and tracer.enabled:

@@ -141,7 +141,6 @@ class RepliconClient(RepClient):
                         door=door.uid,
                         epoch=epoch,
                     )
-                kernel.clock.charge("memory_copy_byte", buffer.size)
                 reply = kernel.door_call(self.domain, door, buffer)
             except (CommunicationError, InvalidDoorError) as exc:
                 verdict = failure_verdict(exc)
@@ -199,7 +198,6 @@ class RepliconClient(RepClient):
                 if wait_us > 0.0:
                     kernel.clock.advance(wait_us, "retry_backoff")
                 continue
-            kernel.clock.charge("memory_copy_byte", reply.size)
             if tracer.enabled and pruned:
                 tracer.annotate(failovers=pruned)
             self._read_reply_control(rep, reply)

@@ -119,7 +119,6 @@ class RowaClient(RepClient):
         last_busy = None
         for door in rep.held_doors():
             try:
-                kernel.clock.charge("memory_copy_byte", buffer.size)
                 reply = kernel.door_call(self.domain, door, buffer)
             except (CommunicationError, InvalidDoorError) as failure:
                 verdict = failure_verdict(failure)
@@ -134,7 +133,6 @@ class RowaClient(RepClient):
                             rep.doors.remove(door)
                     quiet_delete(self.domain, door)
                 continue
-            kernel.clock.charge("memory_copy_byte", reply.size)
             return reply
         if last_busy is not None:
             raise last_busy
@@ -152,7 +150,6 @@ class RowaClient(RepClient):
         applied, shed, missed = [], [], []
         for door in rep.held_doors():
             try:
-                kernel.clock.charge("memory_copy_byte", buffer.size)
                 reply = kernel.door_call(self.domain, door, buffer)
             except (CommunicationError, InvalidDoorError) as failure:
                 verdict = failure_verdict(failure)
@@ -166,8 +163,9 @@ class RowaClient(RepClient):
                 continue
             applied.append(door)
             if first_reply is None:
-                kernel.clock.charge("memory_copy_byte", reply.size)
                 first_reply = reply
+            else:
+                reply.recycle()  # one reply answers the caller
         # Available copies: once any replica applied the write, whoever
         # missed it holds stale state and leaves the set, even a merely
         # busy one; if none did, only the dead leave.  Under the lock, so

@@ -9,24 +9,21 @@ rather than having to be copied there after all marshalling is complete."
 ``invoke_preamble`` is the whole point of this subcontract: it is the
 operation that exists *because* some subcontracts need control before any
 argument marshalling has begun.  When client and server share a machine,
-the preamble attaches a shared region to the buffer; ``invoke`` then
-skips the marshal-then-copy step that the single-door subcontracts charge
-for.  Cross-machine objects degrade to plain copying.
+the preamble attaches a shared region to the buffer, and
+:meth:`~repro.kernel.nucleus.Kernel.door_call` then skips the copy in and
+out of the kernel that every other door call pays.  Cross-machine objects
+degrade to plain copying.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.core.object import SpringObject
 from repro.marshal.buffer import MarshalBuffer
 from repro.subcontracts.common import SingleDoorRep
 from repro.subcontracts.singleton import SingleDoorClient, SingleDoorServer
-
-if TYPE_CHECKING:
-    from repro.idl.rtypes import InterfaceBinding
-    from repro.kernel.doors import DoorHandler
 
 __all__ = ["ShmClient", "ShmServer", "SharedRegion"]
 
@@ -54,8 +51,8 @@ class ShmClient(SingleDoorClient):
 
     Inherits the single-door rep/marshal/copy shape; adds the
     invoke_preamble that redirects marshalling into a shared region.
-    The inherited invoke skips the copy charge for region-backed buffers
-    on both legs (the server writes its reply into the same region).
+    The kernel charges no copy for a region-backed request on either leg
+    (the server writes its reply into the same region).
     """
 
     id = "shm"
@@ -74,20 +71,7 @@ class ShmClient(SingleDoorClient):
 
 
 class ShmServer(SingleDoorServer):
-    """Server-side shared-memory machinery.
-
-    The handler propagates the request's region onto the reply so the
-    reply bytes also avoid the extra copy.
-    """
+    """Server-side shared-memory machinery: a plain single door, since the
+    kernel reads the region off the request for both legs."""
 
     id = "shm"
-
-    def wrap_handler(
-        self, inner: "DoorHandler", impl: Any, binding: "InterfaceBinding"
-    ) -> "DoorHandler":
-        def handler(request: MarshalBuffer) -> MarshalBuffer:
-            reply = inner(request)
-            reply.region = request.region
-            return reply
-
-        return handler

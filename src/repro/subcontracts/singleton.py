@@ -2,9 +2,10 @@
 
 Section 6.1: "the standard type *file* is specified to use a simple
 subcontract called *singleton*."  A singleton object's representation is
-a single kernel door identifier; invoke is one kernel door call; marshal
-transmits the door identifier (moving the object); copy duplicates the
-door identifier.
+a single kernel door identifier; invoke is one kernel door call, which
+copies the arguments in and the reply out (the copy shm's invoke_preamble
+avoids, Section 5.1.4); marshal transmits the door identifier (moving the
+object); copy duplicates the door identifier.
 
 Singleton is the plain case of one kernel door per exported object, so
 both halves are written as reusable bases.  Who inherits which half:
@@ -44,17 +45,7 @@ class SingleDoorClient(RepClient):
     rep_type = SingleDoorRep
 
     def invoke(self, obj: SpringObject, buffer: "MarshalBuffer") -> "MarshalBuffer":
-        kernel = self.domain.kernel
-        rep: SingleDoorRep = obj._rep
-        # Arguments are copied from the caller's buffer into the kernel on
-        # the way out, and the reply copied back (the cost the shm
-        # subcontract's invoke_preamble eliminates, Section 5.1.4).
-        if buffer.region is None:
-            kernel.clock.charge("memory_copy_byte", len(buffer.data))
-        reply = kernel.door_call(self.domain, rep.door, buffer)
-        if reply.region is None:
-            kernel.clock.charge("memory_copy_byte", len(reply.data))
-        return reply
+        return self.domain.kernel.door_call(self.domain, obj._rep.door, buffer)
 
 
 class SingletonClient(SingleDoorClient):

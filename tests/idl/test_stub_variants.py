@@ -111,12 +111,12 @@ INDIRECT = ("charge", ("indirect_call",))
 
 def without_client_indirect_calls(made):
     """``made`` less the stub's two indirect calls: the very first charge
-    (before the preamble) and the one just before the request is copied
-    out to its door call (before invoke)."""
+    (before the preamble) and the one just before the door call (before
+    invoke), whose first charge is the kernel's copy of the request."""
     request = next(i for i, entry in enumerate(made) if entry[0] == "request")
-    assert made[0] == made[request - 2] == INDIRECT, made
-    assert made[request - 1][1][0] == "memory_copy_byte", made
-    return [entry for i, entry in enumerate(made) if i not in (0, request - 2)]
+    assert made[0] == made[request - 1] == INDIRECT, made
+    assert made[request + 1][1][0] == "memory_copy_byte", made
+    return [entry for i, entry in enumerate(made) if i not in (0, request - 1)]
 
 
 @pytest.mark.parametrize("iface, idl, impl_class, args_for", CASES, ids=[c[0] for c in CASES])

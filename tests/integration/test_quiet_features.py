@@ -67,7 +67,6 @@ class World:
 
         def raw_call():
             request = client.acquire_buffer()
-            kernel.clock.charge("memory_copy_byte", 5)
             request.put_int32(1)
             reply = kernel.door_call(client, raw_door, request)
             reply.get_int32()

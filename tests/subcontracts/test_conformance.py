@@ -46,6 +46,7 @@ from repro.core.errors import ObjectConsumedError
 from repro.core.object import SpringObject
 from repro.core.subcontract import ClientSubcontract, ServerSubcontract
 from repro.kernel.errors import CommunicationError, DoorRevokedError, InvalidDoorError
+from repro.kernel.nucleus import Kernel
 from repro.marshal.buffer import MarshalBuffer
 from repro.runtime.faults import crash_domain
 from repro.runtime.transfer import give, transfer
@@ -140,6 +141,7 @@ def _rowa(env, server, binding):
 
     group = RowaGroup(binding, read_ops=("total",))
     group.add_replica(server, CounterImpl())
+    group.add_replica(env.create_domain(server.machine, "rowa-replica"), CounterImpl())
     return group.make_object(server)
 
 
@@ -555,6 +557,44 @@ class TestClientTail:
         buffer.recycle()
         assert held.ledger() == before
         assert held.obj.total() == 0
+
+
+@pytest.mark.parametrize("op", ["add", "total"])
+@pytest.mark.parametrize("where", ["local", "remote"])
+@pytest.mark.parametrize("cls", CLIENTS, ids=_by_name)
+def test_one_call_pays_one_copy_per_leg_and_balances_the_pools(
+    world, cls, where, op, monkeypatch
+):
+    """The kernel copies every door call's request in and its reply out,
+    unless the request rides a shared region (§5.1.4): a write fanned out
+    to replicas and a read forwarded by a cache front pay for each leg,
+    and every pooled buffer a leg took goes back."""
+    env, server, client, binding = world
+    if where == "local":
+        client = env.create_domain(server.machine, "neighbour")
+        world = env, server, client, binding
+    env.install_cache_manager(client.machine)  # caching reads miss a front
+    held = HeldWorld(world, cls)
+    legs = []
+    door_call = Kernel.door_call
+
+    def recording(self, caller, ident, buffer):
+        copied = buffer.region is None
+        legs.append(len(buffer.data) if copied else 0)
+        reply = door_call(self, caller, ident, buffer)
+        legs.append(len(reply.data) if copied else 0)
+        return reply
+
+    monkeypatch.setattr(Kernel, "door_call", recording)
+    clock = env.kernel.clock
+    before = clock.tally().get("memory_copy_byte", 0.0)
+    assert getattr(held.obj, op)(*((1,) if op == "add" else ())) in (0, 1)
+    for domain in env.kernel.domains.values():
+        assert domain.buffer_acquires == domain.buffer_releases, domain.name
+    copied = clock.tally().get("memory_copy_byte", 0.0) - before
+    assert copied == pytest.approx(clock.model.memory_copy_byte_us * sum(legs))
+    if cls.id == "shm" and where == "local":
+        assert legs and copied == 0.0
 
 
 @pytest.mark.parametrize("cls", TRAVELLING, ids=_by_name)

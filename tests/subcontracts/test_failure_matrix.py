@@ -233,13 +233,29 @@ class World:
 def run_cell(subcontract: str, fault: str, traced: bool) -> dict:
     world = World(subcontract, fault, traced)
     world.inject(fault)
-    clock = world.env.clock
+    clock, kernel = world.env.clock, world.env.kernel
     before = {
         "state": world.state(),
         "handled": world.target.door.calls_handled,
         "door_call": clock.tally().get("door_call", 0.0),
+        "copied": clock.tally().get("memory_copy_byte", 0.0),
     }
-    result, failure = world.call(fault)
+    #: [request bytes, reply bytes or None if refused] per door call
+    attempts = []
+    door_call = kernel.door_call
+
+    def recording(caller, ident, buffer):
+        attempt = [len(buffer.data), None]
+        attempts.append(attempt)
+        reply = door_call(caller, ident, buffer)
+        attempt[1] = len(reply.data)
+        return reply
+
+    kernel.door_call = recording
+    try:
+        result, failure = world.call(fault)
+    finally:
+        del kernel.door_call
     return {
         "world": world,
         "before": before,
@@ -248,6 +264,8 @@ def run_cell(subcontract: str, fault: str, traced: bool) -> dict:
         "state": world.state(),
         "handled": world.target.door.calls_handled,
         "door_call": clock.tally().get("door_call", 0.0),
+        "copied": clock.tally().get("memory_copy_byte", 0.0),
+        "attempts": attempts,
         "tally": dict(clock.tally()),
     }
 
@@ -259,6 +277,14 @@ def test_cell(subcontract, fault, traced):
     world, before, failure = cell["world"], cell["before"], cell["failure"]
     target = world.target
     untouched = cell["state"] == before["state"]
+
+    # The kernel copies one request per door call attempted, refused or
+    # not, and one reply per reply; a shed caching read copies its memo.
+    copied = sum(request + (reply or 0) for request, reply in cell["attempts"])
+    if subcontract == "caching" and fault == "busy":
+        copied += sum(map(len, world.obj._rep.stale.values()))
+    unit = world.env.clock.model.memory_copy_byte_us
+    assert cell["copied"] - before["copied"] == pytest.approx(unit * copied)
 
     if fault == "spent":
         assert isinstance(failure, DeadlineExceeded)
@@ -301,6 +327,9 @@ def test_cell(subcontract, fault, traced):
         assert untouched
         return
     assert failure is None and cell["result"] == 0
+    # the target refused the first attempt, and a later one was served
+    attempts = cell["attempts"]
+    assert attempts[0][1] is None and attempts[-1][1] is not None
     rep = world.obj._rep
     if subcontract in ("replicon", "rowa"):  # pruned
         assert target not in rep.doors and len(rep.doors) == 2

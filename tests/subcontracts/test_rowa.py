@@ -37,6 +37,16 @@ class TestClientSideReplication:
         # The subcontract replicated the write; the servers never spoke.
         assert [impl.value for _, impl in replicas] == [5, 5, 5]
 
+    def test_every_write_reply_returns_to_its_pool(self, world):
+        kernel, group, replicas, obj = world
+        for _ in range(10):
+            obj.add(1)
+        # One reply answers the caller; the others go back where they
+        # came from, so each replica reuses one pooled reply buffer.
+        for domain, _ in replicas:
+            assert domain.buffer_acquires == domain.buffer_releases == 10
+            assert len(domain._buffer_pool) == 1
+
     def test_reads_go_to_one_replica(self, world):
         kernel, group, replicas, obj = world
         obj.add(1)

@@ -53,8 +53,8 @@ class TestSharedRegionPath:
         assert tally.get("shm_setup", 0.0) == 0.0
 
     def test_region_never_leaks_across_machines(self, env, echo_module):
-        """Even if a reply was region-backed on the server machine, the
-        fabric strips it at the machine boundary."""
+        """No reply is region-backed: the kernel reads the region off the
+        request, and a cross-machine request carries none."""
         server = env.create_domain("m-a2", "server")
         far_client = env.create_domain("m-b2", "client")
         binding = echo_module.binding("echo")
